@@ -29,7 +29,7 @@ from ._jit import maybe_njit
 from .geometry import GeometricGraph
 from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
-from .routing import _flood_core, _route_core
+from .routing import _flood_core, _route_core, restrict_edges
 
 LEDGER_NEAR = 0
 LEDGER_FAR = 1
@@ -323,13 +323,7 @@ class SimState:
 
 def leaf_adjacency(graph: GeometricGraph, leaf_of: np.ndarray):
     """CSR adjacency keeping only edges inside a common leaf square."""
-    n = graph.n
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    keep = leaf_of[src] == leaf_of[graph.indices]
-    counts = np.bincount(src[keep], minlength=n)
-    lindptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=lindptr[1:])
-    return lindptr, graph.indices[keep].astype(np.int64)
+    return restrict_edges(graph, lambda u, v: leaf_of[u] == leaf_of[v])
 
 
 def initial_values(n: int, init_dist, rng: np.random.Generator,

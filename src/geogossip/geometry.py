@@ -3,16 +3,18 @@
 Points are drawn uniformly in the unit square and joined by an edge whenever
 their Euclidean distance is at most the connectivity radius (closed ball).
 Adjacency is stored in CSR form (``indptr``/``indices``, neighbor ids sorted
-ascending) and built through a bucket grid whose cell side is at least the
-radius, so only the 3x3 cell neighborhood has to be scanned per point.
+ascending).  It is built in vectorised numpy through a bucket grid whose cell
+side is at least the radius: for each of the 9 offsets of the 3x3 cell
+neighborhood, every (point, candidate) pair is gathered at once, tested
+against the closed ball, and the kept pairs are sorted by ``i * n + j`` into
+CSR order.  Connectivity is a frontier-at-a-time breadth-first search over
+the same CSR arrays.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._jit import maybe_njit
 
 DEFAULT_RADIUS_CONSTANT = 2.0
 
@@ -96,41 +98,11 @@ def connectivity_radius(n: float, c: float = DEFAULT_RADIUS_CONSTANT) -> float:
     return c * math.sqrt(math.log(n) / n)
 
 
-@maybe_njit
-def _count_and_fill(xy, order, cell_start, grid_side, radius, indptr, indices, fill):
-    # Two-pass CSR build over the 3x3 bucket neighborhood of each point.
-    # Closed ball: dx*dx + dy*dy <= radius*radius is THE adjacency test,
-    # shared with the brute-force oracle.
-    n = xy.shape[0]
-    rsq = radius * radius
-    total = 0
-    for i in range(n):
-        xi = xy[i, 0]
-        yi = xy[i, 1]
-        cx = int(xi * grid_side)
-        if cx >= grid_side:
-            cx = grid_side - 1
-        cy = int(yi * grid_side)
-        if cy >= grid_side:
-            cy = grid_side - 1
-        count = 0
-        for ax in range(max(0, cx - 1), min(grid_side, cx + 2)):
-            for ay in range(max(0, cy - 1), min(grid_side, cy + 2)):
-                c = ax * grid_side + ay
-                for k in range(cell_start[c], cell_start[c + 1]):
-                    j = order[k]
-                    if j == i:
-                        continue
-                    dx = xy[j, 0] - xi
-                    dy = xy[j, 1] - yi
-                    if dx * dx + dy * dy <= rsq:
-                        if fill:
-                            indices[indptr[i] + count] = j
-                        count += 1
-        if not fill:
-            indptr[i + 1] = count
-        total += count
-    return total
+def _concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start[k], start[k] + count[k]) over k."""
+    total = int(count.sum())
+    shift = np.repeat(start - (np.cumsum(count) - count), count)
+    return np.arange(total, dtype=np.int64) + shift
 
 
 def build_graph(points: PointSet, radius: float) -> GeometricGraph:
@@ -161,16 +133,30 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
     cell_start = np.zeros(grid_side * grid_side + 1, dtype=np.int64)
     np.cumsum(counts, out=cell_start[1:])
 
+    # Every (point, candidate) pair of the 3x3 neighborhood, one cell
+    # offset at a time.  Closed ball: dx*dx + dy*dy <= radius*radius is THE
+    # adjacency test, shared with the brute-force oracle.
+    rsq = float(radius) * float(radius)
+    keys = []
+    for ax in (-1, 0, 1):
+        for ay in (-1, 0, 1):
+            nx = ix + ax
+            ny = iy + ay
+            src = np.flatnonzero((nx >= 0) & (nx < grid_side)
+                                 & (ny >= 0) & (ny < grid_side))
+            cell = nx[src] * grid_side + ny[src]
+            count = cell_start[cell + 1] - cell_start[cell]
+            i = np.repeat(src, count)
+            j = order[_concat_ranges(cell_start[cell], count)]
+            dx = xy[j, 0] - xy[i, 0]
+            dy = xy[j, 1] - xy[i, 1]
+            keep = (dx * dx + dy * dy <= rsq) & (i != j)
+            keys.append(i[keep] * n + j[keep])
+    # Row-major order with neighbor ids ascending within each row.
+    key = np.sort(np.concatenate(keys))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    _count_and_fill(xy, order, cell_start, grid_side, float(radius),
-                    indptr, empty, False)
-    np.cumsum(indptr[1:], out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    _count_and_fill(xy, order, cell_start, grid_side, float(radius),
-                    indptr, indices, True)
-    for i in range(n):
-        indices[indptr[i]:indptr[i + 1]].sort()
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    indices = key % n
 
     return GeometricGraph(points=points, radius=float(radius), indptr=indptr,
                           indices=indices, grid_side=grid_side,
@@ -190,30 +176,21 @@ def brute_force_adjacency(points: PointSet, radius: float):
     return indptr, indices
 
 
-@maybe_njit
-def _component_size(indptr, indices, start, queue, seen):
-    seen[:] = 0
-    queue[0] = start
-    seen[start] = 1
-    head = 0
-    tail = 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if seen[v] == 0:
-                seen[v] = 1
-                queue[tail] = v
-                tail += 1
-    return tail
-
-
 def is_connected(graph: GeometricGraph) -> bool:
-    """True iff the graph has a single connected component."""
+    """True iff the graph has a single connected component.
+
+    Breadth-first search from node 0, one whole frontier per step.
+    """
     n = graph.n
     if n <= 1:
         return True
-    queue = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=np.uint8)
-    return int(_component_size(graph.indptr, graph.indices, 0, queue, seen)) == n
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.shape[0]:
+        start = graph.indptr[frontier]
+        count = graph.indptr[frontier + 1] - start
+        nbrs = graph.indices[_concat_ranges(start, count)]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
+    return bool(seen.all())

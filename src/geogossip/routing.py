@@ -129,21 +129,23 @@ def route_to_position(graph: GeometricGraph, src: int, x: float,
     return RouteResult(path=buf[:count].copy(), success=bool(ok))
 
 
+def restrict_edges(graph: GeometricGraph, keep_edge):
+    """CSR adjacency keeping the edges (u, v) for which keep_edge(u, v) holds.
+
+    keep_edge takes the source and target id arrays of every directed edge
+    and returns a boolean mask over them; rows keep their ascending order.
+    """
+    n = graph.n
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    keep = keep_edge(src, graph.indices)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
+    return indptr, graph.indices[keep].astype(np.int64, copy=False)
+
+
 def restrict_adjacency(graph: GeometricGraph, member_mask: np.ndarray):
     """CSR adjacency keeping only edges between mask-true nodes."""
-    keep = member_mask[graph.indices]
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    for i in range(graph.n):
-        if member_mask[i]:
-            indptr[i + 1] = keep[graph.indptr[i]:graph.indptr[i + 1]].sum()
-    np.cumsum(indptr[1:], out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i in range(graph.n):
-        if member_mask[i]:
-            row = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
-            sel = row[member_mask[row]]
-            indices[indptr[i]:indptr[i + 1]] = sel
-    return indptr, indices
+    return restrict_edges(graph, lambda u, v: member_mask[u] & member_mask[v])
 
 
 def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:

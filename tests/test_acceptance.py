@@ -93,18 +93,24 @@ def spike_trajectories():
 
 
 def test_criterion_03_mean_square_decay(spike_trajectories):
-    x0, traj, elapsed = spike_trajectories
-    rel = traj / float(x0 @ x0)
+    _, traj, elapsed = spike_trajectories
+    # Normalised by the kernel's own t=0 value, so the ratio is exactly 1
+    # at t=0 whatever order the squares are summed in.
+    rel = traj / traj[:, :1]
     mean = rel.mean(axis=0)
     se = rel.std(axis=0, ddof=1) / math.sqrt(MC_TRIALS)
     bound = (1.0 - 1.0 / (2 * MC_N)) ** np.arange(MC_TICKS + 1)
     excess = mean - (bound + 3.0 * se)
-    worst = float(excess.max())
-    passed = worst <= 0.0 and elapsed < 60.0
+    # t=0 is 1 <= 1 by construction; the margin that says something about
+    # the decay is the one over ticks 1..MC_TICKS.
+    worst = float(excess[1:].max())
+    at = 1 + int(excess[1:].argmax())
+    passed = float(excess.max()) <= 0.0 and elapsed < 60.0
     report(3, passed, f"mean energy ratio under (1-1/64)^t + 3SE at all "
                       f"{MC_TICKS + 1} ticks, n={MC_N}, {MC_TRIALS} trials: "
-                      f"worst margin {-worst:.2e} ({elapsed:.1f}s)")
-    assert worst <= 0.0
+                      f"worst margin over t>=1 {-worst:.2e} at t={at} "
+                      f"({elapsed:.1f}s)")
+    assert float(excess.max()) <= 0.0
     assert elapsed < 60.0
 
 

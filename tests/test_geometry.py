@@ -1,5 +1,6 @@
 """Geometric graph construction against the O(n^2) oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from geogossip import (build_graph, connectivity_radius, is_connected,
                        sample_points)
 from geogossip.geometry import brute_force_adjacency
+from geogossip.routing import restrict_edges
 
 from conftest import make_points
 
@@ -73,6 +75,51 @@ def test_bucket_grid_matches_brute_force():
         np.testing.assert_array_equal(g.indices, indices)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), radius=st.floats(0.001, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_build_graph_equals_brute_force(n, radius, seed):
+    # radius > 0.5 gives grid_side == 1: a single bucket holds every point
+    pts = sample_points(n, seed=seed)
+    g = build_graph(pts, radius)
+    indptr, indices = brute_force_adjacency(pts, radius)
+    assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+
+
+def test_duplicate_points_are_adjacent():
+    # dx = dy = 0 between distinct ids is an edge; no node is its own neighbor
+    pts = make_points([[0.3, 0.3], [0.7, 0.7], [0.3, 0.3], [0.3, 0.3]])
+    g = build_graph(pts, 0.1)
+    assert [list(g.neighbors(i)) for i in range(4)] == [[2, 3], [], [0, 3],
+                                                        [0, 2]]
+    indptr, indices = brute_force_adjacency(pts, 0.1)
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+
+
+def test_exact_distance_across_bucket_boundaries():
+    # radius 5/16 gives grid_side 3 (boundaries at 1/3, 2/3); every offset
+    # below is dyadic, so each squared distance equals radius^2 exactly.
+    radius = 5.0 / 16.0
+    pts = make_points([
+        [0.25, 0.25],          # 0: bucket (0, 0)
+        [0.4375, 0.5],         # 1: bucket (1, 1), dx=3/16, dy=4/16 from 0
+        [0.5625, 0.25],        # 2: bucket (1, 0), dx=5/16 from 0
+        [0.25, 0.5625],        # 3: bucket (0, 1), dy=5/16 from 0
+        [0.5625 + 2 ** -40, 0.25 - 2 ** -40],  # 4: just outside 0's ball
+    ])
+    g = build_graph(pts, radius)
+    assert g.grid_side == 3
+    assert len(set(g.point_cell[:4].tolist())) == 4
+    assert list(g.neighbors(0)) == [1, 2, 3]
+    assert 0 not in g.neighbors(4)
+    indptr, indices = brute_force_adjacency(pts, radius)
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+
+
 def test_edges_invariant_under_relabeling():
     pts = sample_points(200, seed=9)
     g = build_graph(pts, 0.2)
@@ -110,6 +157,26 @@ def test_is_connected_small_cases():
     assert is_connected(build_graph(pts, math.sqrt(2.0)))
     two = make_points([[0.0, 0.0], [1.0, 1.0]])
     assert not is_connected(build_graph(two, 0.5))
+
+
+def test_is_connected_two_clusters_one_bridge():
+    # two 3x3 grids (spacing r/2) whose only cross pair at distance <= r is
+    # (0.1875, 0.1875)-(0.3125, 0.1875), exactly r apart
+    r = 0.125
+    a = [[x, y] for x in (0.0625, 0.125, 0.1875)
+         for y in (0.0625, 0.125, 0.1875)]
+    b = [[x, y] for x in (0.3125, 0.375, 0.4375)
+         for y in (0.1875, 0.25, 0.3125)]
+    g = build_graph(make_points(a + b), r)
+    side = np.arange(18) >= 9
+    cross = [(u, int(v)) for u in range(18) for v in g.neighbors(u)
+             if side[u] != side[v]]
+    assert cross == [(8, 9), (9, 8)]
+    assert is_connected(g)
+    indptr, indices = restrict_edges(g, lambda u, v: side[u] == side[v])
+    assert indices.shape[0] == g.indices.shape[0] - 2
+    assert not is_connected(dataclasses.replace(g, indptr=indptr,
+                                                indices=indices))
 
 
 def test_default_constant_connects_whp():

@@ -16,33 +16,11 @@ cap fault is counted, keeping tick cost bounded.
 import numpy as np
 
 from ._jit import maybe_njit
-from .engine import (EV_FAR, EV_NEAR, FAULT_GEO_REJECT, FAULT_ISOLATED_NEAR,
-                     LEDGER_FAR, LEDGER_NEAR)
+from .engine import EV_FAR, FAULT_GEO_REJECT, LEDGER_FAR, _near, step
 from .geometry import GeometricGraph
 from .routing import _route_core
 
 GEO_ATTEMPT_CAP = 64
-
-
-@maybe_njit
-def _tick_boyd(G, M, W, rng):
-    n = M.x.shape[0]
-    s = rng.integers(0, n)
-    deg = G.indptr[s + 1] - G.indptr[s]
-    if deg == 0:
-        M.faults[FAULT_ISOLATED_NEAR] += 1
-        return 0
-    v = G.indices[G.indptr[s] + rng.integers(0, deg)]
-    m = 0.5 * (M.x[s] + M.x[v])
-    M.x[s] = m
-    M.x[v] = m
-    M.ledger[LEDGER_NEAR] += 2
-    W.events[0, 0] = EV_NEAR
-    W.events[0, 1] = s
-    W.events[0, 2] = v
-    W.events[0, 3] = 2
-    W.events[0, 4] = 1
-    return 1
 
 
 @maybe_njit
@@ -82,9 +60,12 @@ def _tick_geo(G, accept, M, W, rng):
 
 
 @maybe_njit
-def _run_boyd(G, M, W, rng, ticks):
-    for _ in range(ticks):
-        _tick_boyd(G, M, W, rng)
+def _run_boyd(L, M, W, U):
+    # A boyd tick is a near exchange on the full adjacency; U holds one
+    # (node, neighbor) row per tick.
+    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
+    for t in range(nodes.shape[0]):
+        _near(L, M, W, U[t, 1], nodes[t], 0)
 
 
 @maybe_njit
@@ -107,12 +88,11 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
 
 
 def boyd_step(state) -> None:
-    """One exchange of the neighbor-averaging baseline."""
-    _tick_boyd(state._G, state._M, state._W, state.rng)
-    state.tick += 1
+    """One exchange of the neighbor-averaging baseline (`engine.step`)."""
+    step(state)
 
 
 def geo_gossip_step(state) -> None:
-    """One position-targeted exchange with rejection sampling."""
-    _tick_geo(state._G, state._geo_accept, state._M, state._W, state.rng)
-    state.tick += 1
+    """One position-targeted exchange with rejection sampling
+    (`engine.step`)."""
+    step(state)

@@ -13,6 +13,15 @@ activate, deactivate, flood).  Protocol faults (routing dead ends, sensors
 with no in-leaf neighbor, long-range packets arriving mid-round, flood gaps,
 rejection-sampling cap hits) are counted, never raised.
 
+Randomness is drawn outside the kernels.  Every hier or boyd tick reads one
+fixed row of uniforms from [0, 1): hier rows are (node, far coin, sibling,
+neighbor), boyd rows are (node, neighbor), and a pick among m choices is
+int(u * m).  The bulk runner draws the rows in blocks of at most BLOCK_ROWS;
+`step` draws one row.  A Generator emits doubles strictly in sequence, so
+both see the same rows and end in the same state at any stride.  geo still
+draws from the Generator inside its kernel, because its rejection sampling
+takes a variable number of attempts.
+
 The tick kernels are compiled with numba when available; the same functions
 run under plain numpy when GEOGOSSIP_DISABLE_NUMBA is set.  Each tick also
 writes a compact event buffer so `step` can return a replayable event log
@@ -59,6 +68,11 @@ EVENT_LEDGER = (LEDGER_NEAR, LEDGER_FAR, LEDGER_ACTIVATE, LEDGER_DEACTIVATE,
 
 INIT_DISTRIBUTIONS = ("spike", "uniform", "gauss", "gradient")
 
+# Uniforms per tick row, and the most rows one bulk draw holds (this bounds
+# the memory of a long stride).
+ROW_WIDTH = {"hier": 4, "boyd": 2}
+BLOCK_ROWS = 4096
+
 GraphT = namedtuple("GraphT", ["indptr", "indices", "xy"])
 LeafT = namedtuple("LeafT", ["indptr", "indices"])
 CellT = namedtuple("CellT", [
@@ -76,12 +90,12 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 
 
 @maybe_njit
-def _near(L, M, W, rng, s, nev):
+def _near(L, M, W, u, s, nev):
     deg = L.indptr[s + 1] - L.indptr[s]
     if deg == 0:
         M.faults[FAULT_ISOLATED_NEAR] += 1
         return nev
-    v = L.indices[L.indptr[s] + rng.integers(0, deg)]
+    v = L.indices[L.indptr[s] + int(u * deg)]
     m = 0.5 * (M.x[s] + M.x[v])
     M.x[s] = m
     M.x[v] = m
@@ -95,12 +109,12 @@ def _near(L, M, W, rng, s, nev):
 
 
 @maybe_njit
-def _far(G, C, M, W, rng, s, c, nev):
+def _far(G, C, M, W, u, s, c, nev):
     p = C.parent[c]
     nsib = C.child_count[p] - 1
     if nsib <= 0:
         return nev, False
-    cp = C.child_start[p] + rng.integers(0, nsib)
+    cp = C.child_start[p] + int(u * nsib)
     if cp >= c:
         cp += 1
     sp = C.rep[cp]
@@ -218,29 +232,28 @@ def _deactivate(G, L, C, M, W, s, c, lvl, nev):
 
 
 @maybe_njit
-def _tick_hier(G, L, C, S, M, W, rng):
-    n = M.x.shape[0]
-    s = rng.integers(0, n)
+def _tick_hier(G, L, C, S, M, W, u, s):
+    # u is the tick's row; s = int(u[0] * n) is its firing node.
     nev = 0
     root_deact = False
     lvl = C.level[s]
     if lvl == 0:
         if M.local_on[s] == 1:
-            nev = _near(L, M, W, rng, s, nev)
+            nev = _near(L, M, W, u[3], s, nev)
         return nev, root_deact
     c = C.cell_of_rep[s]
     r = C.depth[c]
     if M.global_on[s] == 1:
         if M.counter[s] == 0:
             nev = _activate(G, L, C, M, W, s, c, lvl, nev)
-        if C.parent[c] >= 0 and rng.random() < S.far_prob[r]:
-            nev, done = _far(G, C, M, W, rng, s, c, nev)
+        if C.parent[c] >= 0 and u[1] < S.far_prob[r]:
+            nev, done = _far(G, C, M, W, u[2], s, c, nev)
             if done:
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
                 return nev, root_deact
     if M.local_on[s] == 1:
-        nev = _near(L, M, W, rng, s, nev)
+        nev = _near(L, M, W, u[3], s, nev)
     if M.counter[s] >= S.time[r]:
         nev, root_deact = _deactivate(G, L, C, M, W, s, c, lvl, nev)
         if C.parent[c] < 0:
@@ -251,10 +264,18 @@ def _tick_hier(G, L, C, S, M, W, rng):
 
 
 @maybe_njit
-def _run_hier(G, L, C, S, M, W, rng, ticks):
+def _run_hier(G, L, C, S, M, W, U):
+    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
+    level = C.level
+    local_on = M.local_on
     root_deact = False
-    for _ in range(ticks):
-        _nev, rd = _tick_hier(G, L, C, S, M, W, rng)
+    for t in range(nodes.shape[0]):
+        s = nodes[t]
+        # A plain sensor whose leaf is off changes nothing; local_on only
+        # changes inside ticks that are not skipped.
+        if level[s] == 0 and local_on[s] == 0:
+            continue
+        _nev, rd = _tick_hier(G, L, C, S, M, W, U[t], s)
         if rd:
             root_deact = True
     return root_deact
@@ -465,10 +486,13 @@ def step(state: SimState) -> list:
 
     tick = state.tick
     if state.algorithm == "hier":
+        u = state.rng.random(ROW_WIDTH["hier"])
         nev, _rd = _tick_hier(state._G, state._L, state._C, state._S,
-                              state._M, state._W, state.rng)
+                              state._M, state._W, u, int(u[0] * state.n))
     elif state.algorithm == "boyd":
-        nev = baselines._tick_boyd(state._G, state._M, state._W, state.rng)
+        u = state.rng.random(ROW_WIDTH["boyd"])
+        nev = _near(state._L, state._M, state._W, u[1], int(u[0] * state.n),
+                    0)
     else:
         nev = baselines._tick_geo(state._G, state._geo_accept, state._M,
                                   state._W, state.rng)
@@ -489,9 +513,9 @@ def near_exchange(state: SimState, s: int) -> list:
 
     An in-leaf-isolated s is a no-op that counts an isolated_near fault.
     The caller picks s; the protocol itself only issues this for nodes
-    whose local state is on.
+    whose local state is on.  Draws the one uniform it needs.
     """
-    nev = _near(state._L, state._M, state._W, state.rng, int(s), 0)
+    nev = _near(state._L, state._M, state._W, state.rng.random(), int(s), 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -500,13 +524,14 @@ def far_exchange(state: SimState, s: int) -> list:
 
     Routes there and back (hops are ledgered even on a failed leg), applies
     the antisymmetric kick 0.4 * E# * (difference) at both ends, and resets
-    both counters, which restarts local averaging in both squares.
+    both counters, which restarts local averaging in both squares.  Draws
+    the one uniform it needs.
     """
     c = _rep_cell(state, s)
     if state._C.parent[c] < 0:
         raise ValueError("the root square has no siblings to exchange with")
-    nev, _done = _far(state._G, state._C, state._M, state._W, state.rng,
-                      int(s), c, 0)
+    nev, _done = _far(state._G, state._C, state._M, state._W,
+                      state.rng.random(), int(s), c, 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -572,15 +597,20 @@ def snapshot(state: SimState) -> MetricsRecord:
 def _run_chunk(state: SimState, ticks: int) -> bool:
     from . import baselines
 
-    if state.algorithm == "hier":
-        return bool(_run_hier(state._G, state._L, state._C, state._S,
-                              state._M, state._W, state.rng, ticks))
-    if state.algorithm == "boyd":
-        baselines._run_boyd(state._G, state._M, state._W, state.rng, ticks)
-    else:
+    if state.algorithm == "geo":
         baselines._run_geo(state._G, state._geo_accept, state._M, state._W,
                            state.rng, ticks)
-    return False
+        return False
+    root_deact = False
+    for start in range(0, ticks, BLOCK_ROWS):
+        U = state.rng.random((min(BLOCK_ROWS, ticks - start),
+                              ROW_WIDTH[state.algorithm]))
+        if state.algorithm == "hier":
+            root_deact |= bool(_run_hier(state._G, state._L, state._C,
+                                         state._S, state._M, state._W, U))
+        else:
+            baselines._run_boyd(state._L, state._M, state._W, U)
+    return root_deact
 
 
 def _advance(state: SimState, ticks: int, event_sink) -> bool:

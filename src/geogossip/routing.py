@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jit import maybe_njit
-from .geometry import GeometricGraph
+from .geometry import GeometricGraph, _concat_ranges
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,28 @@ def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
         ValueError: if origin is not a member of the cell.
     """
     members = np.asarray(getattr(cell, "members", cell), dtype=np.int64)
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[members] = True
-    if not mask[origin]:
+    # In-cell CSR over local ids (positions in the sorted member list),
+    # built from the member rows alone: a member's row keeps the neighbors
+    # that are members too, in their ascending order.
+    ids = np.unique(members)
+    start = int(np.searchsorted(ids, origin))
+    if start == ids.shape[0] or ids[start] != origin:
         raise ValueError(f"origin {origin} is not a member of the cell")
-    lindptr, lindices = restrict_adjacency(graph, mask)
-    queue = np.empty(graph.n, dtype=np.int64)
-    stamp = np.zeros(graph.n, dtype=np.int64)
+    row_start = graph.indptr[ids]
+    row_count = graph.indptr[ids + 1] - row_start
+    nbr = graph.indices[_concat_ranges(row_start, row_count)]
+    local = np.minimum(np.searchsorted(ids, nbr), ids.shape[0] - 1)
+    keep = ids[local] == nbr
+    row = np.repeat(np.arange(ids.shape[0]), row_count)
+    lindptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=ids.shape[0]),
+              out=lindptr[1:])
+    queue = np.empty(ids.shape[0], dtype=np.int64)
+    stamp = np.zeros(ids.shape[0], dtype=np.int64)
     stamp_id = np.ones(1, dtype=np.int64)
-    reached_n, tx = _flood_core(lindptr, lindices, int(origin), queue, stamp,
+    reached_n, tx = _flood_core(lindptr, local[keep], start, queue, stamp,
                                 stamp_id)
-    reached = np.sort(queue[:reached_n].copy())
+    reached = ids[np.sort(queue[:reached_n])]
     unreached = members[~np.isin(members, reached)]
     return FloodResult(reached=reached, transmissions=int(tx),
                        unreached=unreached)

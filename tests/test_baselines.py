@@ -16,7 +16,7 @@ from geogossip import (
 )
 from geogossip.baselines import GEO_ATTEMPT_CAP, geo_acceptance
 
-from conftest import make_points
+from conftest import LastRows, make_points
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,15 @@ def test_boyd_deterministic(graph256b):
         boyd_step(b)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.ledger, b.ledger)
+
+
+def test_boyd_last_uniform_picks_last_node_and_neighbor(graph256b):
+    st = init_sim(graph256b, seed=0, init_dist="gauss", algorithm="boyd")
+    st.rng = LastRows()
+    ev = step(st)[0]
+    s = graph256b.n - 1
+    assert (ev.node, ev.target) == \
+        (s, graph256b.indices[graph256b.indptr[s + 1] - 1])
 
 
 # --------------------------------------------------------------------- geo

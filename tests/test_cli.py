@@ -9,6 +9,8 @@ import pytest
 from geogossip import read_csv
 from geogossip.cli import main
 
+from conftest import BACKEND_LINES
+
 
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
@@ -187,9 +189,15 @@ def test_installed_script_smoke():
 def test_numpy_fallback_matches_compiled_output(tmp_path):
     # the flag is read at import, so each mode needs its own process
     outputs = {}
+    backends = {}
     for flag in ("0", "1"):
         out = tmp_path / f"jit{flag}.csv"
         env = dict(os.environ, GEOGOSSIP_DISABLE_NUMBA=flag)
+        # without numba both processes run interpreted: report what ran
+        backends[flag] = subprocess.run(
+            [sys.executable, "-c", "from geogossip import _jit; "
+             "print('numpy' if _jit.NUMBA_DISABLED else 'numba')"],
+            env=env, capture_output=True, text=True, check=True).stdout.strip()
         proc = subprocess.run(
             [sys.executable, "-m", "geogossip.cli", "simulate",
              "--algorithm", "hier", "--n", "64", "--seed", "3",
@@ -198,5 +206,11 @@ def test_numpy_fallback_matches_compiled_output(tmp_path):
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs[flag] = out.read_bytes()
+    BACKEND_LINES.append(
+        f"test_numpy_fallback_matches_compiled_output: {backends['0']} "
+        f"(GEOGOSSIP_DISABLE_NUMBA=0) vs {backends['1']} "
+        f"(GEOGOSSIP_DISABLE_NUMBA=1)"
+        + (" -- same backend, so this compares interpreted with "
+           "interpreted" if backends["0"] == backends["1"] else ""))
     assert outputs["0"] == outputs["1"]
     assert outputs["0"].startswith(b"algorithm,")

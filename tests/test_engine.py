@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geogossip import engine
 from geogossip import (
     activate_square,
     build_graph,
@@ -21,7 +22,7 @@ from geogossip import (
     step,
 )
 
-from conftest import make_points
+from conftest import LAST, LastRows, make_points
 
 
 def make_sim(graph, hierarchy, x0, seed=0, **sched_kw):
@@ -350,3 +351,91 @@ def test_step_advances_tick(quad16):
     for expected in range(5):
         assert st.tick == expected
         step(st)
+
+
+STATE_FIELDS = ("x", "ledger", "faults", "local_on", "global_on", "counter",
+                "cell_active")
+
+
+def fresh_state(sim256, algorithm):
+    graph, hierarchy, sched = sim256
+    if algorithm == "boyd":
+        hierarchy = sched = None
+    return init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss",
+                    algorithm=algorithm)
+
+
+def assert_same_state(a, b):
+    assert a.tick == b.tick
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "boyd"])
+def test_bulk_run_is_stride_and_block_invariant(sim256, algorithm):
+    ticks = 3 * engine.BLOCK_ROWS + 5
+    states = []
+    for stride in (1, 7, sim256[0].n, engine.BLOCK_ROWS + 1):
+        st = fresh_state(sim256, algorithm)
+        run(st, max_ticks=ticks, stride=stride)
+        states.append(st)
+    assert states[0].ledger.sum() > 0
+    for st in states[1:]:
+        assert_same_state(states[0], st)
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "boyd"])
+def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
+    ticks = engine.BLOCK_ROWS + 3
+    a = fresh_state(sim256, algorithm)
+    b = fresh_state(sim256, algorithm)
+    run_logged(a, ticks)
+    run(b, max_ticks=ticks, stride=ticks)
+    assert_same_state(a, b)
+
+
+def test_pick_from_unit_interval_stays_in_range():
+    # int(u * m) with u = LAST is m - 1 for every count m a pick can have
+    m = np.arange(1, 2**20 + 1, dtype=np.int64)
+    assert np.array_equal((LAST * m).astype(np.int64), m - 1)
+
+
+def test_last_uniform_picks_last_node_and_neighbor(sim256):
+    graph, hierarchy, sched = sim256
+    st = init_sim(graph, hierarchy, sched, seed=0, init_dist="gauss")
+    s = st.n - 1
+    assert hierarchy.levels.level[s] == 0   # a plain sensor
+    st.local_on[s] = 1
+    st.rng = LastRows()
+    events = step(st)
+    last_nb = int(st._L.indices[st._L.indptr[s + 1] - 1])
+    assert [(ev.action, ev.node, ev.target) for ev in events] == \
+        [("near", s, last_nb)]
+    assert near_exchange(st, s)[0].target == last_nb
+
+
+def test_last_uniform_picks_last_sibling(quad16):
+    graph, hierarchy = quad16
+    for c in range(1, 5):   # the four leaves, siblings under the root
+        st = make_sim(graph, hierarchy, "spike")
+        st.rng = LastRows()
+        siblings = [k for k in range(1, 5) if k != c]
+        events = far_exchange(st, int(hierarchy.cell_rep[c]))
+        assert events[0].target == hierarchy.cell_rep[siblings[-1]]
+
+
+def test_near_neighbor_pick_is_uniform(sim256):
+    graph, hierarchy, sched = sim256
+    st = init_sim(graph, hierarchy, sched, seed=0)
+    deg = np.diff(st._L.indptr)
+    s = int(np.argmax(deg))
+    nbrs = st._L.indices[st._L.indptr[s]:st._L.indptr[s + 1]]
+    draws = 40_000
+    hits = np.zeros(st.n, dtype=np.int64)
+    for u in np.random.default_rng(3).random(draws):
+        engine._near(st._L, st._M, st._W, u, s, 0)
+        hits[st._W.events[0, 2]] += 1
+    assert hits[nbrs].sum() == draws
+    p = 1.0 / deg[s]
+    assert np.all(np.abs(hits[nbrs] - draws * p)
+                  <= 5 * np.sqrt(draws * p * (1 - p)))

@@ -7,12 +7,14 @@ import pytest
 
 from geogossip import (
     build_graph,
+    build_hierarchy,
     connectivity_radius,
     flood,
     greedy_route,
     sample_points,
 )
-from geogossip.routing import route_to_position
+from geogossip.routing import (_flood_core, restrict_adjacency,
+                               route_to_position)
 
 from conftest import make_points
 
@@ -159,3 +161,30 @@ def test_flood_accepts_cell_objects(quad16):
         r = flood(graph, cell, origin=int(cell.representative))
         assert r.complete
         assert np.array_equal(r.reached, cell.members)
+
+
+def test_flood_matches_whole_graph_restriction():
+    # reference: the flood over the whole graph's member-masked CSR
+    # over random member sets (mostly split) and the hierarchy's squares
+    pts = sample_points(300, seed=4)
+    g = build_graph(pts, connectivity_radius(300, 2.0))
+    rng = np.random.default_rng(21)
+    sets = [rng.choice(g.n, size=int(rng.integers(1, 120)), replace=False)
+            for _ in range(60)]
+    sets += [cell.members for cell in build_hierarchy(pts, 64).cells]
+    for members in sets:
+        origin = int(members[rng.integers(0, members.shape[0])])
+        mask = np.zeros(g.n, dtype=bool)
+        mask[members] = True
+        lindptr, lindices = restrict_adjacency(g, mask)
+        queue = np.empty(g.n, dtype=np.int64)
+        reached_n, tx = _flood_core(lindptr, lindices, origin, queue,
+                                    np.zeros(g.n, dtype=np.int64),
+                                    np.ones(1, dtype=np.int64))
+        reached = np.sort(queue[:reached_n])
+        r = flood(g, members, origin)
+        assert np.array_equal(r.reached, reached)
+        assert r.reached.dtype == reached.dtype
+        assert r.transmissions == tx
+        assert np.array_equal(r.unreached,
+                              members[~np.isin(members, reached)])

@@ -19,7 +19,6 @@ from .affine import (
     simulate_affine_gossip,
     simulate_perturbed_gossip,
 )
-from .baselines import boyd_step, geo_gossip_step
 from .engine import (
     MetricsSeries,
     SimState,
@@ -78,8 +77,6 @@ __all__ = [
     "mean_square_decay_bound",
     "simulate_affine_gossip",
     "simulate_perturbed_gossip",
-    "boyd_step",
-    "geo_gossip_step",
     "MetricsSeries",
     "SimState",
     "init_sim",

@@ -2,10 +2,9 @@
 
 Set the environment variable ``GEOGOSSIP_DISABLE_NUMBA=1`` before import to
 skip compilation entirely and run the same kernel bodies as plain Python on
-numpy arrays.  The hier and boyd tick kernels read pre-drawn rows of uniforms
-and take no generator; the geo kernel still draws from a
-``numpy.random.Generator``, whose bit stream is identical compiled or not.
-Results therefore do not depend on which path is active.
+numpy arrays.  The tick kernels take no random generator: they read rows of
+uniforms drawn beforehand, so both paths see the same inputs and results do
+not depend on which path is active.
 """
 
 import os
@@ -29,8 +28,7 @@ if NUMBA_DISABLED:
         return wrap
 else:
     def maybe_njit(*args, **kwargs):
-        """numba.njit with caching disabled (the geo kernel takes a
-        Generator argument)."""
+        """numba.njit with its default options (no compile cache)."""
         if len(args) == 1 and callable(args[0]) and not kwargs:
             return _njit(args[0])
         return _njit(*args, **kwargs)

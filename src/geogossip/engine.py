@@ -13,14 +13,25 @@ activate, deactivate, flood).  Protocol faults (routing dead ends, sensors
 with no in-leaf neighbor, long-range packets arriving mid-round, flood gaps,
 rejection-sampling cap hits) are counted, never raised.
 
-Randomness is drawn outside the kernels.  Every hier or boyd tick reads one
-fixed row of uniforms from [0, 1): hier rows are (node, far coin, sibling,
-neighbor), boyd rows are (node, neighbor), and a pick among m choices is
-int(u * m).  The bulk runner draws the rows in blocks of at most BLOCK_ROWS;
+The comparison protocols run under the same tick model and accounting.
+boyd: the firing sensor averages with a uniformly random graph neighbor
+(2 transmissions per exchange).  geo: the firing sensor draws a uniform
+position in the unit square, routes toward it, and treats the stop node as
+the candidate partner.  Because that law favors sensors covering more area,
+a rejection step accepts a candidate with probability proportional to its
+local bucket count (capped at 1), approximating a uniform partner.  Every
+attempt, accepted or not, pays the round trip: 2 hops' worth per routing
+hop.  After GEO_ATTEMPT_CAP rejections the last candidate is accepted anyway
+and the cap fault is counted, keeping tick cost bounded.
+
+Randomness is drawn outside the kernels.  Every tick reads one fixed row of
+uniforms from [0, 1); column 0 picks the firing node, and a pick among m
+choices is int(u * m).  hier rows are (node, far coin, sibling, neighbor),
+boyd rows are (node, neighbor), and geo attempt a reads (x, y, acceptance
+coin) from columns 1+3a .. 3+3a; columns a tick does not use are discarded.
+The bulk runner draws the rows in blocks of at most BLOCK_VALUES values;
 `step` draws one row.  A Generator emits doubles strictly in sequence, so
-both see the same rows and end in the same state at any stride.  geo still
-draws from the Generator inside its kernel, because its rejection sampling
-takes a variable number of attempts.
+both see the same rows and end in the same state at any stride.
 
 The tick kernels are compiled with numba when available; the same functions
 run under plain numpy when GEOGOSSIP_DISABLE_NUMBA is set.  Each tick also
@@ -68,10 +79,12 @@ EVENT_LEDGER = (LEDGER_NEAR, LEDGER_FAR, LEDGER_ACTIVATE, LEDGER_DEACTIVATE,
 
 INIT_DISTRIBUTIONS = ("spike", "uniform", "gauss", "gradient")
 
-# Uniforms per tick row, and the most rows one bulk draw holds (this bounds
-# the memory of a long stride).
-ROW_WIDTH = {"hier": 4, "boyd": 2}
-BLOCK_ROWS = 4096
+GEO_ATTEMPT_CAP = 64
+
+# Uniforms per tick row, and the most values one bulk draw holds (this bounds
+# the memory of a long stride to 128 KB).
+ROW_WIDTH = {"hier": 4, "boyd": 2, "geo": 1 + 3 * GEO_ATTEMPT_CAP}
+BLOCK_VALUES = 16384
 
 GraphT = namedtuple("GraphT", ["indptr", "indices", "xy"])
 LeafT = namedtuple("LeafT", ["indptr", "indices"])
@@ -106,6 +119,67 @@ def _near(L, M, W, u, s, nev):
     W.events[nev, 3] = 2
     W.events[nev, 4] = 1
     return nev + 1
+
+
+@maybe_njit
+def _tick_geo(G, accept, M, W, u, s):
+    # u is the tick's row; s = int(u[0] * n) is its firing node.
+    total = 0
+    cand = -1
+    accepted = False
+    for a in range(GEO_ATTEMPT_CAP):
+        cnt, _ok = _route_core(G.indptr, G.indices, G.xy, s, -1, u[1 + 3 * a],
+                               u[2 + 3 * a], W.path)
+        c = W.path[cnt - 1]
+        total += 2 * (cnt - 1)
+        if c == s:
+            continue
+        cand = c
+        if u[3 + 3 * a] < accept[c]:
+            accepted = True
+            break
+    if not accepted and cand >= 0:
+        M.faults[FAULT_GEO_REJECT] += 1
+        accepted = True
+    M.ledger[LEDGER_FAR] += total
+    if accepted:
+        m = 0.5 * (M.x[s] + M.x[cand])
+        M.x[s] = m
+        M.x[cand] = m
+    W.events[0, 0] = EV_FAR
+    W.events[0, 1] = s
+    W.events[0, 2] = cand
+    W.events[0, 3] = total
+    W.events[0, 4] = 1 if accepted else 0
+    return 1
+
+
+@maybe_njit
+def _run_boyd(L, M, W, U):
+    # A boyd tick is a near exchange on the full adjacency.
+    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
+    for t in range(nodes.shape[0]):
+        _near(L, M, W, U[t, 1], nodes[t], 0)
+
+
+@maybe_njit
+def _run_geo(G, accept, M, W, U):
+    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
+    for t in range(nodes.shape[0]):
+        _tick_geo(G, accept, M, W, U[t], nodes[t])
+
+
+def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
+    """Per-sensor acceptance probability for geo's rejection sampling.
+
+    A sensor in a crowded bucket covers little area and is rarely the
+    routing target, so it is accepted more readily: acceptance is the
+    bucket count over the expected count n/grid_side^2, capped at 1.
+    """
+    counts = np.diff(graph.cell_start).astype(np.float64)
+    per_node = counts[graph.point_cell]
+    expected = graph.n / float(graph.grid_side) ** 2
+    return np.minimum(1.0, per_node / expected)
 
 
 @maybe_njit
@@ -153,18 +227,24 @@ def _far(G, C, M, W, u, s, c, nev):
 
 
 @maybe_njit
-def _activate(G, L, C, M, W, s, c, lvl, nev):
-    M.cell_active[c] = 1
+def _toggle(G, L, C, M, W, s, c, lvl, on, nev):
+    # Start (on=1) or end (on=0) square c's round: flood local states (level
+    # 1) or route to the child representatives (level > 1).  A square with no
+    # running round has nothing to wind down; the repeat trigger fires every
+    # own tick once counter passes time, so make that free.
+    if on == 0 and M.cell_active[c] == 0:
+        return nev
+    M.cell_active[c] = on
     if lvl == 1:
         reached, tx = _flood_core(L.indptr, L.indices, s, W.queue, W.stamp,
                                   W.stamp_id)
         for qi in range(reached):
-            M.local_on[W.queue[qi]] = 1
+            M.local_on[W.queue[qi]] = on
         M.ledger[LEDGER_FLOOD] += tx
         gap = (C.member_start[c + 1] - C.member_start[c]) - reached
         if gap > 0:
             M.faults[FAULT_FLOOD_GAP] += gap
-        W.events[nev, 0] = EV_FLOOD_ON
+        W.events[nev, 0] = EV_FLOOD_ON if on == 1 else EV_FLOOD_OFF
         W.events[nev, 3] = tx
         W.events[nev, 4] = 1 if gap == 0 else 0
     else:
@@ -176,59 +256,23 @@ def _activate(G, L, C, M, W, s, c, lvl, nev):
                                   G.xy[dst, 0], G.xy[dst, 1], W.path)
             total += cnt - 1
             if ok:
-                M.global_on[dst] = 1
-                M.counter[dst] = 0
+                M.global_on[dst] = on
+                if on == 1:
+                    M.counter[dst] = 0
             else:
                 M.faults[FAULT_ROUTING] += 1
                 ok_all = 0
-        M.ledger[LEDGER_ACTIVATE] += total
-        W.events[nev, 0] = EV_ACTIVATE
+        if on == 1:
+            M.ledger[LEDGER_ACTIVATE] += total
+            W.events[nev, 0] = EV_ACTIVATE
+        else:
+            M.ledger[LEDGER_DEACTIVATE] += total
+            W.events[nev, 0] = EV_DEACTIVATE
         W.events[nev, 3] = total
         W.events[nev, 4] = ok_all
     W.events[nev, 1] = s
     W.events[nev, 2] = c
     return nev + 1
-
-
-@maybe_njit
-def _deactivate(G, L, C, M, W, s, c, lvl, nev):
-    # A square with no running round has nothing to wind down; the repeat
-    # trigger fires every own tick once counter passes time, so make it free.
-    if M.cell_active[c] == 0:
-        return nev, False
-    M.cell_active[c] = 0
-    if lvl == 1:
-        reached, tx = _flood_core(L.indptr, L.indices, s, W.queue, W.stamp,
-                                  W.stamp_id)
-        for qi in range(reached):
-            M.local_on[W.queue[qi]] = 0
-        M.ledger[LEDGER_FLOOD] += tx
-        gap = (C.member_start[c + 1] - C.member_start[c]) - reached
-        if gap > 0:
-            M.faults[FAULT_FLOOD_GAP] += gap
-        W.events[nev, 0] = EV_FLOOD_OFF
-        W.events[nev, 3] = tx
-        W.events[nev, 4] = 1 if gap == 0 else 0
-    else:
-        total = 0
-        ok_all = 1
-        for ci in range(C.child_start[c], C.child_start[c] + C.child_count[c]):
-            dst = C.rep[ci]
-            cnt, ok = _route_core(G.indptr, G.indices, G.xy, s, dst,
-                                  G.xy[dst, 0], G.xy[dst, 1], W.path)
-            total += cnt - 1
-            if ok:
-                M.global_on[dst] = 0
-            else:
-                M.faults[FAULT_ROUTING] += 1
-                ok_all = 0
-        M.ledger[LEDGER_DEACTIVATE] += total
-        W.events[nev, 0] = EV_DEACTIVATE
-        W.events[nev, 3] = total
-        W.events[nev, 4] = ok_all
-    W.events[nev, 1] = s
-    W.events[nev, 2] = c
-    return nev + 1, C.parent[c] < 0
 
 
 @maybe_njit
@@ -245,7 +289,7 @@ def _tick_hier(G, L, C, S, M, W, u, s):
     r = C.depth[c]
     if M.global_on[s] == 1:
         if M.counter[s] == 0:
-            nev = _activate(G, L, C, M, W, s, c, lvl, nev)
+            nev = _toggle(G, L, C, M, W, s, c, lvl, 1, nev)
         if C.parent[c] >= 0 and u[1] < S.far_prob[r]:
             nev, done = _far(G, C, M, W, u[2], s, c, nev)
             if done:
@@ -255,9 +299,11 @@ def _tick_hier(G, L, C, S, M, W, u, s):
     if M.local_on[s] == 1:
         nev = _near(L, M, W, u[3], s, nev)
     if M.counter[s] >= S.time[r]:
-        nev, root_deact = _deactivate(G, L, C, M, W, s, c, lvl, nev)
+        done = _toggle(G, L, C, M, W, s, c, lvl, 0, nev)
         if C.parent[c] < 0:
+            root_deact = done > nev
             M.counter[s] = 0
+        nev = done
     else:
         M.counter[s] += 1
     return nev, root_deact
@@ -465,7 +511,6 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
                         path=np.empty(n + 1, dtype=np.int64),
                         events=np.zeros((8, 5), dtype=np.int64))
     if algorithm == "geo":
-        from .baselines import geo_acceptance
         state._geo_accept = geo_acceptance(graph)
     return state
 
@@ -482,20 +527,16 @@ def _decode_events(state: SimState, nev: int, tick: int) -> list:
 
 def step(state: SimState) -> list:
     """Advance one tick and return the events it produced."""
-    from . import baselines
-
     tick = state.tick
+    u = state.rng.random(ROW_WIDTH[state.algorithm])
+    s = int(u[0] * state.n)
     if state.algorithm == "hier":
-        u = state.rng.random(ROW_WIDTH["hier"])
         nev, _rd = _tick_hier(state._G, state._L, state._C, state._S,
-                              state._M, state._W, u, int(u[0] * state.n))
+                              state._M, state._W, u, s)
     elif state.algorithm == "boyd":
-        u = state.rng.random(ROW_WIDTH["boyd"])
-        nev = _near(state._L, state._M, state._W, u[1], int(u[0] * state.n),
-                    0)
+        nev = _near(state._L, state._M, state._W, u[1], s, 0)
     else:
-        nev = baselines._tick_geo(state._G, state._geo_accept, state._M,
-                                  state._W, state.rng)
+        nev = _tick_geo(state._G, state._geo_accept, state._M, state._W, u, s)
     state.tick = tick + 1
     return _decode_events(state, nev, tick)
 
@@ -539,8 +580,8 @@ def activate_square(state: SimState, s: int) -> list:
     """Start s's square's round: flood local states on (level 1) or route
     wake-ups to the child representatives (level > 1)."""
     c = _rep_cell(state, s)
-    nev = _activate(state._G, state._L, state._C, state._M, state._W,
-                    int(s), c, int(state._C.level[s]), 0)
+    nev = _toggle(state._G, state._L, state._C, state._M, state._W, int(s),
+                  c, int(state._C.level[s]), 1, 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -548,8 +589,8 @@ def deactivate_square(state: SimState, s: int) -> list:
     """End s's square's round; a no-op (no transmissions) when the square
     is not active."""
     c = _rep_cell(state, s)
-    nev, _rd = _deactivate(state._G, state._L, state._C, state._M, state._W,
-                           int(s), c, int(state._C.level[s]), 0)
+    nev = _toggle(state._G, state._L, state._C, state._M, state._W, int(s),
+                  c, int(state._C.level[s]), 0, 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -595,21 +636,18 @@ def snapshot(state: SimState) -> MetricsRecord:
 
 
 def _run_chunk(state: SimState, ticks: int) -> bool:
-    from . import baselines
-
-    if state.algorithm == "geo":
-        baselines._run_geo(state._G, state._geo_accept, state._M, state._W,
-                           state.rng, ticks)
-        return False
+    width = ROW_WIDTH[state.algorithm]
+    rows = BLOCK_VALUES // width
     root_deact = False
-    for start in range(0, ticks, BLOCK_ROWS):
-        U = state.rng.random((min(BLOCK_ROWS, ticks - start),
-                              ROW_WIDTH[state.algorithm]))
+    for start in range(0, ticks, rows):
+        U = state.rng.random((min(rows, ticks - start), width))
         if state.algorithm == "hier":
             root_deact |= bool(_run_hier(state._G, state._L, state._C,
                                          state._S, state._M, state._W, U))
+        elif state.algorithm == "boyd":
+            _run_boyd(state._L, state._M, state._W, U)
         else:
-            baselines._run_boyd(state._L, state._M, state._W, U)
+            _run_geo(state._G, state._geo_accept, state._M, state._W, U)
     return root_deact
 
 

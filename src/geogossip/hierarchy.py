@@ -20,6 +20,7 @@ runnable variant ("practical") sized from the per-round exchange count.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +98,9 @@ class LevelAssignment:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Partition tree plus flat arrays consumed by the simulation kernels."""
+    """Flat per-cell arrays consumed by the simulation kernels, plus the
+    partition tree derived from them on first use."""
 
-    root: SquareCell
-    cells: list               # BFS order; cells[i].index == i
     levels: LevelAssignment
     points: PointSet
     threshold: float
@@ -112,6 +112,7 @@ class Hierarchy:
     cell_child_start: np.ndarray   # children occupy [start, start+count)
     cell_child_count: np.ndarray
     cell_member_start: np.ndarray  # (n_cells+1,) offsets into member_ids
+    cell_grid: np.ndarray      # (n_cells, 2) grid position at the cell's depth
     member_ids: np.ndarray
     leaf_of: np.ndarray        # (n,) leaf cell id per sensor
     cell_of_rep: np.ndarray    # (n,) represented cell id, -1 for non-reps
@@ -120,7 +121,16 @@ class Hierarchy:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return int(self.cell_rep.shape[0])
+
+    @cached_property
+    def cells(self) -> list:
+        """SquareCell objects in BFS order; cells[i].index == i."""
+        return _build_cell_objects(self)
+
+    @property
+    def root(self) -> SquareCell:
+        return self.cells[0]
 
     @property
     def total_levels(self) -> int:
@@ -281,8 +291,12 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
     cell_rep = np.full(n_cells, -1, dtype=np.int64)
     cell_of_rep = np.full(n, -1, dtype=np.int64)
     taken = np.zeros(n, dtype=bool)
-    centers = _cell_centers(n_cells, depth_offset, resolutions, grid_local,
-                            depth_count)
+    cell_grid = np.empty((n_cells, 2), dtype=np.int64)
+    centers = np.empty((n_cells, 2), dtype=np.float64)
+    for d in range(depth_count):
+        base, end = int(depth_offset[d]), int(depth_offset[d + 1])
+        cell_grid[base:end] = _grid_positions(resolutions[d], grid_local[d])
+        centers[base:end] = (cell_grid[base:end] + 0.5) / resolutions[d]
     for c in range(n_cells):
         members = member_ids[cell_member_start[c]:cell_member_start[c + 1]]
         dx = xy[members, 0] - centers[c, 0]
@@ -306,18 +320,14 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
     leaf_base = int(depth_offset[depth_count - 1])
     leaf_of = (leaf_base + point_local[depth_count - 1]).astype(np.int64)
 
-    cells = _build_cell_objects(
-        n_cells, depth_offset, resolutions, splits, depth_count, grid_local,
-        cell_expected, cell_subdiv, cell_rep,
-        cell_member_start, member_ids, cell_child_start, cell_child_count)
-
     return Hierarchy(
-        root=cells[0], cells=cells, levels=levels, points=points,
+        levels=levels, points=points,
         threshold=float(threshold), cell_parent=cell_parent,
         cell_depth=cell_depth, cell_rep=cell_rep, cell_expected=cell_expected,
         cell_subdiv=cell_subdiv, cell_child_start=cell_child_start,
         cell_child_count=cell_child_count, cell_member_start=cell_member_start,
-        member_ids=member_ids, leaf_of=leaf_of, cell_of_rep=cell_of_rep,
+        cell_grid=cell_grid, member_ids=member_ids, leaf_of=leaf_of,
+        cell_of_rep=cell_of_rep,
         subdiv_at_depth=subdiv_at_depth, expected_at_depth=expected_at_depth)
 
 
@@ -330,17 +340,6 @@ def _path_of(local: int, depth: int, splits: list) -> tuple:
     return tuple(reversed(digits))
 
 
-def _cell_centers(n_cells, depth_offset, resolutions, grid_local, depth_count):
-    centers = np.empty((n_cells, 2), dtype=np.float64)
-    for d in range(depth_count):
-        base, end = int(depth_offset[d]), int(depth_offset[d + 1])
-        K = resolutions[d]
-        grid = _grid_positions(K, grid_local[d])
-        centers[base:end, 0] = (grid[:, 0] + 0.5) / K
-        centers[base:end, 1] = (grid[:, 1] + 0.5) / K
-    return centers
-
-
 def _grid_positions(K, local_map):
     # invert grid position -> local index into local index -> grid position
     gx = np.arange(K, dtype=np.int64)
@@ -351,28 +350,24 @@ def _grid_positions(K, local_map):
     return out
 
 
-def _build_cell_objects(n_cells, depth_offset, resolutions, splits, depth_count,
-                        grid_local, cell_expected, cell_subdiv,
-                        cell_rep, cell_member_start, member_ids,
-                        cell_child_start, cell_child_count):
+def _build_cell_objects(h: Hierarchy) -> list:
+    splits = [math.isqrt(int(f)) for f in h.subdiv_at_depth[:-1]]
+    resolutions = np.cumprod([1] + splits).tolist()
+    depth_start = np.searchsorted(h.cell_depth, np.arange(len(resolutions)))
     cells = []
-    for d in range(depth_count):
-        base, end = int(depth_offset[d]), int(depth_offset[d + 1])
+    for c in range(h.n_cells):
+        d = int(h.cell_depth[c])
         K = resolutions[d]
-        grid = _grid_positions(K, grid_local[d])
-        for local in range(end - base):
-            c = base + local
-            gx, gy = int(grid[local, 0]), int(grid[local, 1])
-            bounds = (gx / K, gy / K, (gx + 1) / K, (gy + 1) / K)
-            cells.append(SquareCell(
-                path=_path_of(local, d, splits), bounds=bounds, depth=d,
-                expected_count=float(cell_expected[c]),
-                members=member_ids[cell_member_start[c]:cell_member_start[c + 1]],
-                subdivision=int(cell_subdiv[c]),
-                representative=int(cell_rep[c]), index=c))
-    for c in range(n_cells):
-        start, cnt = int(cell_child_start[c]), int(cell_child_count[c])
-        cells[c].children = cells[start:start + cnt] if cnt else []
+        gx, gy = int(h.cell_grid[c, 0]), int(h.cell_grid[c, 1])
+        cells.append(SquareCell(
+            path=_path_of(c - int(depth_start[d]), d, splits),
+            bounds=(gx / K, gy / K, (gx + 1) / K, (gy + 1) / K), depth=d,
+            expected_count=float(h.cell_expected[c]),
+            members=h.members_of(c), subdivision=int(h.cell_subdiv[c]),
+            representative=int(h.cell_rep[c]), index=c))
+    for cell in cells:
+        start = int(h.cell_child_start[cell.index])
+        cell.children = cells[start:start + int(h.cell_child_count[cell.index])]
     return cells
 
 

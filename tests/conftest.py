@@ -26,9 +26,13 @@ LAST = np.nextafter(1.0, 0.0)
 
 
 class LastRows:
-    """Stands in for a state's Generator; every uniform it returns is LAST."""
+    """Stands in for a state's Generator; every uniform it returns is LAST.
+    `drawn` counts the uniforms handed out."""
+
+    drawn = 0
 
     def random(self, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
         return LAST if size is None else np.full(size, LAST)
 
 

@@ -5,18 +5,17 @@ import pytest
 
 from geogossip import (
     PointSet,
-    boyd_step,
     build_graph,
     connectivity_radius,
-    geo_gossip_step,
     init_sim,
+    route_to_position,
     run,
     sample_points,
     step,
 )
-from geogossip.baselines import GEO_ATTEMPT_CAP, geo_acceptance
+from geogossip.engine import GEO_ATTEMPT_CAP, ROW_WIDTH, geo_acceptance
 
-from conftest import LastRows, make_points
+from conftest import LAST, LastRows, make_points
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def test_boyd_isolated_nodes_fault_not_crash():
     st = init_sim(g, seed=0, init_dist="gauss", algorithm="boyd")
     before = st.x.copy()
     for _ in range(10):
-        boyd_step(st)
+        step(st)
     assert st.fault_totals()["isolated_near"] == 10
     assert np.array_equal(st.x, before)
 
@@ -69,7 +68,7 @@ def test_boyd_deterministic(graph256b):
     b = init_sim(graph256b, seed=7, init_dist="uniform", algorithm="boyd")
     run(a, max_ticks=5_000, stride=1_000)
     for _ in range(5_000):
-        boyd_step(b)
+        step(b)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.ledger, b.ledger)
 
@@ -116,12 +115,29 @@ def test_geo_rejection_cap_fires_when_acceptance_is_zeroed(graph256b):
     assert ev.count >= 2 * GEO_ATTEMPT_CAP
 
 
+def test_geo_last_uniforms_pick_last_node_and_cap_in_one_row(graph256b):
+    st = init_sim(graph256b, seed=4, algorithm="geo")
+    st._geo_accept[:] = 0.0
+    st.rng = LastRows()
+    s = graph256b.n - 1
+    route = route_to_position(graph256b, s, LAST, LAST)
+    assert route.hops > 0   # the stop node is a candidate, not s itself
+    ev = step(st)[0]
+    assert (ev.node, ev.target, ev.ok) == (s, int(route.path[-1]), True)
+    assert ev.count == 2 * GEO_ATTEMPT_CAP * route.hops
+    assert st.fault_totals()["geo_reject_cap"] == 1
+    assert st.rng.drawn == ROW_WIDTH["geo"]
+    run(st, max_ticks=3, stride=2)   # the bulk path reads the same rows
+    assert st.fault_totals()["geo_reject_cap"] == 3
+    assert st.rng.drawn == 3 * ROW_WIDTH["geo"]
+
+
 def test_geo_deterministic(graph256b):
     a = init_sim(graph256b, seed=9, init_dist="uniform", algorithm="geo")
     b = init_sim(graph256b, seed=9, init_dist="uniform", algorithm="geo")
     run(a, max_ticks=2_000, stride=500)
     for _ in range(2_000):
-        geo_gossip_step(b)
+        step(b)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.ledger, b.ledger)
     assert np.array_equal(a.faults, b.faults)

@@ -186,15 +186,19 @@ def test_deactivate_inactive_square_is_free(quad16):
 def test_root_activate_wakes_children(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
+    st.counter[hierarchy.cell_rep[1:5]] = 5
     events = activate_square(st, st.root_representative)
     ev = events[0]
     assert ev.action == "activate" and ev.ok and ev.count == 4
     child_reps = hierarchy.cell_rep[1:5]
     assert np.all(st.global_on[child_reps] == 1)
+    assert np.all(st.counter[child_reps] == 0)
     assert st.ledger_totals()["activate"] == 4
+    st.counter[child_reps] = 3
     deactivate_square(st, st.root_representative)
     assert np.array_equal(np.flatnonzero(st.global_on),
                           [st.root_representative])
+    assert np.all(st.counter[child_reps] == 3)   # only activation resets
     assert st.ledger_totals()["deactivate"] == 4
 
 
@@ -359,7 +363,7 @@ STATE_FIELDS = ("x", "ledger", "faults", "local_on", "global_on", "counter",
 
 def fresh_state(sim256, algorithm):
     graph, hierarchy, sched = sim256
-    if algorithm == "boyd":
+    if algorithm != "hier":
         hierarchy = sched = None
     return init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss",
                     algorithm=algorithm)
@@ -371,11 +375,16 @@ def assert_same_state(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-@pytest.mark.parametrize("algorithm", ["hier", "boyd"])
+def block_rows(algorithm):
+    return engine.BLOCK_VALUES // engine.ROW_WIDTH[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
 def test_bulk_run_is_stride_and_block_invariant(sim256, algorithm):
-    ticks = 3 * engine.BLOCK_ROWS + 5
+    rows = block_rows(algorithm)
+    ticks = 3 * rows + 5
     states = []
-    for stride in (1, 7, sim256[0].n, engine.BLOCK_ROWS + 1):
+    for stride in (1, 7, sim256[0].n, rows + 1):
         st = fresh_state(sim256, algorithm)
         run(st, max_ticks=ticks, stride=stride)
         states.append(st)
@@ -384,9 +393,9 @@ def test_bulk_run_is_stride_and_block_invariant(sim256, algorithm):
         assert_same_state(states[0], st)
 
 
-@pytest.mark.parametrize("algorithm", ["hier", "boyd"])
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
 def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
-    ticks = engine.BLOCK_ROWS + 3
+    ticks = block_rows(algorithm) + 3
     a = fresh_state(sim256, algorithm)
     b = fresh_state(sim256, algorithm)
     run_logged(a, ticks)

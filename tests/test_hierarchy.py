@@ -88,6 +88,16 @@ def test_trace_deep_grid():
     leaf_reps = h.cell_rep[h.cell_depth == 3]
     assert np.array_equal(h.levels.level[leaf_reps] >= 1,
                           np.ones(1024, dtype=bool))
+    # the cell tree agrees with the flat arrays: children in order, each
+    # child's path extends its parent's by its rank, bounds nest
+    for c in h.cells:
+        start = int(h.cell_child_start[c.index])
+        assert [ch.index for ch in c.children] == \
+            list(range(start, start + int(h.cell_child_count[c.index])))
+        for j, ch in enumerate(c.children):
+            assert ch.path == c.path + (j,) and ch.depth == c.depth + 1
+            assert c.bounds[0] <= ch.bounds[0] < ch.bounds[2] <= c.bounds[2]
+            assert c.bounds[1] <= ch.bounds[1] < ch.bounds[3] <= c.bounds[3]
 
 
 def test_default_threshold_collapses_desk_sizes():

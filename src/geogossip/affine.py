@@ -16,16 +16,14 @@ against.
 In the simulators each update draws one uniform ordered pair, the law the
 closed-form moments assume.  All pairs are drawn as one (trials, ticks)
 block before the loop, row r driving trial r, and the kernel is plain
-vectorised numpy, so trajectories are the same with or without numba.
-Zero noise reproduces the clean run bit for bit.
+vectorised numpy that steps every trial one tick at a time.  Zero noise
+reproduces the clean run bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._jit import maybe_njit
 
 ALPHA_LOW = 1.0 / 3.0
 ALPHA_HIGH = 1.0 / 2.0
@@ -96,7 +94,6 @@ class PerturbedSystem:
         _pair_update(self.y, i, j, self.alpha, nu)
 
 
-@maybe_njit
 def _pair_update(x, i, j, alpha, nu):
     # pair sum is exact: the same alpha_i*x_i and alpha_j*x_j terms move
     # between the two entries, and the +-nu noise cancels
@@ -299,7 +296,7 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
     Each update picks one uniform ordered pair (i, j), i != j; all pairs are
     drawn as one block before the loop (see draw_pairs), row r driving
     trial r.  The kernel is vectorised numpy that steps every trial one tick
-    at a time, so it runs the same with or without numba.
+    at a time.
 
     Args:
         x0: start vector, shared by all trials.

@@ -33,10 +33,11 @@ The bulk runner draws the rows in blocks of at most BLOCK_VALUES values;
 `step` draws one row.  A Generator emits doubles strictly in sequence, so
 both see the same rows and end in the same state at any stride.
 
-The tick kernels are compiled with numba when available; the same functions
-run under plain numpy when GEOGOSSIP_DISABLE_NUMBA is set.  Each tick also
-writes a compact event buffer so `step` can return a replayable event log
-from the identical code path the bulk runner uses.
+The tick kernels are plain Python over numpy arrays.  They take the
+SimState and read every array under its one name: state.x,
+state.hierarchy.cell_parent, state.schedule.far_prob, and so on.  Each tick
+also writes a compact event buffer so `step` can return a replayable event
+log from the identical code path the bulk runner uses.
 """
 
 import math
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jit import maybe_njit
 from .geometry import GeometricGraph
 from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
@@ -86,51 +86,51 @@ GEO_ATTEMPT_CAP = 64
 ROW_WIDTH = {"hier": 4, "boyd": 2, "geo": 1 + 3 * GEO_ATTEMPT_CAP}
 BLOCK_VALUES = 16384
 
-GraphT = namedtuple("GraphT", ["indptr", "indices", "xy"])
-LeafT = namedtuple("LeafT", ["indptr", "indices"])
-CellT = namedtuple("CellT", [
-    "parent", "depth", "rep", "expected", "child_start", "child_count",
-    "member_start", "level", "cell_of_rep",
-])
-SchedT = namedtuple("SchedT", ["time", "far_prob"])
-MutT = namedtuple("MutT", ["x", "local_on", "global_on", "counter",
-                           "cell_active", "ledger", "faults"])
-ScratchT = namedtuple("ScratchT", ["queue", "stamp", "stamp_id", "path",
-                                   "events"])
-
 Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
                              "ok"])
 
 
-@maybe_njit
-def _near(L, M, W, u, s, nev):
-    deg = L.indptr[s + 1] - L.indptr[s]
+def _route(state, src, dst):
+    # Greedy route from node src to node dst through the path buffer.
+    g = state.graph
+    xy = g.points.xy
+    return _route_core(g.indptr, g.indices, xy, src, dst, xy[dst, 0],
+                       xy[dst, 1], state.path)
+
+
+def _near(state, u, s, nev):
+    indptr = state.leaf_indptr
+    deg = indptr[s + 1] - indptr[s]
     if deg == 0:
-        M.faults[FAULT_ISOLATED_NEAR] += 1
+        state.faults[FAULT_ISOLATED_NEAR] += 1
         return nev
-    v = L.indices[L.indptr[s] + int(u * deg)]
-    m = 0.5 * (M.x[s] + M.x[v])
-    M.x[s] = m
-    M.x[v] = m
-    M.ledger[LEDGER_NEAR] += 2
-    W.events[nev, 0] = EV_NEAR
-    W.events[nev, 1] = s
-    W.events[nev, 2] = v
-    W.events[nev, 3] = 2
-    W.events[nev, 4] = 1
+    v = state.leaf_indices[indptr[s] + int(u * deg)]
+    x = state.x
+    m = 0.5 * (x[s] + x[v])
+    x[s] = m
+    x[v] = m
+    state.ledger[LEDGER_NEAR] += 2
+    events = state.events
+    events[nev, 0] = EV_NEAR
+    events[nev, 1] = s
+    events[nev, 2] = v
+    events[nev, 3] = 2
+    events[nev, 4] = 1
     return nev + 1
 
 
-@maybe_njit
-def _tick_geo(G, accept, M, W, u, s):
+def _tick_geo(state, u, s):
     # u is the tick's row; s = int(u[0] * n) is its firing node.
+    g = state.graph
+    path = state.path
+    accept = state.geo_accept
     total = 0
     cand = -1
     accepted = False
     for a in range(GEO_ATTEMPT_CAP):
-        cnt, _ok = _route_core(G.indptr, G.indices, G.xy, s, -1, u[1 + 3 * a],
-                               u[2 + 3 * a], W.path)
-        c = W.path[cnt - 1]
+        cnt, _ok = _route_core(g.indptr, g.indices, g.points.xy, s, -1,
+                               u[1 + 3 * a], u[2 + 3 * a], path)
+        c = path[cnt - 1]
         total += 2 * (cnt - 1)
         if c == s:
             continue
@@ -139,34 +139,21 @@ def _tick_geo(G, accept, M, W, u, s):
             accepted = True
             break
     if not accepted and cand >= 0:
-        M.faults[FAULT_GEO_REJECT] += 1
+        state.faults[FAULT_GEO_REJECT] += 1
         accepted = True
-    M.ledger[LEDGER_FAR] += total
+    state.ledger[LEDGER_FAR] += total
     if accepted:
-        m = 0.5 * (M.x[s] + M.x[cand])
-        M.x[s] = m
-        M.x[cand] = m
-    W.events[0, 0] = EV_FAR
-    W.events[0, 1] = s
-    W.events[0, 2] = cand
-    W.events[0, 3] = total
-    W.events[0, 4] = 1 if accepted else 0
+        x = state.x
+        m = 0.5 * (x[s] + x[cand])
+        x[s] = m
+        x[cand] = m
+    events = state.events
+    events[0, 0] = EV_FAR
+    events[0, 1] = s
+    events[0, 2] = cand
+    events[0, 3] = total
+    events[0, 4] = 1 if accepted else 0
     return 1
-
-
-@maybe_njit
-def _run_boyd(L, M, W, U):
-    # A boyd tick is a near exchange on the full adjacency.
-    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
-    for t in range(nodes.shape[0]):
-        _near(L, M, W, U[t, 1], nodes[t], 0)
-
-
-@maybe_njit
-def _run_geo(G, accept, M, W, U):
-    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
-    for t in range(nodes.shape[0]):
-        _tick_geo(G, accept, M, W, U[t], nodes[t])
 
 
 def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
@@ -182,146 +169,147 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
     return np.minimum(1.0, per_node / expected)
 
 
-@maybe_njit
-def _far(G, C, M, W, u, s, c, nev):
-    p = C.parent[c]
-    nsib = C.child_count[p] - 1
+def _far(state, u, s, c, nev):
+    h = state.hierarchy
+    p = h.cell_parent[c]
+    nsib = h.cell_child_count[p] - 1
     if nsib <= 0:
         return nev, False
-    cp = C.child_start[p] + int(u * nsib)
+    cp = h.cell_child_start[p] + int(u * nsib)
     if cp >= c:
         cp += 1
-    sp = C.rep[cp]
-    W.events[nev, 0] = EV_FAR
-    W.events[nev, 1] = s
-    W.events[nev, 2] = sp
-    cnt, ok = _route_core(G.indptr, G.indices, G.xy, s, sp, G.xy[sp, 0],
-                          G.xy[sp, 1], W.path)
+    sp = h.cell_rep[cp]
+    events = state.events
+    events[nev, 0] = EV_FAR
+    events[nev, 1] = s
+    events[nev, 2] = sp
+    cnt, ok = _route(state, s, sp)
     hops = cnt - 1
     if not ok:
-        M.ledger[LEDGER_FAR] += hops
-        M.faults[FAULT_ROUTING] += 1
-        W.events[nev, 3] = hops
-        W.events[nev, 4] = 0
+        state.ledger[LEDGER_FAR] += hops
+        state.faults[FAULT_ROUTING] += 1
+        events[nev, 3] = hops
+        events[nev, 4] = 0
         return nev + 1, False
-    if M.cell_active[cp] == 1:
-        M.faults[FAULT_CONCURRENT] += 1
-    cnt, ok = _route_core(G.indptr, G.indices, G.xy, sp, s, G.xy[s, 0],
-                          G.xy[s, 1], W.path)
+    if state.cell_active[cp] == 1:
+        state.faults[FAULT_CONCURRENT] += 1
+    cnt, ok = _route(state, sp, s)
     hops += cnt - 1
-    M.ledger[LEDGER_FAR] += hops
-    W.events[nev, 3] = hops
+    state.ledger[LEDGER_FAR] += hops
+    events[nev, 3] = hops
     if not ok:
-        M.faults[FAULT_ROUTING] += 1
-        W.events[nev, 4] = 0
+        state.faults[FAULT_ROUTING] += 1
+        events[nev, 4] = 0
         return nev + 1, False
     # Both ends move by the same scaled difference, so the pair sum (and
     # with it the global sum) is preserved exactly.
-    d = 0.4 * C.expected[c] * (M.x[sp] - M.x[s])
-    M.x[s] += d
-    M.x[sp] -= d
-    M.counter[s] = 0
-    M.counter[sp] = 0
-    W.events[nev, 4] = 1
+    x = state.x
+    d = 0.4 * h.cell_expected[c] * (x[sp] - x[s])
+    x[s] += d
+    x[sp] -= d
+    state.counter[s] = 0
+    state.counter[sp] = 0
+    events[nev, 4] = 1
     return nev + 1, True
 
 
-@maybe_njit
-def _toggle(G, L, C, M, W, s, c, lvl, on, nev):
+def _toggle(state, s, c, lvl, on, nev):
     # Start (on=1) or end (on=0) square c's round: flood local states (level
     # 1) or route to the child representatives (level > 1).  A square with no
     # running round has nothing to wind down; the repeat trigger fires every
     # own tick once counter passes time, so make that free.
-    if on == 0 and M.cell_active[c] == 0:
+    if on == 0 and state.cell_active[c] == 0:
         return nev
-    M.cell_active[c] = on
+    state.cell_active[c] = on
+    h = state.hierarchy
+    events = state.events
     if lvl == 1:
-        reached, tx = _flood_core(L.indptr, L.indices, s, W.queue, W.stamp,
-                                  W.stamp_id)
-        for qi in range(reached):
-            M.local_on[W.queue[qi]] = on
-        M.ledger[LEDGER_FLOOD] += tx
-        gap = (C.member_start[c + 1] - C.member_start[c]) - reached
+        reached, tx = _flood_core(state.leaf_indptr, state.leaf_indices, s,
+                                  state.queue, state.stamp, state.stamp_id)
+        state.local_on[state.queue[:reached]] = on
+        state.ledger[LEDGER_FLOOD] += tx
+        gap = (h.cell_member_start[c + 1] - h.cell_member_start[c]) - reached
         if gap > 0:
-            M.faults[FAULT_FLOOD_GAP] += gap
-        W.events[nev, 0] = EV_FLOOD_ON if on == 1 else EV_FLOOD_OFF
-        W.events[nev, 3] = tx
-        W.events[nev, 4] = 1 if gap == 0 else 0
+            state.faults[FAULT_FLOOD_GAP] += gap
+        events[nev, 0] = EV_FLOOD_ON if on == 1 else EV_FLOOD_OFF
+        events[nev, 3] = tx
+        events[nev, 4] = 1 if gap == 0 else 0
     else:
         total = 0
         ok_all = 1
-        for ci in range(C.child_start[c], C.child_start[c] + C.child_count[c]):
-            dst = C.rep[ci]
-            cnt, ok = _route_core(G.indptr, G.indices, G.xy, s, dst,
-                                  G.xy[dst, 0], G.xy[dst, 1], W.path)
+        start = h.cell_child_start[c]
+        for ci in range(start, start + h.cell_child_count[c]):
+            dst = h.cell_rep[ci]
+            cnt, ok = _route(state, s, dst)
             total += cnt - 1
             if ok:
-                M.global_on[dst] = on
+                state.global_on[dst] = on
                 if on == 1:
-                    M.counter[dst] = 0
+                    state.counter[dst] = 0
             else:
-                M.faults[FAULT_ROUTING] += 1
+                state.faults[FAULT_ROUTING] += 1
                 ok_all = 0
         if on == 1:
-            M.ledger[LEDGER_ACTIVATE] += total
-            W.events[nev, 0] = EV_ACTIVATE
+            state.ledger[LEDGER_ACTIVATE] += total
+            events[nev, 0] = EV_ACTIVATE
         else:
-            M.ledger[LEDGER_DEACTIVATE] += total
-            W.events[nev, 0] = EV_DEACTIVATE
-        W.events[nev, 3] = total
-        W.events[nev, 4] = ok_all
-    W.events[nev, 1] = s
-    W.events[nev, 2] = c
+            state.ledger[LEDGER_DEACTIVATE] += total
+            events[nev, 0] = EV_DEACTIVATE
+        events[nev, 3] = total
+        events[nev, 4] = ok_all
+    events[nev, 1] = s
+    events[nev, 2] = c
     return nev + 1
 
 
-@maybe_njit
-def _tick_hier(G, L, C, S, M, W, u, s):
+def _tick_hier(state, u, s):
     # u is the tick's row; s = int(u[0] * n) is its firing node.
     nev = 0
     root_deact = False
-    lvl = C.level[s]
+    h = state.hierarchy
+    lvl = h.levels.level[s]
     if lvl == 0:
-        if M.local_on[s] == 1:
-            nev = _near(L, M, W, u[3], s, nev)
+        if state.local_on[s] == 1:
+            nev = _near(state, u[3], s, nev)
         return nev, root_deact
-    c = C.cell_of_rep[s]
-    r = C.depth[c]
-    if M.global_on[s] == 1:
-        if M.counter[s] == 0:
-            nev = _toggle(G, L, C, M, W, s, c, lvl, 1, nev)
-        if C.parent[c] >= 0 and u[1] < S.far_prob[r]:
-            nev, done = _far(G, C, M, W, u[2], s, c, nev)
+    c = h.cell_of_rep[s]
+    r = h.cell_depth[c]
+    counter = state.counter
+    if state.global_on[s] == 1:
+        if counter[s] == 0:
+            nev = _toggle(state, s, c, lvl, 1, nev)
+        if h.cell_parent[c] >= 0 and u[1] < state.schedule.far_prob[r]:
+            nev, done = _far(state, u[2], s, c, nev)
             if done:
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
                 return nev, root_deact
-    if M.local_on[s] == 1:
-        nev = _near(L, M, W, u[3], s, nev)
-    if M.counter[s] >= S.time[r]:
-        done = _toggle(G, L, C, M, W, s, c, lvl, 0, nev)
-        if C.parent[c] < 0:
+    if state.local_on[s] == 1:
+        nev = _near(state, u[3], s, nev)
+    if counter[s] >= state.schedule.time[r]:
+        done = _toggle(state, s, c, lvl, 0, nev)
+        if h.cell_parent[c] < 0:
             root_deact = done > nev
-            M.counter[s] = 0
+            counter[s] = 0
         nev = done
     else:
-        M.counter[s] += 1
+        counter[s] += 1
     return nev, root_deact
 
 
-@maybe_njit
-def _run_hier(G, L, C, S, M, W, U):
-    nodes = (U[:, 0] * M.x.shape[0]).astype(np.int64)
-    level = C.level
-    local_on = M.local_on
+def _run_hier(state, U, nodes):
+    level = state.hierarchy.levels.level
+    local_on = state.local_on
     root_deact = False
     for t in range(nodes.shape[0]):
         s = nodes[t]
-        # A plain sensor whose leaf is off changes nothing; local_on only
-        # changes inside ticks that are not skipped.
-        if level[s] == 0 and local_on[s] == 0:
+        # A plain sensor only averages, and only while its leaf is on;
+        # local_on changes only inside representative ticks.
+        if level[s] == 0:
+            if local_on[s] == 1:
+                _near(state, U[t, 3], s, 0)
             continue
-        _nev, rd = _tick_hier(G, L, C, S, M, W, U[t], s)
+        _nev, rd = _tick_hier(state, U[t], s)
         if rd:
             root_deact = True
     return root_deact
@@ -360,13 +348,20 @@ class SimState:
     norm0: float
     sum0: float
     l1_0: float
-    _G: GraphT = field(repr=False, default=None)
-    _L: LeafT = field(repr=False, default=None)
-    _C: CellT = field(repr=False, default=None)
-    _S: SchedT = field(repr=False, default=None)
-    _M: MutT = field(repr=False, default=None)
-    _W: ScratchT = field(repr=False, default=None)
-    _geo_accept: np.ndarray = field(repr=False, default=None)
+    # CSR adjacency a near exchange picks its partner from: in-leaf edges
+    # for hier; boyd and geo have no squares, so the whole graph is their
+    # one leaf.
+    leaf_indptr: np.ndarray = field(repr=False)
+    leaf_indices: np.ndarray = field(repr=False)
+    # geo's per-sensor acceptance probabilities (None for hier and boyd).
+    geo_accept: np.ndarray = field(repr=False)
+    # Kernel scratch: flood queue and visit stamps, route path, and the
+    # event rows of the current tick.
+    queue: np.ndarray = field(repr=False)
+    stamp: np.ndarray = field(repr=False)
+    stamp_id: np.ndarray = field(repr=False)
+    path: np.ndarray = field(repr=False)
+    events: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -434,7 +429,8 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         hierarchy: square hierarchy (required for algorithm "hier").
         schedule: round durations and long-range probabilities ("hier").
         seed: seed (or SeedSequence) for the simulation's random stream.
-        init_dist: "spike", "uniform", "gauss", or an explicit value array.
+        init_dist: "spike", "uniform", "gauss", "gradient", or an explicit
+            value array.
         algorithm: "hier", "boyd", or "geo".
         record_seed: seed value stamped into metrics rows (defaults to
             `seed`, which then must be an integer).
@@ -473,52 +469,32 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         cell_active = np.zeros(hierarchy.n_cells, dtype=np.uint8)
         global_on[hierarchy.cell_rep[0]] = 1
         lindptr, lindices = leaf_adjacency(graph, hierarchy.leaf_of)
-        cell_bundle = CellT(
-            parent=hierarchy.cell_parent, depth=hierarchy.cell_depth,
-            rep=hierarchy.cell_rep, expected=hierarchy.cell_expected,
-            child_start=hierarchy.cell_child_start,
-            child_count=hierarchy.cell_child_count,
-            member_start=hierarchy.cell_member_start,
-            level=hierarchy.levels.level, cell_of_rep=hierarchy.cell_of_rep)
-        sched_bundle = SchedT(time=schedule.time, far_prob=schedule.far_prob)
     else:
         hierarchy = None
         schedule = None
         cell_active = np.zeros(1, dtype=np.uint8)
         lindptr, lindices = graph.indptr, graph.indices
-        cell_bundle = None
-        sched_bundle = None
 
-    state = SimState(
+    return SimState(
         algorithm=algorithm, seed=int(record_seed), graph=graph,
         hierarchy=hierarchy, schedule=schedule, rng=rng, tick=0, x=x,
         local_on=local_on, global_on=global_on, counter=counter,
         cell_active=cell_active, ledger=ledger, faults=faults,
         norm0=float(np.linalg.norm(x)), sum0=float(x.sum()),
         l1_0=float(np.abs(x).sum()),
+        leaf_indptr=lindptr, leaf_indices=lindices,
+        geo_accept=geo_acceptance(graph) if algorithm == "geo" else None,
+        queue=np.empty(n, dtype=np.int64), stamp=np.zeros(n, dtype=np.int64),
+        stamp_id=np.ones(1, dtype=np.int64),
+        path=np.empty(n + 1, dtype=np.int64),
+        events=np.zeros((8, 5), dtype=np.int64),
     )
-    state._G = GraphT(indptr=graph.indptr, indices=graph.indices,
-                      xy=graph.points.xy)
-    state._L = LeafT(indptr=lindptr, indices=lindices)
-    state._C = cell_bundle
-    state._S = sched_bundle
-    state._M = MutT(x=x, local_on=local_on, global_on=global_on,
-                    counter=counter, cell_active=cell_active, ledger=ledger,
-                    faults=faults)
-    state._W = ScratchT(queue=np.empty(n, dtype=np.int64),
-                        stamp=np.zeros(n, dtype=np.int64),
-                        stamp_id=np.ones(1, dtype=np.int64),
-                        path=np.empty(n + 1, dtype=np.int64),
-                        events=np.zeros((8, 5), dtype=np.int64))
-    if algorithm == "geo":
-        state._geo_accept = geo_acceptance(graph)
-    return state
 
 
 def _decode_events(state: SimState, nev: int, tick: int) -> list:
     out = []
     for k in range(nev):
-        row = state._W.events[k]
+        row = state.events[k]
         out.append(Event(tick=tick, action=EVENT_NAMES[row[0]],
                          node=int(row[1]), target=int(row[2]),
                          count=int(row[3]), ok=bool(row[4])))
@@ -531,12 +507,11 @@ def step(state: SimState) -> list:
     u = state.rng.random(ROW_WIDTH[state.algorithm])
     s = int(u[0] * state.n)
     if state.algorithm == "hier":
-        nev, _rd = _tick_hier(state._G, state._L, state._C, state._S,
-                              state._M, state._W, u, s)
+        nev, _rd = _tick_hier(state, u, s)
     elif state.algorithm == "boyd":
-        nev = _near(state._L, state._M, state._W, u[1], s, 0)
+        nev = _near(state, u[1], s, 0)
     else:
-        nev = _tick_geo(state._G, state._geo_accept, state._M, state._W, u, s)
+        nev = _tick_geo(state, u, s)
     state.tick = tick + 1
     return _decode_events(state, nev, tick)
 
@@ -544,9 +519,9 @@ def step(state: SimState) -> list:
 def _rep_cell(state: SimState, s: int) -> int:
     if state.algorithm != "hier":
         raise ValueError("protocol ops need algorithm 'hier'")
-    if state._C.level[s] < 1:
+    if state.hierarchy.levels.level[s] < 1:
         raise ValueError(f"node {s} is not a representative")
-    return int(state._C.cell_of_rep[s])
+    return int(state.hierarchy.cell_of_rep[s])
 
 
 def near_exchange(state: SimState, s: int) -> list:
@@ -556,7 +531,7 @@ def near_exchange(state: SimState, s: int) -> list:
     The caller picks s; the protocol itself only issues this for nodes
     whose local state is on.  Draws the one uniform it needs.
     """
-    nev = _near(state._L, state._M, state._W, state.rng.random(), int(s), 0)
+    nev = _near(state, state.rng.random(), int(s), 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -569,10 +544,9 @@ def far_exchange(state: SimState, s: int) -> list:
     the one uniform it needs.
     """
     c = _rep_cell(state, s)
-    if state._C.parent[c] < 0:
+    if state.hierarchy.cell_parent[c] < 0:
         raise ValueError("the root square has no siblings to exchange with")
-    nev, _done = _far(state._G, state._C, state._M, state._W,
-                      state.rng.random(), int(s), c, 0)
+    nev, _done = _far(state, state.rng.random(), int(s), c, 0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -580,8 +554,8 @@ def activate_square(state: SimState, s: int) -> list:
     """Start s's square's round: flood local states on (level 1) or route
     wake-ups to the child representatives (level > 1)."""
     c = _rep_cell(state, s)
-    nev = _toggle(state._G, state._L, state._C, state._M, state._W, int(s),
-                  c, int(state._C.level[s]), 1, 0)
+    nev = _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 1,
+                  0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -589,8 +563,8 @@ def deactivate_square(state: SimState, s: int) -> list:
     """End s's square's round; a no-op (no transmissions) when the square
     is not active."""
     c = _rep_cell(state, s)
-    nev = _toggle(state._G, state._L, state._C, state._M, state._W, int(s),
-                  c, int(state._C.level[s]), 0, 0)
+    nev = _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 0,
+                  0)
     return _decode_events(state, nev, state.tick)
 
 
@@ -641,13 +615,16 @@ def _run_chunk(state: SimState, ticks: int) -> bool:
     root_deact = False
     for start in range(0, ticks, rows):
         U = state.rng.random((min(rows, ticks - start), width))
+        nodes = (U[:, 0] * state.n).astype(np.int64)
         if state.algorithm == "hier":
-            root_deact |= bool(_run_hier(state._G, state._L, state._C,
-                                         state._S, state._M, state._W, U))
+            root_deact |= _run_hier(state, U, nodes)
         elif state.algorithm == "boyd":
-            _run_boyd(state._L, state._M, state._W, U)
+            # A boyd tick is a near exchange on the full adjacency.
+            for u, s in zip(U[:, 1], nodes):
+                _near(state, u, s, 0)
         else:
-            _run_geo(state._G, state._geo_accept, state._M, state._W, U)
+            for u, s in zip(U, nodes):
+                _tick_geo(state, u, s)
     return root_deact
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jit import maybe_njit
 from .geometry import GeometricGraph, _concat_ranges
 
 
@@ -44,7 +43,6 @@ class FloodResult:
         return self.unreached.shape[0] == 0
 
 
-@maybe_njit
 def _route_core(indptr, indices, xy, src, dst, tx, ty, path_buf):
     # dst >= 0: deliver to that node, success iff reached.
     # dst < 0: walk toward (tx, ty), stopping at the locally nearest node.
@@ -73,7 +71,6 @@ def _route_core(indptr, indices, xy, src, dst, tx, ty, path_buf):
     return count, True
 
 
-@maybe_njit
 def _flood_core(lindptr, lindices, origin, queue, stamp, stamp_id):
     # BFS over the in-cell adjacency; queue[:reached] holds reached ids.
     mark = stamp_id[0]

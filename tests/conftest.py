@@ -8,17 +8,13 @@ from geogossip import (PointSet, build_graph, build_hierarchy,
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
-# one line per backend comparison, naming the kernel backends that ran
-BACKEND_LINES = []
 
 
 def pytest_terminal_summary(terminalreporter):
-    for title, lines in (("acceptance criteria", ACCEPTANCE_LINES),
-                         ("backends compared", BACKEND_LINES)):
-        if lines:
-            terminalreporter.section(title)
-            for line in lines:
-                terminalreporter.write_line(line)
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
 
 
 # the largest double below 1: every pick made from it must be the last one

@@ -106,7 +106,7 @@ def test_geo_converges(graph256b):
 
 def test_geo_rejection_cap_fires_when_acceptance_is_zeroed(graph256b):
     st = init_sim(graph256b, seed=4, algorithm="geo")
-    st._geo_accept[:] = 0.0
+    st.geo_accept[:] = 0.0
     events = step(st)
     ev = events[0]
     assert st.fault_totals()["geo_reject_cap"] == 1
@@ -117,7 +117,7 @@ def test_geo_rejection_cap_fires_when_acceptance_is_zeroed(graph256b):
 
 def test_geo_last_uniforms_pick_last_node_and_cap_in_one_row(graph256b):
     st = init_sim(graph256b, seed=4, algorithm="geo")
-    st._geo_accept[:] = 0.0
+    st.geo_accept[:] = 0.0
     st.rng = LastRows()
     s = graph256b.n - 1
     route = route_to_position(graph256b, s, LAST, LAST)

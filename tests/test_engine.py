@@ -22,7 +22,7 @@ from geogossip import (
     step,
 )
 
-from conftest import LAST, LastRows, make_points
+from conftest import LAST, LastRows, grid_points, make_points
 
 
 def make_sim(graph, hierarchy, x0, seed=0, **sched_kw):
@@ -403,6 +403,39 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     assert_same_state(a, b)
 
 
+@pytest.fixture(scope="module")
+def deep4096():
+    """grid_points(64) at threshold 8: splits 64, 4, 4, so four depths."""
+    pts = grid_points(64)
+    graph = build_graph(pts, connectivity_radius(4096, 2.0))
+    hierarchy = build_hierarchy(pts, threshold=8)
+    sched = build_schedule(4096, 1e-2, 1e-1, 1.0, hierarchy, "practical")
+    return graph, hierarchy, sched
+
+
+def test_deep_hierarchy_step_matches_bulk_at_any_stride(deep4096):
+    graph, hierarchy, sched = deep4096
+    assert hierarchy.total_levels == 4
+    ticks = 100_000
+    logged = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    events = run_logged(logged, ticks)
+    # The comparison below is not vacuous: the run floods leaves, wakes
+    # children from a non-root square, and exchanges at several depths.
+    totals = logged.ledger_totals()
+    assert totals["activate"] > 0 and totals["flood"] > 0
+    assert totals["far_routing"] > 0
+    woken = {int(hierarchy.cell_depth[ev.target]) for ev in events
+             if ev.action == "activate"}
+    assert woken - {0}
+    far_depths = {int(hierarchy.cell_depth[hierarchy.cell_of_rep[ev.node]])
+                  for ev in events if ev.action == "far"}
+    assert len(far_depths) > 1
+    for stride in (7, graph.n, block_rows("hier") + 1):
+        st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+        run(st, max_ticks=ticks, stride=stride)
+        assert_same_state(logged, st)
+
+
 def test_pick_from_unit_interval_stays_in_range():
     # int(u * m) with u = LAST is m - 1 for every count m a pick can have
     m = np.arange(1, 2**20 + 1, dtype=np.int64)
@@ -417,7 +450,7 @@ def test_last_uniform_picks_last_node_and_neighbor(sim256):
     st.local_on[s] = 1
     st.rng = LastRows()
     events = step(st)
-    last_nb = int(st._L.indices[st._L.indptr[s + 1] - 1])
+    last_nb = int(st.leaf_indices[st.leaf_indptr[s + 1] - 1])
     assert [(ev.action, ev.node, ev.target) for ev in events] == \
         [("near", s, last_nb)]
     assert near_exchange(st, s)[0].target == last_nb
@@ -436,14 +469,14 @@ def test_last_uniform_picks_last_sibling(quad16):
 def test_near_neighbor_pick_is_uniform(sim256):
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=0)
-    deg = np.diff(st._L.indptr)
+    deg = np.diff(st.leaf_indptr)
     s = int(np.argmax(deg))
-    nbrs = st._L.indices[st._L.indptr[s]:st._L.indptr[s + 1]]
+    nbrs = st.leaf_indices[st.leaf_indptr[s]:st.leaf_indptr[s + 1]]
     draws = 40_000
     hits = np.zeros(st.n, dtype=np.int64)
     for u in np.random.default_rng(3).random(draws):
-        engine._near(st._L, st._M, st._W, u, s, 0)
-        hits[st._W.events[0, 2]] += 1
+        engine._near(st, u, s, 0)
+        hits[st.events[0, 2]] += 1
     assert hits[nbrs].sum() == draws
     p = 1.0 / deg[s]
     assert np.all(np.abs(hits[nbrs] - draws * p)

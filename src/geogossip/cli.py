@@ -16,8 +16,8 @@ import sys
 
 from . import engine, experiment, metrics
 from .geometry import sample_points
-from .hierarchy import EmptyCellError, ScheduleOverflowError, \
-    build_hierarchy, dump_hierarchy
+from .hierarchy import EmptyCellError, RepresentativeError, \
+    ScheduleOverflowError, build_hierarchy, dump_hierarchy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,19 +61,15 @@ def _cmd_simulate(args) -> int:
     cfg.require_seed()
     out_path = cfg.output or "metrics.csv"
     event_fh = None
-    try:
-        with open(out_path, "w") as csv_fh:
-            if args.event_log:
-                event_fh = open(args.event_log, "w")
-            try:
-                result = experiment.run_experiment(cfg, csv_fh=csv_fh,
-                                                   event_fh=event_fh)
-            finally:
-                if event_fh is not None:
-                    event_fh.close()
-    except (EmptyCellError, ScheduleOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(out_path, "w") as csv_fh:
+        if args.event_log:
+            event_fh = open(args.event_log, "w")
+        try:
+            result = experiment.run_experiment(cfg, csv_fh=csv_fh,
+                                               event_fh=event_fh)
+        finally:
+            if event_fh is not None:
+                event_fh.close()
     print(result.summary)
     print(f"wrote {out_path}")
     if result.delivery_faults() > cfg.fault_limit:
@@ -102,13 +98,9 @@ def _cmd_sweep(args) -> int:
         algorithms = [tok.strip() for tok in args.algorithms.split(",")
                       if tok.strip()]
     out_path = cfg.output or "sweep.csv"
-    try:
-        with open(out_path, "w") as csv_fh:
-            results = experiment.sweep(cfg, ns, seeds,
-                                       algorithms=algorithms, csv_fh=csv_fh)
-    except (EmptyCellError, ScheduleOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(out_path, "w") as csv_fh:
+        results = experiment.sweep(cfg, ns, seeds, algorithms=algorithms,
+                                   csv_fh=csv_fh)
     worst = 0
     for result in results:
         print(result.summary)
@@ -203,10 +195,9 @@ def main(argv=None) -> int:
     except experiment.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EmptyCellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (EmptyCellError, RepresentativeError, ScheduleOverflowError,
+            OSError) as exc:
+        # The sampled points cannot carry the hierarchy, or a file failed.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,9 +35,10 @@ both see the same rows and end in the same state at any stride.
 
 The tick kernels are plain Python over numpy arrays.  They take the
 SimState and read every array under its one name: state.x,
-state.hierarchy.cell_parent, state.schedule.far_prob, and so on.  Each tick
-also writes a compact event buffer so `step` can return a replayable event
-log from the identical code path the bulk runner uses.
+state.hierarchy.cell_parent, state.schedule.far_prob, and so on.  Each
+kernel appends one (action, node, target, count, ok) tuple to state.events,
+so `step` returns a replayable event log from the identical code path the
+bulk runner uses; the bulk runner empties that list after every block.
 """
 
 import math
@@ -66,16 +67,10 @@ FAULT_GEO_REJECT = 4
 FAULT_NAMES = ("routing_failure", "isolated_near", "concurrent_round",
                "flood_gap", "geo_reject_cap")
 
-EV_NEAR = 0
-EV_FAR = 1
-EV_ACTIVATE = 2
-EV_DEACTIVATE = 3
-EV_FLOOD_ON = 4
-EV_FLOOD_OFF = 5
-EVENT_NAMES = ("near", "far", "activate", "deactivate", "flood_on",
-               "flood_off")
-EVENT_LEDGER = (LEDGER_NEAR, LEDGER_FAR, LEDGER_ACTIVATE, LEDGER_DEACTIVATE,
-                LEDGER_FLOOD, LEDGER_FLOOD)
+# Ledger category of each event action.
+EVENT_LEDGER = {"near": LEDGER_NEAR, "far": LEDGER_FAR,
+                "activate": LEDGER_ACTIVATE, "deactivate": LEDGER_DEACTIVATE,
+                "flood_on": LEDGER_FLOOD, "flood_off": LEDGER_FLOOD}
 
 INIT_DISTRIBUTIONS = ("spike", "uniform", "gauss", "gradient")
 
@@ -91,47 +86,40 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 
 
 def _route(state, src, dst):
-    # Greedy route from node src to node dst through the path buffer.
+    # Greedy route from node src to node dst: (path, ok).
     g = state.graph
     xy = g.points.xy
     return _route_core(g.indptr, g.indices, xy, src, dst, xy[dst, 0],
-                       xy[dst, 1], state.path)
+                       xy[dst, 1])
 
 
-def _near(state, u, s, nev):
+def _near(state, u, s):
     indptr = state.leaf_indptr
     deg = indptr[s + 1] - indptr[s]
     if deg == 0:
         state.faults[FAULT_ISOLATED_NEAR] += 1
-        return nev
+        return
     v = state.leaf_indices[indptr[s] + int(u * deg)]
     x = state.x
     m = 0.5 * (x[s] + x[v])
     x[s] = m
     x[v] = m
     state.ledger[LEDGER_NEAR] += 2
-    events = state.events
-    events[nev, 0] = EV_NEAR
-    events[nev, 1] = s
-    events[nev, 2] = v
-    events[nev, 3] = 2
-    events[nev, 4] = 1
-    return nev + 1
+    state.events.append(("near", s, v, 2, True))
 
 
 def _tick_geo(state, u, s):
     # u is the tick's row; s = int(u[0] * n) is its firing node.
     g = state.graph
-    path = state.path
     accept = state.geo_accept
     total = 0
     cand = -1
     accepted = False
     for a in range(GEO_ATTEMPT_CAP):
-        cnt, _ok = _route_core(g.indptr, g.indices, g.points.xy, s, -1,
-                               u[1 + 3 * a], u[2 + 3 * a], path)
-        c = path[cnt - 1]
-        total += 2 * (cnt - 1)
+        path, _ok = _route_core(g.indptr, g.indices, g.points.xy, s, -1,
+                                u[1 + 3 * a], u[2 + 3 * a])
+        c = path[-1]
+        total += 2 * (len(path) - 1)
         if c == s:
             continue
         cand = c
@@ -147,13 +135,7 @@ def _tick_geo(state, u, s):
         m = 0.5 * (x[s] + x[cand])
         x[s] = m
         x[cand] = m
-    events = state.events
-    events[0, 0] = EV_FAR
-    events[0, 1] = s
-    events[0, 2] = cand
-    events[0, 3] = total
-    events[0, 4] = 1 if accepted else 0
-    return 1
+    state.events.append(("far", s, cand, total, accepted))
 
 
 def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
@@ -169,38 +151,33 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
     return np.minimum(1.0, per_node / expected)
 
 
-def _far(state, u, s, c, nev):
+def _far(state, u, s, c):
+    # Returns whether the exchange completed.
     h = state.hierarchy
     p = h.cell_parent[c]
     nsib = h.cell_child_count[p] - 1
     if nsib <= 0:
-        return nev, False
+        return False
     cp = h.cell_child_start[p] + int(u * nsib)
     if cp >= c:
         cp += 1
     sp = h.cell_rep[cp]
-    events = state.events
-    events[nev, 0] = EV_FAR
-    events[nev, 1] = s
-    events[nev, 2] = sp
-    cnt, ok = _route(state, s, sp)
-    hops = cnt - 1
+    path, ok = _route(state, s, sp)
+    hops = len(path) - 1
     if not ok:
         state.ledger[LEDGER_FAR] += hops
         state.faults[FAULT_ROUTING] += 1
-        events[nev, 3] = hops
-        events[nev, 4] = 0
-        return nev + 1, False
+        state.events.append(("far", s, sp, hops, False))
+        return False
     if state.cell_active[cp] == 1:
         state.faults[FAULT_CONCURRENT] += 1
-    cnt, ok = _route(state, sp, s)
-    hops += cnt - 1
+    path, ok = _route(state, sp, s)
+    hops += len(path) - 1
     state.ledger[LEDGER_FAR] += hops
-    events[nev, 3] = hops
     if not ok:
         state.faults[FAULT_ROUTING] += 1
-        events[nev, 4] = 0
-        return nev + 1, False
+        state.events.append(("far", s, sp, hops, False))
+        return False
     # Both ends move by the same scaled difference, so the pair sum (and
     # with it the global sum) is preserved exactly.
     x = state.x
@@ -209,92 +186,84 @@ def _far(state, u, s, c, nev):
     x[sp] -= d
     state.counter[s] = 0
     state.counter[sp] = 0
-    events[nev, 4] = 1
-    return nev + 1, True
+    state.events.append(("far", s, sp, hops, True))
+    return True
 
 
-def _toggle(state, s, c, lvl, on, nev):
+def _toggle(state, s, c, lvl, on):
     # Start (on=1) or end (on=0) square c's round: flood local states (level
     # 1) or route to the child representatives (level > 1).  A square with no
     # running round has nothing to wind down; the repeat trigger fires every
-    # own tick once counter passes time, so make that free.
+    # own tick once counter passes time, so make that free.  Returns whether
+    # anything was sent.
     if on == 0 and state.cell_active[c] == 0:
-        return nev
+        return False
     state.cell_active[c] = on
     h = state.hierarchy
-    events = state.events
     if lvl == 1:
-        reached, tx = _flood_core(state.leaf_indptr, state.leaf_indices, s,
-                                  state.queue, state.stamp, state.stamp_id)
-        state.local_on[state.queue[:reached]] = on
+        reached, tx = _flood_core(state.leaf_indptr, state.leaf_indices, s)
+        state.local_on[reached] = on
         state.ledger[LEDGER_FLOOD] += tx
-        gap = (h.cell_member_start[c + 1] - h.cell_member_start[c]) - reached
+        gap = (h.cell_member_start[c + 1] - h.cell_member_start[c]
+               - len(reached))
         if gap > 0:
             state.faults[FAULT_FLOOD_GAP] += gap
-        events[nev, 0] = EV_FLOOD_ON if on == 1 else EV_FLOOD_OFF
-        events[nev, 3] = tx
-        events[nev, 4] = 1 if gap == 0 else 0
-    else:
-        total = 0
-        ok_all = 1
-        start = h.cell_child_start[c]
-        for ci in range(start, start + h.cell_child_count[c]):
-            dst = h.cell_rep[ci]
-            cnt, ok = _route(state, s, dst)
-            total += cnt - 1
-            if ok:
-                state.global_on[dst] = on
-                if on == 1:
-                    state.counter[dst] = 0
-            else:
-                state.faults[FAULT_ROUTING] += 1
-                ok_all = 0
-        if on == 1:
-            state.ledger[LEDGER_ACTIVATE] += total
-            events[nev, 0] = EV_ACTIVATE
+        state.events.append(("flood_on" if on == 1 else "flood_off", s, c,
+                             tx, gap == 0))
+        return True
+    total = 0
+    ok_all = True
+    start = h.cell_child_start[c]
+    for ci in range(start, start + h.cell_child_count[c]):
+        dst = h.cell_rep[ci]
+        path, ok = _route(state, s, dst)
+        total += len(path) - 1
+        if ok:
+            state.global_on[dst] = on
+            if on == 1:
+                state.counter[dst] = 0
         else:
-            state.ledger[LEDGER_DEACTIVATE] += total
-            events[nev, 0] = EV_DEACTIVATE
-        events[nev, 3] = total
-        events[nev, 4] = ok_all
-    events[nev, 1] = s
-    events[nev, 2] = c
-    return nev + 1
+            state.faults[FAULT_ROUTING] += 1
+            ok_all = False
+    if on == 1:
+        state.ledger[LEDGER_ACTIVATE] += total
+        state.events.append(("activate", s, c, total, ok_all))
+    else:
+        state.ledger[LEDGER_DEACTIVATE] += total
+        state.events.append(("deactivate", s, c, total, ok_all))
+    return True
 
 
 def _tick_hier(state, u, s):
-    # u is the tick's row; s = int(u[0] * n) is its firing node.
-    nev = 0
-    root_deact = False
+    # u is the tick's row; s = int(u[0] * n) is its firing node.  Returns
+    # whether the root square ended its round.
     h = state.hierarchy
     lvl = h.levels.level[s]
     if lvl == 0:
         if state.local_on[s] == 1:
-            nev = _near(state, u[3], s, nev)
-        return nev, root_deact
+            _near(state, u[3], s)
+        return False
     c = h.cell_of_rep[s]
     r = h.cell_depth[c]
     counter = state.counter
     if state.global_on[s] == 1:
         if counter[s] == 0:
-            nev = _toggle(state, s, c, lvl, 1, nev)
+            _toggle(state, s, c, lvl, 1)
         if h.cell_parent[c] >= 0 and u[1] < state.schedule.far_prob[r]:
-            nev, done = _far(state, u[2], s, c, nev)
-            if done:
+            if _far(state, u[2], s, c):
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
-                return nev, root_deact
+                return False
     if state.local_on[s] == 1:
-        nev = _near(state, u[3], s, nev)
+        _near(state, u[3], s)
     if counter[s] >= state.schedule.time[r]:
-        done = _toggle(state, s, c, lvl, 0, nev)
+        done = _toggle(state, s, c, lvl, 0)
         if h.cell_parent[c] < 0:
-            root_deact = done > nev
             counter[s] = 0
-        nev = done
+            return done
     else:
         counter[s] += 1
-    return nev, root_deact
+    return False
 
 
 def _run_hier(state, U, nodes):
@@ -307,10 +276,9 @@ def _run_hier(state, U, nodes):
         # local_on changes only inside representative ticks.
         if level[s] == 0:
             if local_on[s] == 1:
-                _near(state, U[t, 3], s, 0)
+                _near(state, U[t, 3], s)
             continue
-        _nev, rd = _tick_hier(state, U[t], s)
-        if rd:
+        if _tick_hier(state, U[t], s):
             root_deact = True
     return root_deact
 
@@ -355,13 +323,9 @@ class SimState:
     leaf_indices: np.ndarray = field(repr=False)
     # geo's per-sensor acceptance probabilities (None for hier and boyd).
     geo_accept: np.ndarray = field(repr=False)
-    # Kernel scratch: flood queue and visit stamps, route path, and the
-    # event rows of the current tick.
-    queue: np.ndarray = field(repr=False)
-    stamp: np.ndarray = field(repr=False)
-    stamp_id: np.ndarray = field(repr=False)
-    path: np.ndarray = field(repr=False)
-    events: np.ndarray = field(repr=False)
+    # (action, node, target, count, ok) per kernel call since `step` or the
+    # bulk block loop last emptied it.
+    events: list = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -484,20 +448,14 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         l1_0=float(np.abs(x).sum()),
         leaf_indptr=lindptr, leaf_indices=lindices,
         geo_accept=geo_acceptance(graph) if algorithm == "geo" else None,
-        queue=np.empty(n, dtype=np.int64), stamp=np.zeros(n, dtype=np.int64),
-        stamp_id=np.ones(1, dtype=np.int64),
-        path=np.empty(n + 1, dtype=np.int64),
-        events=np.zeros((8, 5), dtype=np.int64),
     )
 
 
-def _decode_events(state: SimState, nev: int, tick: int) -> list:
-    out = []
-    for k in range(nev):
-        row = state.events[k]
-        out.append(Event(tick=tick, action=EVENT_NAMES[row[0]],
-                         node=int(row[1]), target=int(row[2]),
-                         count=int(row[3]), ok=bool(row[4])))
+def _take_events(state: SimState, tick: int) -> list:
+    # The buffered kernel events as Event tuples; empties the buffer.
+    out = [Event(tick, a, int(node), int(target), int(count), bool(ok))
+           for a, node, target, count, ok in state.events]
+    state.events.clear()
     return out
 
 
@@ -507,13 +465,13 @@ def step(state: SimState) -> list:
     u = state.rng.random(ROW_WIDTH[state.algorithm])
     s = int(u[0] * state.n)
     if state.algorithm == "hier":
-        nev, _rd = _tick_hier(state, u, s)
+        _tick_hier(state, u, s)
     elif state.algorithm == "boyd":
-        nev = _near(state, u[1], s, 0)
+        _near(state, u[1], s)
     else:
-        nev = _tick_geo(state, u, s)
+        _tick_geo(state, u, s)
     state.tick = tick + 1
-    return _decode_events(state, nev, tick)
+    return _take_events(state, tick)
 
 
 def _rep_cell(state: SimState, s: int) -> int:
@@ -531,8 +489,8 @@ def near_exchange(state: SimState, s: int) -> list:
     The caller picks s; the protocol itself only issues this for nodes
     whose local state is on.  Draws the one uniform it needs.
     """
-    nev = _near(state, state.rng.random(), int(s), 0)
-    return _decode_events(state, nev, state.tick)
+    _near(state, state.rng.random(), int(s))
+    return _take_events(state, state.tick)
 
 
 def far_exchange(state: SimState, s: int) -> list:
@@ -546,26 +504,24 @@ def far_exchange(state: SimState, s: int) -> list:
     c = _rep_cell(state, s)
     if state.hierarchy.cell_parent[c] < 0:
         raise ValueError("the root square has no siblings to exchange with")
-    nev, _done = _far(state, state.rng.random(), int(s), c, 0)
-    return _decode_events(state, nev, state.tick)
+    _far(state, state.rng.random(), int(s), c)
+    return _take_events(state, state.tick)
 
 
 def activate_square(state: SimState, s: int) -> list:
     """Start s's square's round: flood local states on (level 1) or route
     wake-ups to the child representatives (level > 1)."""
     c = _rep_cell(state, s)
-    nev = _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 1,
-                  0)
-    return _decode_events(state, nev, state.tick)
+    _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 1)
+    return _take_events(state, state.tick)
 
 
 def deactivate_square(state: SimState, s: int) -> list:
     """End s's square's round; a no-op (no transmissions) when the square
     is not active."""
     c = _rep_cell(state, s)
-    nev = _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 0,
-                  0)
-    return _decode_events(state, nev, state.tick)
+    _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 0)
+    return _take_events(state, state.tick)
 
 
 def run_logged(state: SimState, ticks: int) -> list:
@@ -579,9 +535,8 @@ def run_logged(state: SimState, ticks: int) -> list:
 def replay_ledger(events) -> np.ndarray:
     """Rebuild ledger category totals from an event log."""
     ledger = np.zeros(len(LEDGER_NAMES), dtype=np.int64)
-    codes = {name: EVENT_LEDGER[i] for i, name in enumerate(EVENT_NAMES)}
     for ev in events:
-        ledger[codes[ev.action]] += ev.count
+        ledger[EVENT_LEDGER[ev.action]] += ev.count
     return ledger
 
 
@@ -621,10 +576,12 @@ def _run_chunk(state: SimState, ticks: int) -> bool:
         elif state.algorithm == "boyd":
             # A boyd tick is a near exchange on the full adjacency.
             for u, s in zip(U[:, 1], nodes):
-                _near(state, u, s, 0)
+                _near(state, u, s)
         else:
             for u, s in zip(U, nodes):
                 _tick_geo(state, u, s)
+        # Nothing reads a bulk block's events; keep the buffer to one block.
+        state.events.clear()
     return root_deact
 
 

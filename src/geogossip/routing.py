@@ -9,6 +9,9 @@ position terminates there by design (the stop node is the locally nearest).
 Flooding is breadth-first dissemination restricted to a cell's members; its
 transmission count is the sum of in-cell degrees over reached nodes (every
 reached node forwards once to each in-cell neighbor).
+
+The cores are plain Python over CSR arrays and return their results: a route
+returns its path as a list, a flood its reached ids in visit order.
 """
 
 from dataclasses import dataclass
@@ -43,13 +46,12 @@ class FloodResult:
         return self.unreached.shape[0] == 0
 
 
-def _route_core(indptr, indices, xy, src, dst, tx, ty, path_buf):
+def _route_core(indptr, indices, xy, src, dst, tx, ty):
     # dst >= 0: deliver to that node, success iff reached.
     # dst < 0: walk toward (tx, ty), stopping at the locally nearest node.
     # Strict distance decrease per hop bounds the path by n nodes.
     cur = src
-    count = 1
-    path_buf[0] = cur
+    path = [cur]
     while cur != dst:
         dx = xy[cur, 0] - tx
         dy = xy[cur, 1] - ty
@@ -64,33 +66,26 @@ def _route_core(indptr, indices, xy, src, dst, tx, ty, path_buf):
                 best_d = d
                 best = nb
         if best < 0:
-            return count, dst < 0
+            return path, dst < 0
         cur = best
-        path_buf[count] = cur
-        count += 1
-    return count, True
+        path.append(cur)
+    return path, True
 
 
-def _flood_core(lindptr, lindices, origin, queue, stamp, stamp_id):
-    # BFS over the in-cell adjacency; queue[:reached] holds reached ids.
-    mark = stamp_id[0]
-    stamp_id[0] += 1
-    queue[0] = origin
-    stamp[origin] = mark
-    head = 0
-    tail = 1
+def _flood_core(lindptr, lindices, origin):
+    # BFS over the in-cell adjacency; returns the reached ids in visit order.
+    order = [origin]
+    seen = {origin}
     transmissions = 0
-    while head < tail:
-        u = queue[head]
-        head += 1
-        transmissions += lindptr[u + 1] - lindptr[u]
-        for k in range(lindptr[u], lindptr[u + 1]):
-            v = lindices[k]
-            if stamp[v] != mark:
-                stamp[v] = mark
-                queue[tail] = v
-                tail += 1
-    return tail, transmissions
+    for u in order:
+        lo = lindptr[u]
+        hi = lindptr[u + 1]
+        transmissions += hi - lo
+        for v in lindices[lo:hi].tolist():
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return order, transmissions
 
 
 def greedy_route(graph: GeometricGraph, src: int, dst: int) -> RouteResult:
@@ -109,21 +104,18 @@ def greedy_route(graph: GeometricGraph, src: int, dst: int) -> RouteResult:
     """
     if src == dst:
         raise ValueError(f"src and dst must differ, got both = {src}")
-    buf = np.empty(graph.n, dtype=np.int64)
-    count, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
-                            int(src), int(dst),
-                            graph.points.xy[dst, 0], graph.points.xy[dst, 1],
-                            buf)
-    return RouteResult(path=buf[:count].copy(), success=bool(ok))
+    path, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
+                           int(src), int(dst),
+                           graph.points.xy[dst, 0], graph.points.xy[dst, 1])
+    return RouteResult(path=np.array(path, dtype=np.int64), success=bool(ok))
 
 
 def route_to_position(graph: GeometricGraph, src: int, x: float,
                       y: float) -> RouteResult:
     """Walk greedily toward a position; ends at the locally nearest node."""
-    buf = np.empty(graph.n, dtype=np.int64)
-    count, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
-                            int(src), -1, float(x), float(y), buf)
-    return RouteResult(path=buf[:count].copy(), success=bool(ok))
+    path, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
+                           int(src), -1, float(x), float(y))
+    return RouteResult(path=np.array(path, dtype=np.int64), success=bool(ok))
 
 
 def restrict_edges(graph: GeometricGraph, keep_edge):
@@ -177,12 +169,8 @@ def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
     lindptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[keep], minlength=ids.shape[0]),
               out=lindptr[1:])
-    queue = np.empty(ids.shape[0], dtype=np.int64)
-    stamp = np.zeros(ids.shape[0], dtype=np.int64)
-    stamp_id = np.ones(1, dtype=np.int64)
-    reached_n, tx = _flood_core(lindptr, local[keep], start, queue, stamp,
-                                stamp_id)
-    reached = ids[np.sort(queue[:reached_n])]
+    order, tx = _flood_core(lindptr, local[keep], start)
+    reached = ids[np.sort(order)]
     unreached = members[~np.isin(members, reached)]
     return FloodResult(reached=reached, transmissions=int(tx),
                        unreached=unreached)

@@ -1,10 +1,13 @@
 """Command-line entry points and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import geogossip
 from geogossip import read_csv
 from geogossip.cli import main
 
@@ -70,6 +73,19 @@ def test_empty_cell_exits_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "no sensors" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "dump-hierarchy"])
+def test_unclaimable_representative_exits_one(tmp_path, capsys, command):
+    # four sensors cannot staff the squares threshold 1 asks for: some
+    # square's members are all claimed by representatives above it
+    args = [command, "--n", "4", "--seed", "1", "--threshold", "1"]
+    if command == "simulate":
+        args += ["--output", str(tmp_path / "x.csv")]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: no unclaimed member left")
 
 
 def test_fault_threshold_exits_three(tmp_path, capsys):
@@ -175,10 +191,15 @@ def test_event_log_flag(tmp_path, capsys):
 
 
 def test_installed_script_smoke():
+    # the child imports geogossip from wherever this process found it
+    src = str(Path(geogossip.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "geogossip.cli", "dump-hierarchy",
          "--n", "50", "--seed", "1", "--threshold", "1000"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("/ depth=0")
 

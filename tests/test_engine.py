@@ -401,6 +401,24 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     run_logged(a, ticks)
     run(b, max_ticks=ticks, stride=ticks)
     assert_same_state(a, b)
+    # A step after a bulk run returns its own tick's events and no more.
+    events = step(b)
+    assert events and {ev.tick for ev in events} == {ticks}
+    assert events == step(a)
+
+
+def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
+    # The bulk path reads the root-round flag from the kernels; the logged
+    # path reads it from the events.  Both must stop at the same boundary.
+    a = fresh_state(sim256, "hier")
+    b = fresh_state(sim256, "hier")
+    sa = run(a, max_ticks=1_000_000, stride=1_000,
+             stop_on_root_deactivation=True)
+    sb = run(b, max_ticks=1_000_000, stride=1_000,
+             stop_on_root_deactivation=True, event_sink=lambda evs: None)
+    assert sa.stop_reason == sb.stop_reason == "root_deactivation"
+    assert a.tick == 127_000
+    assert_same_state(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -475,8 +493,8 @@ def test_near_neighbor_pick_is_uniform(sim256):
     draws = 40_000
     hits = np.zeros(st.n, dtype=np.int64)
     for u in np.random.default_rng(3).random(draws):
-        engine._near(st, u, s, 0)
-        hits[st.events[0, 2]] += 1
+        engine._near(st, u, s)
+        hits[st.events.pop()[2]] += 1
     assert hits[nbrs].sum() == draws
     p = 1.0 / deg[s]
     assert np.all(np.abs(hits[nbrs] - draws * p)

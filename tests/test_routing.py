@@ -177,11 +177,8 @@ def test_flood_matches_whole_graph_restriction():
         mask = np.zeros(g.n, dtype=bool)
         mask[members] = True
         lindptr, lindices = restrict_adjacency(g, mask)
-        queue = np.empty(g.n, dtype=np.int64)
-        reached_n, tx = _flood_core(lindptr, lindices, origin, queue,
-                                    np.zeros(g.n, dtype=np.int64),
-                                    np.ones(1, dtype=np.int64))
-        reached = np.sort(queue[:reached_n])
+        order, tx = _flood_core(lindptr, lindices, origin)
+        reached = np.sort(np.array(order, dtype=np.int64))
         r = flood(g, members, origin)
         assert np.array_equal(r.reached, reached)
         assert r.reached.dtype == reached.dtype

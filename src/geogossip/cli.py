@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 """
 
 import argparse
+import contextlib
 import sys
 
 from . import engine, experiment, metrics
@@ -58,18 +59,17 @@ def _merged_config(args) -> experiment.ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _merged_config(args)
-    cfg.require_seed()
+    # Build first: inputs that cannot carry a hierarchy must fail before
+    # an output file is opened, so they leave any earlier file intact.
+    state = experiment.build_state(cfg)
     out_path = cfg.output or "metrics.csv"
-    event_fh = None
-    with open(out_path, "w") as csv_fh:
+    with contextlib.ExitStack() as files:
+        csv_fh = files.enter_context(open(out_path, "w"))
+        event_fh = None
         if args.event_log:
-            event_fh = open(args.event_log, "w")
-        try:
-            result = experiment.run_experiment(cfg, csv_fh=csv_fh,
-                                               event_fh=event_fh)
-        finally:
-            if event_fh is not None:
-                event_fh.close()
+            event_fh = files.enter_context(open(args.event_log, "w"))
+        result = experiment.run_experiment(cfg, csv_fh=csv_fh,
+                                           event_fh=event_fh, state=state)
     print(result.summary)
     print(f"wrote {out_path}")
     if result.delivery_faults() > cfg.fault_limit:

@@ -33,14 +33,29 @@ The bulk runner draws the rows in blocks of at most BLOCK_VALUES values;
 `step` draws one row.  A Generator emits doubles strictly in sequence, so
 both see the same rows and end in the same state at any stride.
 
-The tick kernels are plain Python over numpy arrays.  They take the
-SimState and read every array under its one name: state.x,
-state.hierarchy.cell_parent, state.schedule.far_prob, and so on.  Each
-kernel appends one (action, node, target, count, ok) tuple to state.events,
-so `step` returns a replayable event log from the identical code path the
-bulk runner uses; the bulk runner empties that list after every block.
+The tick kernels are plain Python over numpy arrays, and they are control
+only.  They take the SimState and read every array under its one name:
+state.x, state.hierarchy.cell_parent, state.schedule.far_prob, and so on.
+They update counters, protocol states, ledger and faults, but never write
+x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
+is a midpoint, both ends taking their mean; any other k is a far exchange's
+kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
+ops in order.  Each kernel also appends one (action, node, target, count,
+ok) tuple to state.events, so `step` returns a replayable event log from the
+identical code path the bulk runner uses.  `step` and the protocol
+operations apply their ops to x before they return.
+
+The bulk runner steps only hier's representatives in Python.  A plain
+sensor's tick is a near exchange while its leaf is on, and local_on changes
+only in a level-1 flood, so the plain ticks between two level-1
+representative ticks are built in numpy; boyd builds every tick that way.
+A block's ops are merged in tick order and applied in one pass over x as
+Python floats: the same IEEE doubles in the same order, so bulk and stepped
+runs stay bit-identical.  The bulk runner empties the event list after every
+block without reading it.
 """
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -86,11 +101,50 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 
 
 def _route(state, src, dst):
-    # Greedy route from node src to node dst: (path, ok).
-    g = state.graph
-    xy = g.points.xy
-    return _route_core(g.indptr, g.indices, xy, src, dst, xy[dst, 0],
-                       xy[dst, 1])
+    # Greedy route from node src to node dst: (path, ok).  The graph is
+    # fixed for a run, so each (src, dst) route is computed once.
+    key = (src, dst)
+    hit = state.routes.get(key)
+    if hit is None:
+        g = state.graph
+        xy = g.points.xy
+        hit = state.routes[key] = _route_core(g.indptr, g.indices, xy, src,
+                                              dst, xy[dst, 0], xy[dst, 1])
+    return hit
+
+
+def _flood(state, origin):
+    # Flood from origin over the leaf CSR: (reached ids, transmissions).
+    # The leaf CSR is fixed for a run, so each origin floods once.
+    hit = state.floods.get(origin)
+    if hit is None:
+        order, tx = _flood_core(state.leaf_indptr, state.leaf_indices,
+                                origin)
+        hit = state.floods[origin] = (np.array(order, dtype=np.int64), tx)
+    return hit
+
+
+def _apply(x, ops):
+    # Apply value ops (a, b, k) to x in order.  k == 0.0 is a midpoint;
+    # any other k is an antisymmetric kick of k times the difference, which
+    # moves both ends by the same amount and so preserves the pair sum.
+    for a, b, k in ops:
+        if k == 0.0:
+            m = 0.5 * (x[a] + x[b])
+            x[a] = m
+            x[b] = m
+        else:
+            d = k * (x[b] - x[a])
+            x[a] += d
+            x[b] -= d
+
+
+def _apply_bulk(state, ops):
+    # _apply on Python floats, then one write back: the same IEEE doubles
+    # in the same order as on state.x, without a numpy scalar per access.
+    xl = state.x.tolist()
+    _apply(xl, ops)
+    state.x[:] = xl
 
 
 def _near(state, u, s):
@@ -100,12 +154,24 @@ def _near(state, u, s):
         state.faults[FAULT_ISOLATED_NEAR] += 1
         return
     v = state.leaf_indices[indptr[s] + int(u * deg)]
-    x = state.x
-    m = 0.5 * (x[s] + x[v])
-    x[s] = m
-    x[v] = m
+    state.ops.append((s, v, 0.0))
     state.ledger[LEDGER_NEAR] += 2
     state.events.append(("near", s, v, 2, True))
+
+
+def _near_ops(state, s, u):
+    # _near over arrays of firing sensors s and their neighbour uniforms u.
+    # Returns (keep, v): the mask of sensors that exchange and their
+    # partners.  Isolated sensors count a fault each instead.
+    indptr = state.leaf_indptr
+    lo = indptr[s]
+    deg = indptr[s + 1] - lo
+    keep = deg > 0
+    v = state.leaf_indices[lo[keep]
+                           + (u[keep] * deg[keep]).astype(np.int64)]
+    state.faults[FAULT_ISOLATED_NEAR] += keep.shape[0] - v.shape[0]
+    state.ledger[LEDGER_NEAR] += 2 * v.shape[0]
+    return keep, v
 
 
 def _tick_geo(state, u, s):
@@ -131,10 +197,7 @@ def _tick_geo(state, u, s):
         accepted = True
     state.ledger[LEDGER_FAR] += total
     if accepted:
-        x = state.x
-        m = 0.5 * (x[s] + x[cand])
-        x[s] = m
-        x[cand] = m
+        state.ops.append((s, cand, 0.0))
     state.events.append(("far", s, cand, total, accepted))
 
 
@@ -178,12 +241,7 @@ def _far(state, u, s, c):
         state.faults[FAULT_ROUTING] += 1
         state.events.append(("far", s, sp, hops, False))
         return False
-    # Both ends move by the same scaled difference, so the pair sum (and
-    # with it the global sum) is preserved exactly.
-    x = state.x
-    d = 0.4 * h.cell_expected[c] * (x[sp] - x[s])
-    x[s] += d
-    x[sp] -= d
+    state.ops.append((s, sp, 0.4 * h.cell_expected[c]))
     state.counter[s] = 0
     state.counter[sp] = 0
     state.events.append(("far", s, sp, hops, True))
@@ -201,7 +259,7 @@ def _toggle(state, s, c, lvl, on):
     state.cell_active[c] = on
     h = state.hierarchy
     if lvl == 1:
-        reached, tx = _flood_core(state.leaf_indptr, state.leaf_indices, s)
+        reached, tx = _flood(state, s)
         state.local_on[reached] = on
         state.ledger[LEDGER_FLOOD] += tx
         gap = (h.cell_member_start[c + 1] - h.cell_member_start[c]
@@ -267,19 +325,51 @@ def _tick_hier(state, u, s):
 
 
 def _run_hier(state, U, nodes):
-    level = state.hierarchy.levels.level
+    # Representative ticks run in Python as control; each records the tick
+    # of the op it emitted (at most one: a completed far exchange ends the
+    # tick before its near step).  A plain sensor's tick is a near exchange
+    # while its leaf is on, and local_on changes only in a level-1 flood,
+    # so the plain ticks before each level-1 representative tick read
+    # local_on as it stands then.  The ops are merged in tick order and
+    # applied in one pass.
+    level = state.hierarchy.levels.level[nodes]
+    rep_t = np.flatnonzero(level > 0)
+    plain_t = np.flatnonzero(level == 0)
+    plain_s = nodes[plain_t]
+    # plain ticks before each representative tick
+    before = np.searchsorted(plain_t, rep_t).tolist()
+    active = np.empty(plain_t.shape[0], dtype=np.uint8)
     local_on = state.local_on
+    ops = state.ops
+    op_t = []
+    done = 0
     root_deact = False
-    for t in range(nodes.shape[0]):
-        s = nodes[t]
-        # A plain sensor only averages, and only while its leaf is on;
-        # local_on changes only inside representative ticks.
-        if level[s] == 0:
-            if local_on[s] == 1:
-                _near(state, U[t, 3], s)
-            continue
-        if _tick_hier(state, U[t], s):
+    for t, s, lvl, u, b in zip(rep_t.tolist(), nodes[rep_t].tolist(),
+                               level[rep_t].tolist(), U[rep_t].tolist(),
+                               before):
+        if lvl == 1 and b > done:
+            active[done:b] = local_on[plain_s[done:b]]
+            done = b
+        if _tick_hier(state, u, s):
             root_deact = True
+        if len(ops) > len(op_t):
+            op_t.append(t)
+    active[done:] = local_on[plain_s[done:]]
+    on = active == 1
+    fire_t = plain_t[on]
+    fire_s = plain_s[on]
+    keep, v = _near_ops(state, fire_s, U[fire_t, 3])
+    a = fire_s[keep]
+    k = np.zeros(v.shape[0])
+    if ops:
+        ra, rb, rk = zip(*ops)
+        order = np.argsort(np.concatenate([fire_t[keep], op_t]),
+                           kind="stable")
+        a = np.concatenate([a, ra])[order]
+        v = np.concatenate([v, rb])[order]
+        k = np.concatenate([k, rk])[order]
+        ops.clear()
+    _apply_bulk(state, zip(a.tolist(), v.tolist(), k.tolist()))
     return root_deact
 
 
@@ -326,6 +416,13 @@ class SimState:
     # (action, node, target, count, ok) per kernel call since `step` or the
     # bulk block loop last emptied it.
     events: list = field(default_factory=list, repr=False)
+    # Value ops (a, b, k) the kernels emitted and `_apply` has not yet
+    # applied to x.
+    ops: list = field(default_factory=list, repr=False)
+    # Memoised floods (origin -> (reached, tx)) and node-to-node routes
+    # ((src, dst) -> (path, ok)); both depend only on the fixed graph.
+    floods: dict = field(default_factory=dict, repr=False)
+    routes: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -452,7 +549,11 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
 
 
 def _take_events(state: SimState, tick: int) -> list:
-    # The buffered kernel events as Event tuples; empties the buffer.
+    # Applies the pending value ops, then returns the buffered kernel
+    # events as Event tuples; empties both buffers.
+    if state.ops:
+        _apply(state.x, state.ops)
+        state.ops.clear()
     out = [Event(tick, a, int(node), int(target), int(count), bool(ok))
            for a, node, target, count, ok in state.events]
     state.events.clear()
@@ -575,11 +676,14 @@ def _run_chunk(state: SimState, ticks: int) -> bool:
             root_deact |= _run_hier(state, U, nodes)
         elif state.algorithm == "boyd":
             # A boyd tick is a near exchange on the full adjacency.
-            for u, s in zip(U[:, 1], nodes):
-                _near(state, u, s)
+            keep, v = _near_ops(state, nodes, U[:, 1])
+            _apply_bulk(state, zip(nodes[keep].tolist(), v.tolist(),
+                                   itertools.repeat(0.0)))
         else:
             for u, s in zip(U, nodes):
                 _tick_geo(state, u, s)
+            _apply_bulk(state, state.ops)
+            state.ops.clear()
         # Nothing reads a bulk block's events; keep the buffer to one block.
         state.events.clear()
     return root_deact

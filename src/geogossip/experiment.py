@@ -238,13 +238,16 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
-                   write_header: bool = True) -> ExperimentResult:
+                   write_header: bool = True,
+                   state: engine.SimState = None) -> ExperimentResult:
     """Run one configured simulation, streaming rows to csv_fh if given.
 
     Rows are flushed at every stride so a truncated run still parses.
+    `state` is a fresh build_state(config) made by the caller, if any.
     """
     config.validate()
-    state = build_state(config)
+    if state is None:
+        state = build_state(config)
     connected = is_connected(state.graph)
 
     on_record = None

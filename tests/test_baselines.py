@@ -10,10 +10,12 @@ from geogossip import (
     init_sim,
     route_to_position,
     run,
+    run_logged,
     sample_points,
     step,
 )
-from geogossip.engine import GEO_ATTEMPT_CAP, ROW_WIDTH, geo_acceptance
+from geogossip.engine import (BLOCK_VALUES, GEO_ATTEMPT_CAP, ROW_WIDTH,
+                              geo_acceptance)
 
 from conftest import LAST, LastRows, make_points
 
@@ -61,6 +63,27 @@ def test_boyd_isolated_nodes_fault_not_crash():
         step(st)
     assert st.fault_totals()["isolated_near"] == 10
     assert np.array_equal(st.x, before)
+
+
+BOYD_BLOCK = BLOCK_VALUES // ROW_WIDTH["boyd"]
+
+
+@pytest.mark.parametrize("stride", [1, 7, BOYD_BLOCK + 1])
+def test_boyd_bulk_with_isolated_nodes_matches_logged(stride):
+    # 10 of these 64 sensors have no neighbour and the rest have some, so
+    # bulk blocks mix exchanges with isolated_near faults.
+    g = build_graph(sample_points(64, seed=1), 0.1)
+    assert 0 < np.count_nonzero(np.diff(g.indptr) == 0) < g.n
+    ticks = 2 * BOYD_BLOCK + 5
+    a = init_sim(g, seed=3, init_dist="gauss", algorithm="boyd")
+    b = init_sim(g, seed=3, init_dist="gauss", algorithm="boyd")
+    run_logged(a, ticks)
+    run(b, max_ticks=ticks, stride=stride)
+    assert a.fault_totals()["isolated_near"] > 0
+    assert a.ledger_totals()["near"] > 0
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.ledger, b.ledger)
+    assert np.array_equal(a.faults, b.faults)
 
 
 def test_boyd_deterministic(graph256b):

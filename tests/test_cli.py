@@ -88,6 +88,26 @@ def test_unclaimable_representative_exits_one(tmp_path, capsys, command):
     assert captured.err.startswith("error: no unclaimed member left")
 
 
+def test_failed_build_leaves_output_files_alone(tmp_path, capsys):
+    # The hierarchy fails to build (as above) before any file is opened:
+    # an existing output keeps its bytes and a missing one stays missing.
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"earlier run\n")
+    log = tmp_path / "absent.log"
+    code = main(["simulate", "--n", "4", "--seed", "1", "--threshold", "1",
+                 "--output", str(out), "--event-log", str(log)])
+    capsys.readouterr()
+    assert code == 1
+    assert out.read_bytes() == b"earlier run\n"
+    assert not log.exists()
+    fresh = tmp_path / "fresh.csv"
+    code = main(["simulate", "--n", "4", "--seed", "1", "--threshold", "1",
+                 "--output", str(fresh)])
+    capsys.readouterr()
+    assert code == 1
+    assert not fresh.exists()
+
+
 def test_fault_threshold_exits_three(tmp_path, capsys):
     out = tmp_path / "faulty.csv"
     code = main(["simulate", "--algorithm", "hier", "--n", "64",

@@ -86,6 +86,28 @@ def _parse_int_list(text: str, what: str) -> list:
         raise experiment.ConfigError(f"bad {what} list {text!r}: {exc}")
 
 
+class _OpenOnWrite:
+    """Text file opened for writing at its first write, so a run that fails
+    before it writes leaves an earlier file at that path as it was."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = None
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = open(self.path, "w")
+        return self.fh.write(text)
+
+    def flush(self):
+        if self.fh is not None:
+            self.fh.flush()
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _cmd_sweep(args) -> int:
     cfg = _merged_config(args)
     ns = _parse_int_list(args.ns, "n")
@@ -98,7 +120,9 @@ def _cmd_sweep(args) -> int:
         algorithms = [tok.strip() for tok in args.algorithms.split(",")
                       if tok.strip()]
     out_path = cfg.output or "sweep.csv"
-    with open(out_path, "w") as csv_fh:
+    # Each run builds its state before writing its first row, so a grid
+    # whose first run cannot build leaves an earlier file intact.
+    with contextlib.closing(_OpenOnWrite(out_path)) as csv_fh:
         results = experiment.sweep(cfg, ns, seeds, algorithms=algorithms,
                                    csv_fh=csv_fh)
     worst = 0

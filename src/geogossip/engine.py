@@ -33,7 +33,7 @@ The bulk runner draws the rows in blocks of at most BLOCK_VALUES values;
 `step` draws one row.  A Generator emits doubles strictly in sequence, so
 both see the same rows and end in the same state at any stride.
 
-The tick kernels are plain Python over numpy arrays, and they are control
+The tick kernels are Python over numpy arrays, and they are control
 only.  They take the SimState and read every array under its one name:
 state.x, state.hierarchy.cell_parent, state.schedule.far_prob, and so on.
 They update counters, protocol states, ledger and faults, but never write
@@ -49,7 +49,10 @@ The bulk runner steps only hier's representatives in Python.  A plain
 sensor's tick is a near exchange while its leaf is on, and local_on changes
 only in a level-1 flood, so the plain ticks between two level-1
 representative ticks are built in numpy; boyd builds every tick that way.
-A block's ops are merged in tick order and applied in one pass over x as
+geo never reads x, so `_tick_geo` takes a whole block of rows: attempt a of
+every tick still pending is routed in one lockstep `_walk` call, and only
+the rejected ticks try again; `step` passes it a block of one row.  A
+block's ops are merged in tick order and applied in one pass over x as
 Python floats: the same IEEE doubles in the same order, so bulk and stepped
 runs stay bit-identical.  The bulk runner empties the event list after every
 block without reading it.
@@ -65,7 +68,7 @@ import numpy as np
 from .geometry import GeometricGraph
 from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
-from .routing import _flood_core, _route_core, restrict_edges
+from .routing import _flood_core, _route_one, _walk, restrict_edges
 
 LEDGER_NEAR = 0
 LEDGER_FAR = 1
@@ -101,15 +104,14 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 
 
 def _route(state, src, dst):
-    # Greedy route from node src to node dst: (path, ok).  The graph is
+    # Greedy route from node src to node dst: (hops, ok).  The graph is
     # fixed for a run, so each (src, dst) route is computed once.
     key = (src, dst)
     hit = state.routes.get(key)
     if hit is None:
-        g = state.graph
-        xy = g.points.xy
-        hit = state.routes[key] = _route_core(g.indptr, g.indices, xy, src,
-                                              dst, xy[dst, 0], xy[dst, 1])
+        xy = state.graph.points.xy
+        path, ok = _route_one(state.graph, src, dst, xy[dst, 0], xy[dst, 1])
+        hit = state.routes[key] = (path.shape[0] - 1, ok)
     return hit
 
 
@@ -174,31 +176,43 @@ def _near_ops(state, s, u):
     return keep, v
 
 
-def _tick_geo(state, u, s):
-    # u is the tick's row; s = int(u[0] * n) is its firing node.
+def _tick_geo(state, U, nodes):
+    # U holds the block's tick rows and nodes their firing nodes,
+    # nodes[t] = int(U[t, 0] * n).  Attempt a of every tick still pending
+    # is routed in one _walk call; a tick is done once its candidate (a
+    # stop node other than the firing node) passes the acceptance coin.
     g = state.graph
     accept = state.geo_accept
-    total = 0
-    cand = -1
-    accepted = False
+    m = nodes.shape[0]
+    total = np.zeros(m, dtype=np.int64)
+    cand = np.full(m, -1, dtype=np.int64)
+    accepted = np.zeros(m, dtype=bool)
+    pending = np.arange(m)
     for a in range(GEO_ATTEMPT_CAP):
-        path, _ok = _route_core(g.indptr, g.indices, g.points.xy, s, -1,
-                                u[1 + 3 * a], u[2 + 3 * a])
-        c = path[-1]
-        total += 2 * (len(path) - 1)
-        if c == s:
-            continue
-        cand = c
-        if u[3 + 3 * a] < accept[c]:
-            accepted = True
+        if pending.shape[0] == 0:
             break
-    if not accepted and cand >= 0:
-        state.faults[FAULT_GEO_REJECT] += 1
-        accepted = True
-    state.ledger[LEDGER_FAR] += total
-    if accepted:
-        state.ops.append((s, cand, 0.0))
-    state.events.append(("far", s, cand, total, accepted))
+        s = nodes[pending]
+        trail, hops, _ok = _walk(g.indptr, g.indices, g.points.xy, s,
+                                 np.full(s.shape[0], -1),
+                                 U[pending, 1 + 3 * a], U[pending, 2 + 3 * a])
+        c = trail[-1]
+        total[pending] += 2 * hops
+        moved = c != s
+        cand[pending[moved]] = c[moved]
+        done = moved & (U[pending, 3 + 3 * a] < accept[c])
+        accepted[pending[done]] = True
+        pending = pending[~done]
+    # After the cap the last candidate is accepted anyway; a tick with no
+    # candidate at all exchanges nothing.
+    capped = pending[cand[pending] >= 0]
+    accepted[capped] = True
+    state.faults[FAULT_GEO_REJECT] += capped.shape[0]
+    state.ledger[LEDGER_FAR] += int(total.sum())
+    s_l, c_l, ok_l = nodes.tolist(), cand.tolist(), accepted.tolist()
+    state.ops.extend((s, c, 0.0) for s, c, ok in zip(s_l, c_l, ok_l) if ok)
+    state.events.extend(("far", s, c, t, ok)
+                        for s, c, t, ok in zip(s_l, c_l, total.tolist(),
+                                               ok_l))
 
 
 def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
@@ -225,8 +239,7 @@ def _far(state, u, s, c):
     if cp >= c:
         cp += 1
     sp = h.cell_rep[cp]
-    path, ok = _route(state, s, sp)
-    hops = len(path) - 1
+    hops, ok = _route(state, s, sp)
     if not ok:
         state.ledger[LEDGER_FAR] += hops
         state.faults[FAULT_ROUTING] += 1
@@ -234,8 +247,8 @@ def _far(state, u, s, c):
         return False
     if state.cell_active[cp] == 1:
         state.faults[FAULT_CONCURRENT] += 1
-    path, ok = _route(state, sp, s)
-    hops += len(path) - 1
+    back, ok = _route(state, sp, s)
+    hops += back
     state.ledger[LEDGER_FAR] += hops
     if not ok:
         state.faults[FAULT_ROUTING] += 1
@@ -274,8 +287,8 @@ def _toggle(state, s, c, lvl, on):
     start = h.cell_child_start[c]
     for ci in range(start, start + h.cell_child_count[c]):
         dst = h.cell_rep[ci]
-        path, ok = _route(state, s, dst)
-        total += len(path) - 1
+        hops, ok = _route(state, s, dst)
+        total += hops
         if ok:
             state.global_on[dst] = on
             if on == 1:
@@ -570,7 +583,7 @@ def step(state: SimState) -> list:
     elif state.algorithm == "boyd":
         _near(state, u[1], s)
     else:
-        _tick_geo(state, u, s)
+        _tick_geo(state, u[None, :], np.array([s]))
     state.tick = tick + 1
     return _take_events(state, tick)
 
@@ -680,8 +693,7 @@ def _run_chunk(state: SimState, ticks: int) -> bool:
             _apply_bulk(state, zip(nodes[keep].tolist(), v.tolist(),
                                    itertools.repeat(0.0)))
         else:
-            for u, s in zip(U, nodes):
-                _tick_geo(state, u, s)
+            _tick_geo(state, U, nodes)
             _apply_bulk(state, state.ops)
             state.ops.clear()
         # Nothing reads a bulk block's events; keep the buffer to one block.

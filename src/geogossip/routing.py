@@ -10,8 +10,11 @@ Flooding is breadth-first dissemination restricted to a cell's members; its
 transmission count is the sum of in-cell degrees over reached nodes (every
 reached node forwards once to each in-cell neighbor).
 
-The cores are plain Python over CSR arrays and return their results: a route
-returns its path as a list, a flood its reached ids in visit order.
+Routing has one implementation, `_walk`, a lockstep router: it moves a batch
+of packets one hop per round, all together, with numpy over the CSR arrays,
+so a round costs a few array operations whatever the batch size.  A single
+route is a batch of one.  The flood core is plain Python over CSR arrays and
+returns its reached ids in visit order.
 """
 
 from dataclasses import dataclass
@@ -46,30 +49,70 @@ class FloodResult:
         return self.unreached.shape[0] == 0
 
 
-def _route_core(indptr, indices, xy, src, dst, tx, ty):
-    # dst >= 0: deliver to that node, success iff reached.
-    # dst < 0: walk toward (tx, ty), stopping at the locally nearest node.
-    # Strict distance decrease per hop bounds the path by n nodes.
-    cur = src
-    path = [cur]
-    while cur != dst:
-        dx = xy[cur, 0] - tx
-        dy = xy[cur, 1] - ty
-        best_d = dx * dx + dy * dy
-        best = -1
-        for k in range(indptr[cur], indptr[cur + 1]):
-            nb = indices[k]
-            dx = xy[nb, 0] - tx
-            dy = xy[nb, 1] - ty
-            d = dx * dx + dy * dy
-            if d < best_d:
-                best_d = d
-                best = nb
-        if best < 0:
-            return path, dst < 0
-        cur = best
-        path.append(cur)
-    return path, True
+def _walk(indptr, indices, xy, src, dst, tx, ty):
+    # Greedy walks of many packets at once, one hop per round for all.
+    # Walker i starts at src[i] and heads for (tx[i], ty[i]); dst[i] >= 0
+    # retires it on reaching that node, dst[i] < 0 walks toward the
+    # position until the locally nearest node.  Each round a live walker
+    # moves to its strictly closest neighbour, the first in CSR order
+    # among equals, or stops at a dead end (every degree-0 node is one).
+    # Returns (trail, hops, ok): walker i's path is trail[:hops[i] + 1, i]
+    # and later rows repeat its stop node, so trail[-1] holds every stop
+    # node; ok[i] is False only for a node target not reached.
+    px = xy[:, 0]
+    py = xy[:, 1]
+    cur = np.array(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    tx = np.asarray(tx, dtype=np.float64)
+    ty = np.asarray(ty, dtype=np.float64)
+    hops = np.zeros(cur.shape[0], dtype=np.int64)
+    trail = [cur.copy()]
+    live = np.flatnonzero(cur != dst)
+    # Strict distance decrease visits a node at most once per walk, so
+    # n - 1 hops bound every walk.
+    for _ in range(indptr.shape[0] - 1):
+        if live.shape[0] == 0:
+            break
+        c = cur[live]
+        wx = tx[live]
+        wy = ty[live]
+        dx = px[c] - wx
+        dy = py[c] - wy
+        here = dx * dx + dy * dy
+        # the walkers' CSR rows, concatenated
+        lo = indptr[c]
+        cnt = indptr[c + 1] - lo
+        end = cnt.cumsum()
+        first = end - cnt
+        nb = indices[np.arange(end[-1]) + (lo - first).repeat(cnt)]
+        dx = px[nb] - wx.repeat(cnt)
+        dy = py[nb] - wy.repeat(cnt)
+        d = dx * dx + dy * dy
+        has = np.flatnonzero(cnt)
+        start = first[has]
+        best = np.full(live.shape[0], np.inf)
+        pick = np.zeros(live.shape[0], dtype=np.int64)
+        if has.shape[0]:
+            best[has] = np.minimum.reduceat(d, start)
+            # the first neighbour at the minimum within each walker's row
+            tie = np.flatnonzero(d == best.repeat(cnt))
+            pick[has] = nb[tie[tie.searchsorted(start)]]
+        move = best < here
+        if not move.any():
+            break
+        stepped = live[move]
+        cur[stepped] = pick[move]
+        hops[stepped] += 1
+        trail.append(cur.copy())
+        live = stepped[cur[stepped] != dst[stepped]]
+    return np.array(trail), hops, (cur == dst) | (dst < 0)
+
+
+def _route_one(graph, src, dst, tx, ty):
+    # One walker through _walk: (path, ok).
+    trail, hops, ok = _walk(graph.indptr, graph.indices, graph.points.xy,
+                            [src], [dst], [tx], [ty])
+    return trail[:hops[0] + 1, 0], bool(ok[0])
 
 
 def _flood_core(lindptr, lindices, origin):
@@ -104,18 +147,16 @@ def greedy_route(graph: GeometricGraph, src: int, dst: int) -> RouteResult:
     """
     if src == dst:
         raise ValueError(f"src and dst must differ, got both = {src}")
-    path, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
-                           int(src), int(dst),
-                           graph.points.xy[dst, 0], graph.points.xy[dst, 1])
-    return RouteResult(path=np.array(path, dtype=np.int64), success=bool(ok))
+    xy = graph.points.xy
+    path, ok = _route_one(graph, src, dst, xy[dst, 0], xy[dst, 1])
+    return RouteResult(path=path, success=ok)
 
 
 def route_to_position(graph: GeometricGraph, src: int, x: float,
                       y: float) -> RouteResult:
     """Walk greedily toward a position; ends at the locally nearest node."""
-    path, ok = _route_core(graph.indptr, graph.indices, graph.points.xy,
-                           int(src), -1, float(x), float(y))
-    return RouteResult(path=np.array(path, dtype=np.int64), success=bool(ok))
+    path, ok = _route_one(graph, src, -1, x, y)
+    return RouteResult(path=path, success=ok)
 
 
 def restrict_edges(graph: GeometricGraph, keep_edge):

@@ -65,25 +65,44 @@ def test_boyd_isolated_nodes_fault_not_crash():
     assert np.array_equal(st.x, before)
 
 
-BOYD_BLOCK = BLOCK_VALUES // ROW_WIDTH["boyd"]
+BLOCK = {a: BLOCK_VALUES // ROW_WIDTH[a] for a in ("boyd", "geo")}
 
 
-@pytest.mark.parametrize("stride", [1, 7, BOYD_BLOCK + 1])
-def test_boyd_bulk_with_isolated_nodes_matches_logged(stride):
+@pytest.mark.parametrize("algorithm,stride",
+                         [(a, s) for a in ("boyd", "geo")
+                          for s in (1, 7, BLOCK[a] + 1)])
+def test_bulk_with_isolated_nodes_matches_logged(algorithm, stride):
     # 10 of these 64 sensors have no neighbour and the rest have some, so
-    # bulk blocks mix exchanges with isolated_near faults.
+    # bulk blocks mix exchanges with ticks that exchange nothing.
     g = build_graph(sample_points(64, seed=1), 0.1)
-    assert 0 < np.count_nonzero(np.diff(g.indptr) == 0) < g.n
-    ticks = 2 * BOYD_BLOCK + 5
-    a = init_sim(g, seed=3, init_dist="gauss", algorithm="boyd")
-    b = init_sim(g, seed=3, init_dist="gauss", algorithm="boyd")
-    run_logged(a, ticks)
+    isolated = np.diff(g.indptr) == 0
+    assert 0 < np.count_nonzero(isolated) < g.n
+    ticks = 2 * BLOCK[algorithm] + 5
+    a = init_sim(g, seed=3, init_dist="gauss", algorithm=algorithm)
+    b = init_sim(g, seed=3, init_dist="gauss", algorithm=algorithm)
+    events = run_logged(a, ticks)
     run(b, max_ticks=ticks, stride=stride)
-    assert a.fault_totals()["isolated_near"] > 0
-    assert a.ledger_totals()["near"] > 0
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.ledger, b.ledger)
     assert np.array_equal(a.faults, b.faults)
+    if algorithm == "boyd":
+        assert a.fault_totals()["isolated_near"] > 0
+        assert a.ledger_totals()["near"] > 0
+        return
+    # Every attempt from an isolated sensor stops where it started: no
+    # candidate, so no exchange, no cap fault, target -1 and ok False.
+    assert a.ledger_totals()["far_routing"] > 0
+    c = init_sim(g, seed=3, init_dist="gauss", algorithm="geo")
+    lonely = 0
+    for _ in range(ticks):
+        x, faults = c.x.copy(), c.faults.copy()
+        (ev,) = step(c)
+        if isolated[ev.node]:
+            lonely += 1
+            assert (ev.target, ev.count, ev.ok) == (-1, 0, False)
+            assert np.array_equal(c.x, x)
+            assert np.array_equal(c.faults, faults)
+    assert lonely > 0
 
 
 def test_boyd_deterministic(graph256b):

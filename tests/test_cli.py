@@ -88,21 +88,24 @@ def test_unclaimable_representative_exits_one(tmp_path, capsys, command):
     assert captured.err.startswith("error: no unclaimed member left")
 
 
-def test_failed_build_leaves_output_files_alone(tmp_path, capsys):
-    # The hierarchy fails to build (as above) before any file is opened:
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_failed_build_leaves_output_files_alone(tmp_path, capsys, command):
+    # The hierarchy fails to build (as above) before anything is written:
     # an existing output keeps its bytes and a missing one stays missing.
+    args = ([command, "--n", "4", "--seed", "1"] if command == "simulate"
+            else [command, "--ns", "4", "--seeds", "1"])
+    args += ["--threshold", "1"]
     out = tmp_path / "kept.csv"
     out.write_bytes(b"earlier run\n")
     log = tmp_path / "absent.log"
-    code = main(["simulate", "--n", "4", "--seed", "1", "--threshold", "1",
-                 "--output", str(out), "--event-log", str(log)])
+    extra = ["--event-log", str(log)] if command == "simulate" else []
+    code = main(args + ["--output", str(out)] + extra)
     capsys.readouterr()
     assert code == 1
     assert out.read_bytes() == b"earlier run\n"
     assert not log.exists()
     fresh = tmp_path / "fresh.csv"
-    code = main(["simulate", "--n", "4", "--seed", "1", "--threshold", "1",
-                 "--output", str(fresh)])
+    code = main(args + ["--output", str(fresh)])
     capsys.readouterr()
     assert code == 1
     assert not fresh.exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geogossip import (
     build_graph,
@@ -13,7 +14,7 @@ from geogossip import (
     greedy_route,
     sample_points,
 )
-from geogossip.routing import (_flood_core, restrict_adjacency,
+from geogossip.routing import (_flood_core, _walk, restrict_adjacency,
                                route_to_position)
 
 from conftest import make_points
@@ -110,6 +111,77 @@ def test_routing_deterministic(graph4096):
     a = greedy_route(graph4096, 17, 4000)
     b = greedy_route(graph4096, 17, 4000)
     assert np.array_equal(a.path, b.path) and a.success == b.success
+
+
+def reference_walk(indptr, indices, xy, src, dst, tx, ty):
+    # One packet, one neighbour at a time: (path, ok).  dst >= 0 delivers
+    # to that node; dst < 0 walks toward (tx, ty) to the locally nearest
+    # node.  The first strictly closest neighbour in CSR order wins.
+    cur = src
+    path = [cur]
+    while cur != dst:
+        dx = xy[cur, 0] - tx
+        dy = xy[cur, 1] - ty
+        best_d = dx * dx + dy * dy
+        best = -1
+        for k in range(indptr[cur], indptr[cur + 1]):
+            nb = indices[k]
+            dx = xy[nb, 0] - tx
+            dy = xy[nb, 1] - ty
+            d = dx * dx + dy * dy
+            if d < best_d:
+                best_d = d
+                best = nb
+        if best < 0:
+            return path, dst < 0
+        cur = best
+        path.append(cur)
+    return path, True
+
+
+@st.composite
+def walk_batches(draw):
+    """A graph with isolated nodes and duplicate points, and a batch of
+    walkers: node targets at the node (src == dst allowed), node targets
+    with an unrelated position (retirement on passing the node), and
+    position targets."""
+    n = draw(st.integers(1, 200))
+    radius = draw(st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xy = rng.random((n, 2))
+    # Coordinates on a coarse dyadic grid make equal distances exact.
+    grid = draw(st.sampled_from([0, 4, 16]))
+    if grid:
+        xy = np.round(xy * grid) / grid
+    dups = rng.integers(0, n, size=(draw(st.integers(0, n // 2)), 2))
+    xy[dups[:, 0]] = xy[dups[:, 1]]
+    g = build_graph(make_points(xy), radius)
+    m = draw(st.integers(1, 24))
+    src = rng.integers(0, n, size=m)
+    kind = rng.integers(0, 3, size=m)
+    dst = np.where(kind == 2, -1, rng.integers(0, n, size=m))
+    pos = rng.random((m, 2))
+    if grid:
+        pos = np.round(pos * grid) / grid
+    at_node = kind == 0
+    pos[at_node] = xy[dst[at_node]]
+    return g, src, dst, pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_batches())
+def test_walk_matches_reference_walker(case):
+    g, src, dst, pos = case
+    xy = g.points.xy
+    trail, hops, ok = _walk(g.indptr, g.indices, xy, src, dst,
+                            pos[:, 0], pos[:, 1])
+    assert trail.shape == (hops.max() + 1, src.shape[0])
+    for i in range(src.shape[0]):
+        path, ok_i = reference_walk(g.indptr, g.indices, xy, int(src[i]),
+                                    int(dst[i]), pos[i, 0], pos[i, 1])
+        assert trail[:hops[i] + 1, i].tolist() == path
+        assert np.all(trail[hops[i]:, i] == path[-1])
+        assert bool(ok[i]) == ok_i
 
 
 # ------------------------------------------------------------------ flood

@@ -9,15 +9,12 @@ oracles for the protocol's contraction and perturbation bounds.
 __version__ = "0.1.0"
 
 from .affine import (
-    AffineSystem,
-    PerturbedSystem,
     affine_pair_update,
     contraction_bound,
     contraction_factor,
     expected_quadratic_form,
     mean_square_decay_bound,
     simulate_affine_gossip,
-    simulate_perturbed_gossip,
 )
 from .engine import (
     MetricsSeries,
@@ -68,15 +65,12 @@ from .routing import FloodResult, RouteResult, flood, greedy_route, \
     route_to_position
 
 __all__ = [
-    "AffineSystem",
-    "PerturbedSystem",
     "affine_pair_update",
     "contraction_bound",
     "contraction_factor",
     "expected_quadratic_form",
     "mean_square_decay_bound",
     "simulate_affine_gossip",
-    "simulate_perturbed_gossip",
     "MetricsSeries",
     "SimState",
     "init_sim",

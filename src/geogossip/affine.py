@@ -2,18 +2,20 @@
 
 The update is non-convex: the active pair (i, j) moves to
 
-    x_i' = (1 - alpha_i) x_i + alpha_j x_j
-    x_j' = (1 - alpha_j) x_j + alpha_i x_i
+    x_i' = (1 - alpha_i) x_i + alpha_j x_j + nu
+    x_j' = (1 - alpha_j) x_j + alpha_i x_i - nu
 
 with every alpha strictly inside (1/3, 1/2), so the pair sum is preserved
-exactly while individual values may overshoot.  The module provides the
+exactly while individual values may overshoot; nu is optional
+antisymmetric noise, zero in the clean dynamics.  affine_pair_update is
+the one scalar form of this update.  The module also provides the
 closed-form second-moment matrix E[A^T A] of one update, its exhaustive
 enumeration oracle, the spectral contraction factor on the mean-zero
-subspace, Monte Carlo trajectory simulators (optionally with bounded
-antisymmetric noise), and the decay/tail/deviation bounds they are tested
-against.
+subspace, the decay/tail/deviation bounds, and one Monte Carlo kernel,
+norm_square_trajectories, with simulate_affine_gossip as its
+single-trajectory entry point.
 
-In the simulators each update draws one uniform ordered pair, the law the
+In the kernel each update draws one uniform ordered pair, the law the
 closed-form moments assume.  All pairs are drawn as one (trials, ticks)
 block before the loop, row r driving trial r, and the kernel is plain
 vectorised numpy that steps every trial one tick at a time.  Zero noise
@@ -21,7 +23,6 @@ reproduces the clean run bit for bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,73 +47,19 @@ def validate_alpha(alpha) -> np.ndarray:
     return a
 
 
-@dataclass
-class AffineSystem:
-    """Value vector plus per-node mixing weights on the complete graph."""
-
-    alpha: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = validate_alpha(self.alpha)
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        if self.x.shape != self.alpha.shape:
-            raise ValueError("x and alpha must have the same length")
-
-    @property
-    def n(self) -> int:
-        return int(self.alpha.shape[0])
-
-    def update(self, i: int, j: int):
-        """Apply one pairwise update in place."""
-        _pair_update(self.x, i, j, self.alpha, 0.0)
-
-
-@dataclass
-class PerturbedSystem:
-    """AffineSystem whose updates add +nu to one node and -nu to the other."""
-
-    alpha: np.ndarray
-    y: np.ndarray
-    noise_bound: float
-
-    def __post_init__(self):
-        self.alpha = validate_alpha(self.alpha)
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if self.y.shape != self.alpha.shape:
-            raise ValueError("y and alpha must have the same length")
-        if self.noise_bound < 0:
-            raise ValueError(f"noise bound must be >= 0, got {self.noise_bound}")
-
-    @property
-    def n(self) -> int:
-        return int(self.alpha.shape[0])
-
-    def update(self, i: int, j: int, nu: float):
-        if abs(nu) > self.noise_bound:
-            raise ValueError(f"|nu|={abs(nu)} exceeds the bound {self.noise_bound}")
-        _pair_update(self.y, i, j, self.alpha, nu)
-
-
-def _pair_update(x, i, j, alpha, nu):
-    # pair sum is exact: the same alpha_i*x_i and alpha_j*x_j terms move
-    # between the two entries, and the +-nu noise cancels
-    xi = x[i]
-    xj = x[j]
-    x[i] = (1.0 - alpha[i]) * xi + alpha[j] * xj
-    x[j] = (1.0 - alpha[j]) * xj + alpha[i] * xi
-    if nu != 0.0:
-        x[i] += nu
-        x[j] -= nu
-
-
-def affine_pair_update(x, i: int, j: int, alpha) -> np.ndarray:
+def affine_pair_update(x, i: int, j: int, alpha, nu: float = 0.0,
+                       ) -> np.ndarray:
     """One pairwise affine update, returned as a new vector.
+
+    After the update x_i gains nu and x_j loses it, so the pair sum is
+    exact: the same alpha_i*x_i and alpha_j*x_j terms move between the two
+    entries and the noise cancels.  nu = 0 is the clean update.
 
     Args:
         x: value vector.
         i, j: distinct node indices.
         alpha: mixing weights, validated to (1/3, 1/2).
+        nu: antisymmetric noise added after the update.
 
     Raises:
         ValueError: if i == j or alpha is out of range.
@@ -121,17 +68,14 @@ def affine_pair_update(x, i: int, j: int, alpha) -> np.ndarray:
         raise ValueError(f"pair indices must differ, got i == j == {i}")
     a = validate_alpha(alpha)
     out = np.array(x, dtype=np.float64, copy=True)
-    _pair_update(out, int(i), int(j), a, 0.0)
-    return out
-
-
-def perturbed_pair_update(y, i: int, j: int, alpha, nu: float) -> np.ndarray:
-    """affine_pair_update followed by y_i += nu, y_j -= nu."""
-    if i == j:
-        raise ValueError(f"pair indices must differ, got i == j == {i}")
-    a = validate_alpha(alpha)
-    out = np.array(y, dtype=np.float64, copy=True)
-    _pair_update(out, int(i), int(j), a, float(nu))
+    i, j = int(i), int(j)
+    xi = out[i]
+    xj = out[j]
+    out[i] = (1.0 - a[i]) * xi + a[j] * xj
+    out[j] = (1.0 - a[j]) * xj + a[i] * xi
+    if nu != 0.0:
+        out[i] += nu
+        out[j] -= nu
     return out
 
 
@@ -261,7 +205,7 @@ def draw_pairs(n: int, trials: int, ticks: int, seed: int):
 def _trajectories(x0, alpha, pi, pj, noise):
     # tick-major over all trials: x is (n, trials), so column r is trial r
     # and the norm reduction over axis 0 adds x_0^2, x_1^2, ... in order.
-    # Each tick is _pair_update's arithmetic on every trial at once.
+    # Each tick is affine_pair_update's arithmetic on every trial at once.
     trials, ticks = pi.shape
     x = np.repeat(x0[:, None], trials, axis=1)
     flat = x.reshape(-1)
@@ -324,7 +268,7 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
     return _trajectories(x, a, pi, pj, nu)
 
 
-def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
+def simulate_affine_gossip(x0, alpha, ticks: int, seed: int, noise=None,
                            center: bool = False) -> np.ndarray:
     """One trajectory of |x(t)|^2 under uniform ordered-pair gossip.
 
@@ -332,8 +276,11 @@ def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
         x0: start vector; its mean must be zero (the bounds assume it).
         alpha: mixing weights.
         ticks: number of updates, >= 0.
-        seed: RNG seed for the pair draws (see draw_pairs); the trajectory
-            equals row 0 of norm_square_trajectories with the same seed.
+        seed: RNG seed for the pair draws (see draw_pairs), which do not
+            depend on the noise; the trajectory equals row 0 of
+            norm_square_trajectories with the same seed and noise.
+        noise: optional length-`ticks` array of nu values, added as
+            +nu/-nu; zeros reproduce the clean trajectory bit for bit.
         center: subtract the mean instead of rejecting a nonzero-sum start.
 
     Raises:
@@ -348,31 +295,7 @@ def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
         x -= total / x.shape[0]
     elif abs(total) > 1e-9 * max(1.0, float(np.abs(x).sum())):
         raise ValueError(f"start vector must sum to zero, got sum {total}")
-    return norm_square_trajectories(x, alpha, ticks, 1, seed)[0]
-
-
-def simulate_perturbed_gossip(y0, alpha, ticks: int, seed: int, noise,
-                              noise_bound: float | None = None) -> np.ndarray:
-    """One noisy trajectory of |y(t)|^2; noise[t] is added as +nu/-nu.
-
-    Args:
-        y0: start vector (mean-zero like the unperturbed case).
-        alpha: mixing weights.
-        ticks: number of updates.
-        seed: RNG seed for the pair draws (see draw_pairs), which do not
-            depend on the noise; sharing it with simulate_affine_gossip and
-            passing zero noise reproduces that trajectory exactly.
-        noise: length-`ticks` array of nu values.
-        noise_bound: optional cap; raises if any |noise[t]| exceeds it.
-    """
-    nu = np.ascontiguousarray(noise, dtype=np.float64)
-    if noise_bound is not None and nu.size and float(np.abs(nu).max()) > noise_bound:
-        raise ValueError(f"noise exceeds the bound {noise_bound}")
-    y = np.array(y0, dtype=np.float64, copy=True)
-    total = float(y.sum())
-    if abs(total) > 1e-9 * max(1.0, float(np.abs(y).sum())):
-        raise ValueError(f"start vector must sum to zero, got sum {total}")
-    return norm_square_trajectories(y, alpha, ticks, 1, seed, noise=nu)[0]
+    return norm_square_trajectories(x, alpha, ticks, 1, seed, noise=noise)[0]
 
 
 def spike_vector(n: int) -> np.ndarray:

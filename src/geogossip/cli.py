@@ -7,8 +7,8 @@ Subcommands:
     kernel-verify   run the numerical kernel oracle/bound table
     dump-hierarchy  print the square partition for a sampled point set
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 delivery-fault threshold exceeded.
+Exit codes: 0 success, 1 configuration or usage error, 2 verification
+failure, 3 delivery-fault threshold exceeded.
 """
 
 import argparse
@@ -24,6 +24,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_FAULTS = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG; EXIT_VERIFY (argparse's own code 2)
+    means a failed verification.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -169,7 +178,7 @@ def _cmd_dump_hierarchy(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geogossip",
         description="Gossip averaging simulators on geometric random "
                     "graphs")

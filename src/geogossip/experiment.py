@@ -108,25 +108,9 @@ class ExperimentConfig:
         return default_threshold(self.n)
 
 
-_KEY_PARSERS = {
-    "algorithm": str,
-    "n": int,
-    "seed": int,
-    "radius_c": float,
-    "threshold": float,
-    "mode": str,
-    "a": float,
-    "gamma": float,
-    "c1": float,
-    "eps": float,
-    "delta": float,
-    "max_ticks": int,
-    "init": str,
-    "output": str,
-    "stride": int,
-    "stop_on_root": _parse_bool,
-    "fault_limit": int,
-}
+# config-file keys and their value parsers, one per ExperimentConfig field
+_KEY_PARSERS = {f.name: _parse_bool if f.type is bool else f.type
+                for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text: str, base: ExperimentConfig = None,
@@ -325,41 +309,106 @@ class VerifyRow:
                 f"bound={self.bound:<12.6g} {verdict}")
 
 
+def check_second_moment(alphas) -> VerifyRow:
+    """Closed-form E[A^T A] against pair enumeration: the largest entry gap
+    over the weight vectors, within 1e-12."""
+    tol = 1e-12
+    worst, worst_n = 0.0, 0
+    for alpha in alphas:
+        gap = float(np.max(np.abs(affine.expected_quadratic_form(alpha)
+                                  - affine.enumerated_quadratic_form(alpha))))
+        if gap > worst:
+            worst, worst_n = gap, len(alpha)
+    return VerifyRow("second-moment-oracle", worst_n, 0, worst, tol,
+                     worst <= tol)
+
+
+def check_contraction(alphas) -> VerifyRow:
+    """Contraction factor minus contraction_bound(n): the largest excess
+    over the weight vectors, within 1e-9."""
+    tol = 1e-9
+    worst, worst_n = -math.inf, 0
+    for alpha in alphas:
+        n = len(alpha)
+        excess = affine.contraction_factor(alpha) \
+            - affine.contraction_bound(n)
+        if excess > worst:
+            worst, worst_n = excess, n
+    return VerifyRow("contraction-bound", worst_n, 0, worst, tol,
+                     worst <= tol)
+
+
+def _least_margin(name, n, trials, stat, bound) -> VerifyRow:
+    # one row for a check made at several points: the point with the least
+    # margin speaks for all of them
+    k = int(np.argmax(stat - bound))
+    return VerifyRow(name, n, trials, float(stat[k]), float(bound[k]),
+                     bool(np.all(stat <= bound)))
+
+
+def check_mean_square_decay(traj, n: int) -> VerifyRow:
+    """Mean of |x(t)|^2 / |x(0)|^2 under (1 - 1/(2n))^t + 3 SE at every
+    tick of a (trials, ticks + 1) trajectory block.
+
+    Each trial is normalised by its own t=0 value, so the ratio is exactly
+    1 at t=0, where the check passes by construction; the row reports the
+    tick t >= 1 with the least margin, so the block needs ticks >= 1.
+    """
+    trials = traj.shape[0]
+    rel = traj / traj[:, :1]
+    mean = rel.mean(axis=0)
+    se = rel.std(axis=0, ddof=1) / math.sqrt(trials)
+    # a tick at which every trial has the same ratio (few trials, early
+    # on, none touched yet) has no spread to estimate an SE from: take
+    # 1/trials, the SE had one of the trials moved by the full 1
+    se[se == 0.0] = 1.0 / trials
+    bound = affine.mean_square_decay_bound(np.arange(rel.shape[1]), n) \
+        + 3.0 * se
+    return _least_margin("mc-mean-square-decay", n, trials, mean[1:],
+                         bound[1:])
+
+
+def check_markov_tail(traj, x0, eps: float, horizons) -> VerifyRow:
+    """Frequency of |x(t)| > eps |x0| under markov_tail_bound + 3 SE at
+    each horizon t, with SE sqrt(f(1 - f) / trials)."""
+    trials = traj.shape[0]
+    n = len(x0)
+    cut = eps * eps * float(x0 @ x0)
+    freq = np.array([float((traj[:, t] > cut).mean()) for t in horizons])
+    bound = np.array([affine.markov_tail_bound(t, n, eps)
+                      for t in horizons])
+    bound += 3.0 * np.sqrt(freq * (1.0 - freq) / trials)
+    return _least_margin("mc-tail-probability", n, trials, freq, bound)
+
+
+def check_perturbed_deviation(traj, y0, a: float, eps: float) -> VerifyRow:
+    """Frequency of |y(T)| above perturbed_deviation_bound at the last tick
+    T, under cap + 3 SE with cap = min(1, 5/n^a) and SE
+    sqrt(cap(1 - cap) / trials); eps is the noise magnitude."""
+    trials, ticks = traj.shape[0], traj.shape[1] - 1
+    n = len(y0)
+    limit = affine.perturbed_deviation_bound(ticks, n, a, eps,
+                                             float(np.linalg.norm(y0)))
+    freq = float((np.sqrt(traj[:, -1]) > limit).mean())
+    cap = min(1.0, 5.0 / n ** a)
+    bound = cap + 3.0 * math.sqrt(cap * (1.0 - cap) / trials)
+    return VerifyRow("mc-perturbed-bound", n, trials, freq, bound,
+                     freq <= bound)
+
+
 def kernel_verify(trials: int = 2000, seed: int = 0) -> list:
     """Run every kernel oracle and bound check; returns VerifyRow list.
 
     With trials=0 the Monte Carlo rows are skipped and only the
     deterministic checks run.
     """
-    rows = []
     rng = np.random.default_rng(seed)
-
-    # Closed-form pair-average second moment against brute enumeration.
-    worst = 0.0
-    worst_n = 0
-    for n in (2, 3, 5, 8):
-        for _ in range(4):
-            alpha = affine.random_alpha(n, rng)
-            got = affine.expected_quadratic_form(alpha)
-            want = affine.enumerated_quadratic_form(alpha)
-            dev = float(np.max(np.abs(got - want)))
-            if dev > worst:
-                worst, worst_n = dev, n
-    rows.append(VerifyRow("second-moment-oracle", worst_n, 0, worst, 1e-12,
-                          worst <= 1e-12))
-
-    # Spectral contraction on the mean-zero subspace versus its bound.
-    worst_slack = -math.inf
-    worst_n = 0
-    for n in (4, 8, 16, 32):
-        for _ in range(4):
-            alpha = affine.random_alpha(n, rng)
-            slack = affine.contraction_factor(alpha) \
-                - affine.contraction_bound(n)
-            if slack > worst_slack:
-                worst_slack, worst_n = slack, n
-    rows.append(VerifyRow("contraction-bound", worst_n, 0, worst_slack, 1e-9,
-                          worst_slack <= 1e-9))
+    rows = [
+        check_second_moment([affine.random_alpha(n, rng)
+                             for n in (2, 3, 5, 8) for _ in range(4)]),
+        check_contraction([affine.random_alpha(n, rng)
+                           for n in (4, 8, 16, 32) for _ in range(4)]),
+    ]
 
     if trials > 0:
         n, ticks = 32, 320
@@ -367,42 +416,19 @@ def kernel_verify(trials: int = 2000, seed: int = 0) -> list:
         alpha = np.full(n, 0.4)
         traj = affine.norm_square_trajectories(x0, alpha, ticks, trials,
                                                seed=seed + 1)
-        finals = traj[:, ticks]
-        decay = affine.mean_square_decay_bound(ticks, n) \
-            * float(x0 @ x0)
-        mean = float(finals.mean())
-        se = float(finals.std(ddof=1)) / math.sqrt(trials)
-        rows.append(VerifyRow("mc-mean-square-decay", n, trials, mean,
-                              decay + 3 * se, mean <= decay + 3 * se))
-
-        eps_tail = 0.25
-        tail_bound = affine.markov_tail_bound(ticks, n, eps_tail)
-        norm0_sq = float(x0 @ x0)
-        freq = float(np.mean(finals >= eps_tail ** 2 * norm0_sq))
-        se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
-        rows.append(VerifyRow("mc-tail-probability", n, trials, freq,
-                              tail_bound + 3 * se,
-                              freq <= tail_bound + 3 * se))
-
+        rows.append(check_mean_square_decay(traj, n))
+        rows.append(check_markov_tail(traj, x0, 0.25, (ticks,)))
         noise_eps = 1e-4
-        a = 1.0
-        noise = affine.alternating_noise(ticks, noise_eps)
-        dev_bound = affine.perturbed_deviation_bound(
-            ticks, n, a, noise_eps, math.sqrt(norm0_sq))
-        traj = affine.norm_square_trajectories(x0, alpha, ticks, trials,
-                                               seed=seed + 2, noise=noise)
-        freq = float(np.mean(np.sqrt(traj[:, ticks]) >= dev_bound))
-        prob_bound = min(1.0, 5.0 / n ** a)
-        se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
-        rows.append(VerifyRow("mc-perturbed-bound", n, trials, freq,
-                              prob_bound + 3 * se,
-                              freq <= prob_bound + 3 * se))
+        traj = affine.norm_square_trajectories(
+            x0, alpha, ticks, trials, seed=seed + 2,
+            noise=affine.alternating_noise(ticks, noise_eps))
+        rows.append(check_perturbed_deviation(traj, x0, 1.0, noise_eps))
 
-    # Out-of-range mixing weights must be rejected at construction.
+    # Out-of-range mixing weights must be rejected.
     bad = np.full(4, 0.4)
     bad[2] = 0.6
     try:
-        affine.AffineSystem(alpha=bad, x=np.zeros(4))
+        affine.validate_alpha(bad)
         rejected = False
     except ValueError:
         rejected = True

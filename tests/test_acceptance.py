@@ -2,8 +2,10 @@
 
 Each test prints one `criterion NN: PASS/FAIL` line (collected again in the
 terminal summary via conftest) so a full run yields a readable scorecard.
-Statistical checks allow three standard errors on top of the stated bound;
-exact checks pin their tolerances inline.
+Criteria 1-5 run the kernel checks that `geogossip kernel-verify` runs
+(experiment.check_*), on their own inputs, and assert on the returned row:
+statistical checks allow three standard errors on top of the stated bound,
+and the exact checks' tolerances are pinned inline.
 """
 
 import io
@@ -14,16 +16,16 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, grid_points
-from geogossip import (build_hierarchy, contraction_factor, fit_scaling,
-                       read_csv, sample_points, subdivision_factor)
-from geogossip.affine import (alternating_noise, enumerated_quadratic_form,
-                              expected_quadratic_form,
-                              norm_square_trajectories,
-                              perturbed_deviation_bound, random_alpha,
-                              simulate_affine_gossip,
-                              simulate_perturbed_gossip, spike_vector)
+from geogossip import (build_hierarchy, fit_scaling, read_csv,
+                       sample_points, subdivision_factor)
+from geogossip.affine import (alternating_noise, norm_square_trajectories,
+                              random_alpha, simulate_affine_gossip,
+                              spike_vector)
 from geogossip.cli import main as cli_main
-from geogossip.experiment import ExperimentConfig, run_experiment, sweep
+from geogossip.experiment import (ExperimentConfig, check_contraction,
+                                  check_markov_tail, check_mean_square_decay,
+                                  check_perturbed_deviation,
+                                  check_second_moment, run_experiment, sweep)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -44,34 +46,25 @@ def alpha_sets():
 
 
 def test_criterion_01_second_moment_matches_enumeration(alpha_sets):
+    alphas = [a for vectors in alpha_sets.values() for a in vectors]
     t0 = time.perf_counter()
-    worst = 0.0
-    for alphas in alpha_sets.values():
-        for alpha in alphas:
-            gap = np.abs(expected_quadratic_form(alpha)
-                         - enumerated_quadratic_form(alpha)).max()
-            worst = max(worst, float(gap))
+    row = check_second_moment(alphas)
     elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-12 and elapsed < 5.0
+    passed = row.passed and elapsed < 5.0
     report(1, passed, f"closed form vs pair enumeration, n=2..6, 20 weight "
-                      f"vectors each: max entry gap {worst:.2e} "
-                      f"(tol 1e-12, {elapsed:.2f}s)")
-    assert worst <= 1e-12
+                      f"vectors each: {row} ({elapsed:.2f}s)")
+    assert row.bound == 1e-12
+    assert row.passed
     assert elapsed < 5.0
 
 
 def test_criterion_02_contraction_below_uniform_bound(alpha_sets):
-    worst_excess = -math.inf
-    for n, alphas in alpha_sets.items():
-        limit = 1.0 - 8.0 / (9.0 * (n - 1))
-        for alpha in alphas:
-            worst_excess = max(worst_excess,
-                               contraction_factor(alpha) - limit)
-    passed = worst_excess <= 1e-9
-    report(2, passed, f"contraction factor vs 1 - 8/(9(n-1)) on the same "
-                      f"weight vectors: worst excess {worst_excess:.2e} "
-                      f"(tol 1e-9)")
-    assert worst_excess <= 1e-9
+    row = check_contraction([a for vectors in alpha_sets.values()
+                             for a in vectors])
+    report(2, row.passed, f"contraction factor minus 1 - 8/(9(n-1)) on the "
+                          f"same weight vectors: {row}")
+    assert row.bound == 1e-9
+    assert row.passed
 
 
 # ---------------------------------------------------------------------------
@@ -94,42 +87,23 @@ def spike_trajectories():
 
 def test_criterion_03_mean_square_decay(spike_trajectories):
     _, traj, elapsed = spike_trajectories
-    # Normalised by the kernel's own t=0 value, so the ratio is exactly 1
-    # at t=0 whatever order the squares are summed in.
-    rel = traj / traj[:, :1]
-    mean = rel.mean(axis=0)
-    se = rel.std(axis=0, ddof=1) / math.sqrt(MC_TRIALS)
-    bound = (1.0 - 1.0 / (2 * MC_N)) ** np.arange(MC_TICKS + 1)
-    excess = mean - (bound + 3.0 * se)
-    # t=0 is 1 <= 1 by construction; the margin that says something about
-    # the decay is the one over ticks 1..MC_TICKS.
-    worst = float(excess[1:].max())
-    at = 1 + int(excess[1:].argmax())
-    passed = float(excess.max()) <= 0.0 and elapsed < 60.0
+    row = check_mean_square_decay(traj, MC_N)
+    passed = row.passed and elapsed < 60.0
     report(3, passed, f"mean energy ratio under (1-1/64)^t + 3SE at all "
-                      f"{MC_TICKS + 1} ticks, n={MC_N}, {MC_TRIALS} trials: "
-                      f"worst margin over t>=1 {-worst:.2e} at t={at} "
+                      f"{MC_TICKS + 1} ticks, least margin: {row} "
                       f"({elapsed:.1f}s)")
-    assert float(excess.max()) <= 0.0
+    assert row.trials == MC_TRIALS
+    assert row.passed
     assert elapsed < 60.0
 
 
 def test_criterion_04_tail_probability(spike_trajectories):
     x0, traj, _ = spike_trajectories
-    norm0_sq = float(x0 @ x0)
-    eps = 0.3
-    pieces = []
-    passed = True
-    for t in (MC_N, 2 * MC_N, 4 * MC_N, 8 * MC_N):
-        freq = float((traj[:, t] > eps * eps * norm0_sq).mean())
-        bound = min(1.0, eps ** -2 * (1.0 - 1.0 / (2 * MC_N)) ** t)
-        se = math.sqrt(freq * (1.0 - freq) / MC_TRIALS)
-        ok = freq <= bound + 3.0 * se
-        passed = passed and ok
-        pieces.append(f"t={t}: {freq:.4f}<={bound + 3.0 * se:.4f}")
-    report(4, passed, "P(|x(t)| > 0.3|x0|) vs Markov bound: "
-                      + ", ".join(pieces))
-    assert passed
+    row = check_markov_tail(traj, x0, 0.3,
+                            (MC_N, 2 * MC_N, 4 * MC_N, 8 * MC_N))
+    report(4, row.passed, f"P(|x(t)| > 0.3|x0|) vs Markov bound + 3SE at "
+                          f"t=32,64,128,256, least margin: {row}")
+    assert row.passed
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +119,22 @@ def test_criterion_05_perturbed_deviation_and_zero_noise_identity():
     traj = norm_square_trajectories(y0, alpha, ticks, trials, seed=5,
                                     noise=noise)
     elapsed = time.perf_counter() - t0
-    limit = perturbed_deviation_bound(ticks, n, a, eps,
-                                      float(np.linalg.norm(y0)))
-    freq = float((np.sqrt(traj[:, -1]) > limit).mean())
-    cap = 5.0 / n ** a
-    cap3 = cap + 3.0 * math.sqrt(cap * (1.0 - cap) / trials)
-    tail_ok = freq <= cap3
+    row = check_perturbed_deviation(traj, y0, a, eps)
 
     zeros = np.zeros(ticks)
     batch_clean = norm_square_trajectories(y0, alpha, ticks, 50, seed=5)
     batch_zero = norm_square_trajectories(y0, alpha, ticks, 50, seed=5,
                                           noise=zeros)
     one_clean = simulate_affine_gossip(y0, alpha, ticks, seed=9)
-    one_zero = simulate_perturbed_gossip(y0, alpha, ticks, seed=9,
-                                         noise=zeros)
+    one_zero = simulate_affine_gossip(y0, alpha, ticks, seed=9, noise=zeros)
     identical = (np.array_equal(batch_clean, batch_zero)
                  and np.array_equal(one_clean, one_zero))
 
-    passed = tail_ok and identical and elapsed < 60.0
-    report(5, passed, f"deviation-bound exceedance {freq:.4f} <= {cap3:.4f} "
-                      f"(alternating noise {eps:g}, t={ticks}); zero-noise "
-                      f"runs bit-identical: {identical} ({elapsed:.1f}s)")
-    assert tail_ok
+    passed = row.passed and identical and elapsed < 60.0
+    report(5, passed, f"deviation-bound exceedance (alternating noise "
+                      f"{eps:g}, t={ticks}): {row}; zero-noise runs "
+                      f"bit-identical: {identical} ({elapsed:.1f}s)")
+    assert row.passed
     assert identical
     assert elapsed < 60.0
 

@@ -12,17 +12,13 @@ from geogossip import (
     simulate_affine_gossip,
 )
 from geogossip.affine import (
-    AffineSystem,
-    PerturbedSystem,
     alternating_noise,
     draw_pairs,
     enumerated_quadratic_form,
     markov_tail_bound,
     norm_square_trajectories,
     perturbed_deviation_bound,
-    perturbed_pair_update,
     random_alpha,
-    simulate_perturbed_gossip,
     spike_vector,
     update_matrix,
     validate_alpha,
@@ -54,7 +50,7 @@ def test_pair_update_rejects_same_index():
     with pytest.raises(ValueError):
         affine_pair_update([1.0, 2.0], 1, 1, [0.4, 0.4])
     with pytest.raises(ValueError):
-        perturbed_pair_update([1.0, 2.0], 0, 0, [0.4, 0.4], 0.1)
+        affine_pair_update([1.0, 2.0], 0, 0, [0.4, 0.4], nu=0.1)
 
 
 def test_uniform_alpha_keeps_consensus():
@@ -85,21 +81,10 @@ def test_sum_preserved_through_many_updates():
 
 def test_perturbed_update_noise_cancels_in_sum():
     y = np.array([1.0, -1.0, 0.0, 0.0])
-    out = perturbed_pair_update(y, 0, 2, np.full(4, 0.4), nu=0.25)
+    out = affine_pair_update(y, 0, 2, np.full(4, 0.4), nu=0.25)
     base = affine_pair_update(y, 0, 2, np.full(4, 0.4))
     assert np.allclose(out, base + np.array([0.25, 0.0, -0.25, 0.0]))
     assert out.sum() == pytest.approx(y.sum(), abs=1e-15)
-
-
-def test_system_wrappers_validate():
-    with pytest.raises(ValueError):
-        AffineSystem(alpha=np.array([0.4, 0.6]), x=np.zeros(2))
-    with pytest.raises(ValueError):
-        AffineSystem(alpha=np.full(3, 0.4), x=np.zeros(2))
-    sys = PerturbedSystem(alpha=np.full(2, 0.4), y=np.zeros(2),
-                          noise_bound=0.1)
-    with pytest.raises(ValueError):
-        sys.update(0, 1, nu=0.2)
 
 
 # -------------------------------------------------------------------- alpha
@@ -247,8 +232,8 @@ def test_zero_noise_reproduces_clean_run_exactly():
     x0 = spike_vector(8)
     a = np.full(8, 0.4)
     clean = simulate_affine_gossip(x0, a, ticks=64, seed=9)
-    noisy = simulate_perturbed_gossip(x0, a, ticks=64, seed=9,
-                                      noise=np.zeros(64))
+    noisy = simulate_affine_gossip(x0, a, ticks=64, seed=9,
+                                   noise=np.zeros(64))
     assert np.array_equal(clean, noisy)
 
 
@@ -261,6 +246,16 @@ def test_gossip_rejects_biased_start():
     with pytest.raises(ValueError):
         simulate_affine_gossip(spike_vector(4), np.full(4, 0.4), ticks=-1,
                                seed=0)
+    # the alpha, length and noise-length checks are the kernel's
+    with pytest.raises(ValueError):
+        simulate_affine_gossip(spike_vector(4), np.full(4, 0.6), ticks=2,
+                               seed=0)
+    with pytest.raises(ValueError):
+        simulate_affine_gossip(spike_vector(4), np.full(3, 0.4), ticks=2,
+                               seed=0)
+    with pytest.raises(ValueError):
+        simulate_affine_gossip(spike_vector(4), np.full(4, 0.4), ticks=2,
+                               seed=0, noise=np.zeros(3))
 
 
 def test_mean_square_decays_toward_bound():
@@ -330,7 +325,7 @@ def _norm_sq_in_order(x):
 
 def test_trajectories_replay_drawn_pairs():
     # oracle: the kernel's own pair draws replayed one update at a time
-    # through the single-update helpers give the same |x(t)|^2, bit for bit
+    # through the single update give the same |x(t)|^2, bit for bit
     n, trials, ticks, seed = 5, 6, 40, 13
     a = random_alpha(n, np.random.default_rng(3))
     x0 = spike_vector(n)
@@ -346,7 +341,7 @@ def test_trajectories_replay_drawn_pairs():
         want_y = [_norm_sq_in_order(y)]
         for t in range(ticks):
             x = affine_pair_update(x, pi[r, t], pj[r, t], a)
-            y = perturbed_pair_update(y, pi[r, t], pj[r, t], a, nu[t])
+            y = affine_pair_update(y, pi[r, t], pj[r, t], a, nu[t])
             want_x.append(_norm_sq_in_order(x))
             want_y.append(_norm_sq_in_order(y))
         assert np.array_equal(clean[r], want_x)
@@ -354,4 +349,4 @@ def test_trajectories_replay_drawn_pairs():
     assert np.array_equal(simulate_affine_gossip(x0, a, ticks, seed),
                           clean[0])
     assert np.array_equal(
-        simulate_perturbed_gossip(x0, a, ticks, seed, noise=nu), noisy[0])
+        simulate_affine_gossip(x0, a, ticks, seed, noise=nu), noisy[0])

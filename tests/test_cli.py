@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import geogossip
-from geogossip import read_csv
+from geogossip import experiment, read_csv
 from geogossip.cli import main
 
 
@@ -190,6 +190,37 @@ def test_kernel_verify_exits_zero(capsys):
     assert code == 0
     assert "all kernel checks passed" in captured.out
     assert captured.out.count("pass") >= 6
+
+
+def test_kernel_verify_failure_exits_two(monkeypatch, capsys):
+    row = experiment.VerifyRow("mc-tail-probability", 32, 10, 0.5, 0.1,
+                               False)
+    monkeypatch.setattr(experiment, "kernel_verify", lambda **kw: [row])
+    code = main(["kernel-verify"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "FAIL" in captured.out
+    assert "all kernel checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--algorithm", "foo", "--seed", "1"],
+    ["kernel-verify", "--trials", "x"],
+    ["sweep", "--seeds", "1"],
+], ids=["bad-choice", "bad-int", "missing-required"])
+def test_usage_error_exits_one(argv, capsys):
+    # exit code 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel-verify", "--help"])
+    assert exc.value.code == 0
+    assert "--trials" in capsys.readouterr().out
 
 
 def test_dump_hierarchy_command(capsys):

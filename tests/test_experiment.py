@@ -14,7 +14,10 @@ from geogossip import (
     run_experiment,
     sweep,
 )
-from geogossip.experiment import apply_overrides, build_state, load_config
+from geogossip.affine import markov_tail_bound
+from geogossip.experiment import (apply_overrides, build_state,
+                                  check_markov_tail, check_mean_square_decay,
+                                  check_perturbed_deviation, load_config)
 
 
 def small_cfg(**kw):
@@ -28,25 +31,37 @@ def small_cfg(**kw):
 
 def test_parse_config_full_file():
     cfg = parse_config("""
-        # experiment setup
-        algorithm = hier
+        # experiment setup: every key, none at its default
+        algorithm = geo
         n = 512
         seed = 7
+        radius_c = 2.5
         threshold = 64     # leaf size
-        mode = practical
+        mode = paper
+        a = 1.5
         gamma = 16
+        c1 = 3
         eps = 0.05
+        delta = 0.2
+        max_ticks = 5000
+        init = gradient
+        output = out.csv
+        stride = 100
         stop_on_root = true
+        fault_limit = 2
     """)
-    assert cfg.algorithm == "hier"
-    assert cfg.n == 512
-    assert cfg.seed == 7
-    assert cfg.threshold == 64.0
-    assert cfg.gamma == 16.0
-    assert cfg.eps == 0.05
-    assert cfg.stop_on_root is True
+    want = dict(algorithm="geo", n=512, seed=7, radius_c=2.5,
+                threshold=64.0, mode="paper", a=1.5, gamma=16.0, c1=3.0,
+                eps=0.05, delta=0.2, max_ticks=5000, init="gradient",
+                output="out.csv", stride=100, stop_on_root=True,
+                fault_limit=2)
+    assert set(want) == {f.name for f in dataclasses.fields(cfg)}
+    for key, value in want.items():
+        got = getattr(cfg, key)
+        assert got == value, key
+        assert type(got) is type(value), key
     # untouched keys keep their defaults
-    assert cfg.c1 == ExperimentConfig().c1
+    assert parse_config("n = 64\n").c1 == ExperimentConfig().c1
 
 
 def test_parse_config_reports_line_numbers():
@@ -179,3 +194,54 @@ def test_kernel_verify_monte_carlo_rows():
     assert "mc-perturbed-bound" in names
     assert all(r.passed for r in rows), [str(r) for r in rows]
     assert all("pass" in str(r) for r in rows)
+
+
+def test_decay_check_reports_least_margin_tick():
+    # trial 0 halves every tick, trial 1 stands still
+    row = check_mean_square_decay(np.array([[2.0, 1.0, 0.5],
+                                            [4.0, 4.0, 4.0]]), n=2)
+    assert row.passed and row.trials == 2
+    # a tick with no spread takes the SE 1/trials: ten trials that all
+    # still stand at t=1 are no evidence against the bound ...
+    assert check_mean_square_decay(np.ones((10, 2)), n=32).passed
+    # ... but a hundred that never move fail, at t=2 where the margin is
+    # least
+    row = check_mean_square_decay(np.ones((100, 3)), n=2)
+    assert not row.passed and "FAIL" in str(row)
+    assert (row.statistic, row.bound) == (1.0, 0.75 ** 2 + 3.0 * 0.01)
+    # every tick counts: stuck near 0.99 at t=1 with little spread fails
+    # there, however well the last tick decays
+    traj = np.zeros((100, 3))
+    traj[:, 0] = 1.0
+    traj[:, 1] = 0.99 + 0.001 * (-1.0) ** np.arange(100)
+    row = check_mean_square_decay(traj, n=32)
+    assert not row.passed
+    assert row.statistic == pytest.approx(0.99)
+
+
+def test_tail_check_is_strict_with_frequency_se():
+    x0 = np.array([1.0, -1.0])
+    cut = 0.5 * 0.5 * 2.0
+    traj = np.zeros((4, 41))
+    traj[:, 40] = [cut, 2 * cut, 0.0, 0.0]  # one strictly above the cut
+    row = check_markov_tail(traj, x0, 0.5, (1, 40))
+    assert row.statistic == 0.25
+    assert row.bound == markov_tail_bound(40, 2, 0.5) \
+        + 3.0 * np.sqrt(0.25 * 0.75 / 4)
+    assert row.passed
+    traj[:, 40] = 2 * cut
+    row = check_markov_tail(traj, x0, 0.5, (1, 40))
+    assert not row.passed and row.statistic == 1.0
+
+
+def test_deviation_check_is_strict_with_cap_se():
+    # ticks = 0 and eps = 0: the limit is n^(a/2) |y0| = 4 exactly
+    y0 = np.array([0.5, -0.5, 0.5, -0.5])
+    traj = np.array([[16.0], [16.5], [0.0], [0.0]])
+    row = check_perturbed_deviation(traj, y0, a=2.0, eps=0.0)
+    cap = 5.0 / 16.0
+    assert row.statistic == 0.25
+    assert row.bound == cap + 3.0 * np.sqrt(cap * (1.0 - cap) / 4)
+    assert row.passed
+    row = check_perturbed_deviation(np.full((100, 1), 16.5), y0, 2.0, 0.0)
+    assert not row.passed and row.statistic == 1.0

@@ -19,15 +19,10 @@ from .affine import (
 from .engine import (
     MetricsSeries,
     SimState,
-    activate_square,
-    deactivate_square,
-    far_exchange,
     init_sim,
     initial_values,
-    near_exchange,
     replay_ledger,
     run,
-    run_logged,
     step,
 )
 from .experiment import (
@@ -76,12 +71,7 @@ __all__ = [
     "init_sim",
     "replay_ledger",
     "run",
-    "activate_square",
-    "deactivate_square",
-    "far_exchange",
     "initial_values",
-    "near_exchange",
-    "run_logged",
     "step",
     "ConfigError",
     "ExperimentConfig",

@@ -158,6 +158,18 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _trial_count(text: str) -> int:
+    # A Monte Carlo standard error needs two trials; 0 skips those rows.
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if trials < 0 or trials == 1:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 or at least 2, got {trials}")
+    return trials
+
+
 def _cmd_kernel_verify(args) -> int:
     rows = experiment.kernel_verify(trials=args.trials, seed=args.seed)
     ok = True
@@ -207,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-verify", help="check the averaging kernel "
                                              "against oracles and bounds")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_trial_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_kernel_verify)
 

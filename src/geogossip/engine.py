@@ -42,8 +42,12 @@ is a midpoint, both ends taking their mean; any other k is a far exchange's
 kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
 ops in order.  Each kernel also appends one (action, node, target, count,
 ok) tuple to state.events, so `step` returns a replayable event log from the
-identical code path the bulk runner uses.  `step` and the protocol
-operations apply their ops to x before they return.
+identical code path the bulk runner uses.
+
+`init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
+one per-tick entry point and applies its ops to x before it returns; `run`
+advances stride by stride, through `step` when it logs events and through
+the bulk runner otherwise.
 
 The bulk runner steps only hier's representatives in Python.  A plain
 sensor's tick is a near exchange while its leaf is on, and local_on changes
@@ -306,14 +310,13 @@ def _toggle(state, s, c, lvl, on):
 
 
 def _tick_hier(state, u, s):
-    # u is the tick's row; s = int(u[0] * n) is its firing node.  Returns
-    # whether the root square ended its round.
+    # u is the tick's row; s = int(u[0] * n) is its firing node.
     h = state.hierarchy
     lvl = h.levels.level[s]
     if lvl == 0:
         if state.local_on[s] == 1:
             _near(state, u[3], s)
-        return False
+        return
     c = h.cell_of_rep[s]
     r = h.cell_depth[c]
     counter = state.counter
@@ -324,17 +327,16 @@ def _tick_hier(state, u, s):
             if _far(state, u[2], s, c):
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
-                return False
+                return
     if state.local_on[s] == 1:
         _near(state, u[3], s)
     if counter[s] >= state.schedule.time[r]:
-        done = _toggle(state, s, c, lvl, 0)
+        sent = _toggle(state, s, c, lvl, 0)
         if h.cell_parent[c] < 0:
             counter[s] = 0
-            return done
+            state.root_rounds += sent
     else:
         counter[s] += 1
-    return False
 
 
 def _run_hier(state, U, nodes):
@@ -356,15 +358,13 @@ def _run_hier(state, U, nodes):
     ops = state.ops
     op_t = []
     done = 0
-    root_deact = False
     for t, s, lvl, u, b in zip(rep_t.tolist(), nodes[rep_t].tolist(),
                                level[rep_t].tolist(), U[rep_t].tolist(),
                                before):
         if lvl == 1 and b > done:
             active[done:b] = local_on[plain_s[done:b]]
             done = b
-        if _tick_hier(state, u, s):
-            root_deact = True
+        _tick_hier(state, u, s)
         if len(ops) > len(op_t):
             op_t.append(t)
     active[done:] = local_on[plain_s[done:]]
@@ -383,7 +383,6 @@ def _run_hier(state, U, nodes):
         k = np.concatenate([k, rk])[order]
         ops.clear()
     _apply_bulk(state, zip(a.tolist(), v.tolist(), k.tolist()))
-    return root_deact
 
 
 @dataclass
@@ -426,6 +425,9 @@ class SimState:
     leaf_indices: np.ndarray = field(repr=False)
     # geo's per-sensor acceptance probabilities (None for hier and boyd).
     geo_accept: np.ndarray = field(repr=False)
+    # Rounds the root square has ended: root deactivations that sent
+    # something.  `run` reads it to stop on root deactivation.
+    root_rounds: int = 0
     # (action, node, target, count, ok) per kernel call since `step` or the
     # bulk block loop last emptied it.
     events: list = field(default_factory=list, repr=False)
@@ -441,10 +443,6 @@ class SimState:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def root_representative(self) -> int:
-        return int(self.hierarchy.cell_rep[0])
-
     def error_ratio(self) -> float:
         if self.norm0 == 0.0:
             return 0.0
@@ -455,11 +453,6 @@ class SimState:
 
     def fault_totals(self) -> dict:
         return dict(zip(FAULT_NAMES, (int(v) for v in self.faults)))
-
-
-def leaf_adjacency(graph: GeometricGraph, leaf_of: np.ndarray):
-    """CSR adjacency keeping only edges inside a common leaf square."""
-    return restrict_edges(graph, lambda u, v: leaf_of[u] == leaf_of[v])
 
 
 def initial_values(n: int, init_dist, rng: np.random.Generator,
@@ -542,7 +535,9 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
                 f"hierarchy has {hierarchy.leaf_depth + 1}")
         cell_active = np.zeros(hierarchy.n_cells, dtype=np.uint8)
         global_on[hierarchy.cell_rep[0]] = 1
-        lindptr, lindices = leaf_adjacency(graph, hierarchy.leaf_of)
+        leaf_of = hierarchy.leaf_of
+        lindptr, lindices = restrict_edges(
+            graph, lambda u, v: leaf_of[u] == leaf_of[v])
     else:
         hierarchy = None
         schedule = None
@@ -588,64 +583,6 @@ def step(state: SimState) -> list:
     return _take_events(state, tick)
 
 
-def _rep_cell(state: SimState, s: int) -> int:
-    if state.algorithm != "hier":
-        raise ValueError("protocol ops need algorithm 'hier'")
-    if state.hierarchy.levels.level[s] < 1:
-        raise ValueError(f"node {s} is not a representative")
-    return int(state.hierarchy.cell_of_rep[s])
-
-
-def near_exchange(state: SimState, s: int) -> list:
-    """Average s with a uniform in-leaf neighbor; returns the events.
-
-    An in-leaf-isolated s is a no-op that counts an isolated_near fault.
-    The caller picks s; the protocol itself only issues this for nodes
-    whose local state is on.  Draws the one uniform it needs.
-    """
-    _near(state, state.rng.random(), int(s))
-    return _take_events(state, state.tick)
-
-
-def far_exchange(state: SimState, s: int) -> list:
-    """Run s's long-range exchange with a uniform sibling representative.
-
-    Routes there and back (hops are ledgered even on a failed leg), applies
-    the antisymmetric kick 0.4 * E# * (difference) at both ends, and resets
-    both counters, which restarts local averaging in both squares.  Draws
-    the one uniform it needs.
-    """
-    c = _rep_cell(state, s)
-    if state.hierarchy.cell_parent[c] < 0:
-        raise ValueError("the root square has no siblings to exchange with")
-    _far(state, state.rng.random(), int(s), c)
-    return _take_events(state, state.tick)
-
-
-def activate_square(state: SimState, s: int) -> list:
-    """Start s's square's round: flood local states on (level 1) or route
-    wake-ups to the child representatives (level > 1)."""
-    c = _rep_cell(state, s)
-    _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 1)
-    return _take_events(state, state.tick)
-
-
-def deactivate_square(state: SimState, s: int) -> list:
-    """End s's square's round; a no-op (no transmissions) when the square
-    is not active."""
-    c = _rep_cell(state, s)
-    _toggle(state, int(s), c, int(state.hierarchy.levels.level[s]), 0)
-    return _take_events(state, state.tick)
-
-
-def run_logged(state: SimState, ticks: int) -> list:
-    """Step `ticks` times, collecting the full event log."""
-    events = []
-    for _ in range(ticks):
-        events.extend(step(state))
-    return events
-
-
 def replay_ledger(events) -> np.ndarray:
     """Rebuild ledger category totals from an event log."""
     ledger = np.zeros(len(LEDGER_NAMES), dtype=np.int64)
@@ -678,15 +615,14 @@ def snapshot(state: SimState) -> MetricsRecord:
     )
 
 
-def _run_chunk(state: SimState, ticks: int) -> bool:
+def _run_chunk(state: SimState, ticks: int) -> None:
     width = ROW_WIDTH[state.algorithm]
     rows = BLOCK_VALUES // width
-    root_deact = False
     for start in range(0, ticks, rows):
         U = state.rng.random((min(rows, ticks - start), width))
         nodes = (U[:, 0] * state.n).astype(np.int64)
         if state.algorithm == "hier":
-            root_deact |= _run_hier(state, U, nodes)
+            _run_hier(state, U, nodes)
         elif state.algorithm == "boyd":
             # A boyd tick is a near exchange on the full adjacency.
             keep, v = _near_ops(state, nodes, U[:, 1])
@@ -698,24 +634,7 @@ def _run_chunk(state: SimState, ticks: int) -> bool:
             state.ops.clear()
         # Nothing reads a bulk block's events; keep the buffer to one block.
         state.events.clear()
-    return root_deact
-
-
-def _advance(state: SimState, ticks: int, event_sink) -> bool:
-    if event_sink is None:
-        rd = _run_chunk(state, ticks)
-        state.tick += ticks
-        return rd
-    # The logged path runs the same kernels one tick at a time, so the
-    # random stream and all state match the bulk path bit for bit.
-    rd = False
-    for _ in range(ticks):
-        events = step(state)
-        for ev in events:
-            if ev.target == 0 and ev.action in ("deactivate", "flood_off"):
-                rd = True
-        event_sink(events)
-    return rd
+    state.tick += ticks
 
 
 def run(state: SimState, *, max_ticks=None, target_ratio=None,
@@ -771,14 +690,23 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
         chunk = stride
         if max_ticks is not None:
             chunk = min(chunk, max_ticks - state.tick)
-        root_deact = _advance(state, chunk, event_sink)
+        rounds = state.root_rounds
+        if event_sink is None:
+            _run_chunk(state, chunk)
+        else:
+            # The same kernels one tick at a time, so the random stream and
+            # all state match the bulk path bit for bit.  `step` is looked
+            # up as a module global each tick: perfbench's tracer rebinds
+            # engine.step to time every tick.
+            for _ in range(chunk):
+                event_sink(step(state))
         if not math.isfinite(state.error_ratio()):
             return MetricsSeries(records, "diverged")
         rec = snapshot(state)
         emit(rec)
         if target_ratio is not None and rec.err_l2_ratio <= target_ratio:
             return MetricsSeries(records, "target")
-        if stop_on_root_deactivation and root_deact:
+        if stop_on_root_deactivation and state.root_rounds > rounds:
             return MetricsSeries(records, "root_deactivation")
         if max_ticks is not None and state.tick >= max_ticks:
             return MetricsSeries(records, "max_ticks")

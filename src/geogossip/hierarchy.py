@@ -29,10 +29,13 @@ from .geometry import PointSet
 DEFAULT_A = 1.0
 DEFAULT_GAMMA = 8.0
 # Far kicks scale pair differences by 0.4 * expected cell size, so a kick
-# landing before the previous one has spread compounds.  The separation
-# gamma * C1 must keep repeat kicks rarer than the spread rate; gamma * C1
-# around three times the kick coefficient is stable in practice, and C1 = 4
-# holds that margin for the default gamma at desk sizes.
+# landing before the previous one has spread compounds; gamma * C1 sets how
+# rare the kicks are.  No stable ratio to the kick coefficient is known.
+# Measured with practical schedules: one-split hierarchies (n = 2048 and
+# 4096, tau = 64, gamma * C1 = 64) reach error ratio 0.1, but every
+# two-split hierarchy tried diverged.  At n = 8192, tau = 64 that includes
+# gamma * C1 = 100 and 128, above three times the kick coefficient there
+# (3 * 0.4 * 82 = 98): error ratio 1.6e3 and 1.1e3 at 95M ticks, rising.
 DEFAULT_C1 = 4.0
 
 

@@ -1,8 +1,9 @@
 """Metrics rows, CSV serialization, and log-log scaling fits.
 
-The CSV schema is fixed: one header line, columns exactly in COLUMNS order.
-Floats are written with repr (shortest round-trip form) so identical runs
-produce byte-identical files.
+The CSV schema is fixed: one header line, then one row per MetricsRecord
+with its fields in declaration order (COLUMNS).  Floats are written with
+repr (shortest round-trip form) so identical runs produce byte-identical
+files.
 """
 
 import csv
@@ -10,25 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-COLUMNS = (
-    "algorithm",
-    "n",
-    "seed",
-    "tick",
-    "transmissions_total",
-    "transmissions_near",
-    "transmissions_far_routing",
-    "transmissions_control",
-    "err_l2_ratio",
-    "fault_routing",
-    "fault_isolated_near",
-    "fault_concurrent_round",
-    "fault_flood_gap",
-    "fault_geo_reject",
-)
-
-HEADER_LINE = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -63,26 +45,18 @@ class MetricsRecord:
         return ",".join(parts)
 
 
+# The CSV columns are MetricsRecord's fields, in order; each cell parses
+# with its field's type.
+COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+_COLUMN_TYPES = tuple(f.type for f in fields(MetricsRecord))
+HEADER_LINE = ",".join(COLUMNS)
+
+
 def record_from_row(row: list) -> MetricsRecord:
     if len(row) != len(COLUMNS):
         raise ValueError(
             f"expected {len(COLUMNS)} columns, got {len(row)}: {row!r}")
-    return MetricsRecord(
-        algorithm=row[0],
-        n=int(row[1]),
-        seed=int(row[2]),
-        tick=int(row[3]),
-        transmissions_total=int(row[4]),
-        transmissions_near=int(row[5]),
-        transmissions_far_routing=int(row[6]),
-        transmissions_control=int(row[7]),
-        err_l2_ratio=float(row[8]),
-        fault_routing=int(row[9]),
-        fault_isolated_near=int(row[10]),
-        fault_concurrent_round=int(row[11]),
-        fault_flood_gap=int(row[12]),
-        fault_geo_reject=int(row[13]),
-    )
+    return MetricsRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row)))
 
 
 def write_header(fh) -> None:

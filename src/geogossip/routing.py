@@ -173,11 +173,6 @@ def restrict_edges(graph: GeometricGraph, keep_edge):
     return indptr, graph.indices[keep].astype(np.int64, copy=False)
 
 
-def restrict_adjacency(graph: GeometricGraph, member_mask: np.ndarray):
-    """CSR adjacency keeping only edges between mask-true nodes."""
-    return restrict_edges(graph, lambda u, v: member_mask[u] & member_mask[v])
-
-
 def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
     """Flood a packet through one cell from the origin member.
 

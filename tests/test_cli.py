@@ -206,8 +206,11 @@ def test_kernel_verify_failure_exits_two(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--algorithm", "foo", "--seed", "1"],
     ["kernel-verify", "--trials", "x"],
+    ["kernel-verify", "--trials", "1"],
+    ["kernel-verify", "--trials", "-5"],
     ["sweep", "--seeds", "1"],
-], ids=["bad-choice", "bad-int", "missing-required"])
+], ids=["bad-choice", "bad-int", "one-trial", "negative-trials",
+        "missing-required"])
 def test_usage_error_exits_one(argv, capsys):
     # exit code 2 is reserved for a failed verification
     with pytest.raises(SystemExit) as exc:

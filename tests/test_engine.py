@@ -1,23 +1,18 @@
-"""Event engine: protocol operations, tick loop, ledgers, faults."""
+"""Event engine: tick kernels, stepping, ledgers, faults."""
 
 import numpy as np
 import pytest
 
 from geogossip import engine
 from geogossip import (
-    activate_square,
     build_graph,
     build_hierarchy,
     build_schedule,
     connectivity_radius,
-    deactivate_square,
-    far_exchange,
     init_sim,
     initial_values,
-    near_exchange,
     replay_ledger,
     run,
-    run_logged,
     sample_points,
     step,
 )
@@ -31,6 +26,11 @@ def make_sim(graph, hierarchy, x0, seed=0, **sched_kw):
     sched = build_schedule(graph.n, 1e-2, 1e-1, 1.0, hierarchy,
                            kw.pop("mode"), **kw)
     return init_sim(graph, hierarchy, sched, seed=seed, init_dist=x0)
+
+
+def drain(st):
+    """Apply the ops the kernels left in st.ops; return their events."""
+    return engine._take_events(st, st.tick)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def test_init_only_root_rep_awake(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
     assert np.array_equal(np.flatnonzero(st.global_on),
-                          [st.root_representative])
+                          [hierarchy.cell_rep[0]])
     assert not st.local_on.any()
     assert not st.counter.any()
     assert not st.cell_active.any()
@@ -102,7 +102,7 @@ def test_init_rejects_inconsistent_inputs(quad16):
         init_sim(graph, flat, sched, seed=0)
 
 
-# ------------------------------------------------------- single operations
+# ---------------------------------------------- kernels, explicit uniforms
 
 def test_near_exchange_averages_pair():
     pts = make_points([(0.1, 0.5), (0.3, 0.5), (0.5, 0.5)])
@@ -110,7 +110,8 @@ def test_near_exchange_averages_pair():
     hierarchy = build_hierarchy(pts, 10)
     st = make_sim(graph, hierarchy, np.array([1.0, -1.0, 0.0]))
     # node 0 has exactly one in-leaf neighbor, so the pick is forced
-    events = near_exchange(st, 0)
+    engine._near(st, 0.5, 0)
+    events = drain(st)
     assert np.allclose(st.x, [0.0, 0.0, 0.0])
     assert len(events) == 1
     ev = events[0]
@@ -124,8 +125,8 @@ def test_far_exchange_scaled_swap(quad16):
     x0 = np.zeros(16)
     x0[0], x0[1] = 1.0, -1.0   # node 0 represents its leaf square
     st = make_sim(graph, hierarchy, x0)
-    events = far_exchange(st, 0)
-    ev = events[0]
+    assert engine._far(st, 0.0, 0, int(hierarchy.cell_of_rep[0]))
+    ev = drain(st)[0]
     assert ev.action == "far" and ev.ok and ev.count == 2
     # kick size 0.4 * expected leaf count (4) times the difference
     assert st.x[0] == pytest.approx(-0.6)
@@ -142,20 +143,12 @@ def test_far_exchange_conserves_sum_under_load(quad16):
     x0 = rng.normal(size=16)
     st = make_sim(graph, hierarchy, x0)
     total = st.x.sum()
-    reps = [int(hierarchy.cell_rep[c]) for c in range(1, 5)]
     for _ in range(100):
-        far_exchange(st, reps[rng.integers(0, 4)])
+        c = int(rng.integers(1, 5))
+        engine._far(st, rng.random(), int(hierarchy.cell_rep[c]), c)
+        drain(st)
     # the kicks compound the magnitudes, so judge drift against the scale
     assert abs(st.x.sum() - total) <= 1e-12 * np.abs(st.x).sum()
-
-
-def test_far_exchange_needs_representative(quad16):
-    graph, hierarchy = quad16
-    st = make_sim(graph, hierarchy, "spike")
-    with pytest.raises(ValueError):
-        far_exchange(st, 1)            # plain sensor
-    with pytest.raises(ValueError):
-        far_exchange(st, st.root_representative)  # root has no siblings
 
 
 def test_activate_deactivate_leaf_round_trip(quad16):
@@ -163,11 +156,13 @@ def test_activate_deactivate_leaf_round_trip(quad16):
     st = make_sim(graph, hierarchy, "spike")
     rep = int(hierarchy.cell_rep[1])
     members = hierarchy.members_of(1)
-    on = activate_square(st, rep)
+    assert engine._toggle(st, rep, c=1, lvl=1, on=1)
+    on = drain(st)
     assert on[0].action == "flood_on" and on[0].ok
     assert np.array_equal(np.sort(np.flatnonzero(st.local_on)), members)
     assert st.cell_active[1] == 1
-    off = deactivate_square(st, rep)
+    engine._toggle(st, rep, c=1, lvl=1, on=0)
+    off = drain(st)
     assert off[0].action == "flood_off" and off[0].ok
     assert not st.local_on.any()
     assert st.cell_active[1] == 0
@@ -179,25 +174,27 @@ def test_deactivate_inactive_square_is_free(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
     rep = int(hierarchy.cell_rep[1])
-    assert deactivate_square(st, rep) == []
+    assert not engine._toggle(st, rep, c=1, lvl=1, on=0)
+    assert drain(st) == []
     assert st.ledger_totals()["flood"] == 0
 
 
 def test_root_activate_wakes_children(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
+    root = int(hierarchy.cell_rep[0])
     st.counter[hierarchy.cell_rep[1:5]] = 5
-    events = activate_square(st, st.root_representative)
-    ev = events[0]
+    engine._toggle(st, root, c=0, lvl=2, on=1)
+    ev = drain(st)[0]
     assert ev.action == "activate" and ev.ok and ev.count == 4
     child_reps = hierarchy.cell_rep[1:5]
     assert np.all(st.global_on[child_reps] == 1)
     assert np.all(st.counter[child_reps] == 0)
     assert st.ledger_totals()["activate"] == 4
     st.counter[child_reps] = 3
-    deactivate_square(st, st.root_representative)
-    assert np.array_equal(np.flatnonzero(st.global_on),
-                          [st.root_representative])
+    engine._toggle(st, root, c=0, lvl=2, on=0)
+    drain(st)
+    assert np.array_equal(np.flatnonzero(st.global_on), [root])
     assert np.all(st.counter[child_reps] == 3)   # only activation resets
     assert st.ledger_totals()["deactivate"] == 4
 
@@ -207,10 +204,12 @@ def test_far_into_active_square_counts_concurrency(quad16):
     x0 = np.zeros(16)
     x0[0], x0[1] = 1.0, -1.0
     st = make_sim(graph, hierarchy, x0)
+    assert hierarchy.cell_of_rep[0] == 1
     for c in range(2, 5):
-        activate_square(st, int(hierarchy.cell_rep[c]))
-    events = far_exchange(st, 0)
-    assert events[0].ok  # the exchange still happens
+        engine._toggle(st, int(hierarchy.cell_rep[c]), c=c, lvl=1, on=1)
+    drain(st)
+    engine._far(st, 0.0, 0, 1)
+    assert drain(st)[0].ok  # the exchange still happens
     assert st.fault_totals()["concurrent_round"] == 1
 
 
@@ -219,7 +218,8 @@ def test_isolated_near_is_counted_not_crashed(straddler):
     x0 = np.arange(7.0) - 3.0
     st = make_sim(graph, hierarchy, x0)
     before = st.x.copy()
-    assert near_exchange(st, 2) == []
+    engine._near(st, 0.5, 2)
+    assert drain(st) == []
     assert st.fault_totals()["isolated_near"] == 1
     assert np.array_equal(st.x, before)
     assert st.ledger_totals()["near"] == 0
@@ -229,8 +229,8 @@ def test_flood_gap_counted_per_missed_member(straddler):
     graph, hierarchy = straddler
     st = make_sim(graph, hierarchy, "spike")
     leaf = int(hierarchy.leaf_of[2])
-    events = activate_square(st, int(hierarchy.cell_rep[leaf]))
-    ev = events[0]
+    engine._toggle(st, int(hierarchy.cell_rep[leaf]), c=leaf, lvl=1, on=1)
+    ev = drain(st)[0]
     assert ev.action == "flood_on" and not ev.ok
     assert st.fault_totals()["flood_gap"] == 1
     assert np.array_equal(np.flatnonzero(st.local_on), [0, 1])
@@ -243,11 +243,14 @@ def test_single_member_square_costs_nothing():
     hierarchy = build_hierarchy(pts, 2)
     st = make_sim(graph, hierarchy, "spike")
     leaf = int(hierarchy.leaf_of[2])
-    on = activate_square(st, int(hierarchy.cell_rep[leaf]))
+    rep = int(hierarchy.cell_rep[leaf])
+    engine._toggle(st, rep, c=leaf, lvl=1, on=1)
+    on = drain(st)
     assert on[0].count == 0 and on[0].ok
     assert np.array_equal(np.flatnonzero(st.local_on), [2])
     assert st.fault_totals()["flood_gap"] == 0
-    deactivate_square(st, int(hierarchy.cell_rep[leaf]))
+    engine._toggle(st, rep, c=leaf, lvl=1, on=0)
+    drain(st)
     assert not st.local_on.any()
     assert st.ledger_totals()["flood"] == 0
 
@@ -267,7 +270,8 @@ def test_step_matches_bulk_run_exactly(sim256):
     graph, hierarchy, sched = sim256
     a = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
     b = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
-    run_logged(a, 20_000)
+    for _ in range(20_000):
+        step(a)
     run(b, max_ticks=20_000, stride=5_000)
     assert a.tick == b.tick == 20_000
     assert np.array_equal(a.x, b.x)
@@ -278,7 +282,7 @@ def test_step_matches_bulk_run_exactly(sim256):
 def test_event_log_replays_ledger(sim256):
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
-    events = run_logged(st, 20_000)
+    events = [ev for _ in range(20_000) for ev in step(st)]
     assert np.array_equal(replay_ledger(events), st.ledger)
     assert any(ev.action == "near" for ev in events)
     assert any(ev.action == "flood_on" for ev in events)
@@ -358,7 +362,7 @@ def test_step_advances_tick(quad16):
 
 
 STATE_FIELDS = ("x", "ledger", "faults", "local_on", "global_on", "counter",
-                "cell_active")
+                "cell_active", "root_rounds")
 
 
 def fresh_state(sim256, algorithm):
@@ -398,7 +402,8 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     ticks = block_rows(algorithm) + 3
     a = fresh_state(sim256, algorithm)
     b = fresh_state(sim256, algorithm)
-    run_logged(a, ticks)
+    for _ in range(ticks):
+        step(a)
     run(b, max_ticks=ticks, stride=ticks)
     assert_same_state(a, b)
     # A step after a bulk run returns its own tick's events and no more.
@@ -408,8 +413,8 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
 
 
 def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
-    # The bulk path reads the root-round flag from the kernels; the logged
-    # path reads it from the events.  Both must stop at the same boundary.
+    # Both paths count the root's ended rounds in state.root_rounds, and
+    # run stops at the first stride boundary after it grows.
     a = fresh_state(sim256, "hier")
     b = fresh_state(sim256, "hier")
     sa = run(a, max_ticks=1_000_000, stride=1_000,
@@ -418,6 +423,7 @@ def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
              stop_on_root_deactivation=True, event_sink=lambda evs: None)
     assert sa.stop_reason == sb.stop_reason == "root_deactivation"
     assert a.tick == 127_000
+    assert a.root_rounds == b.root_rounds == 1
     assert_same_state(a, b)
 
 
@@ -436,7 +442,7 @@ def test_deep_hierarchy_step_matches_bulk_at_any_stride(deep4096):
     assert hierarchy.total_levels == 4
     ticks = 100_000
     logged = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
-    events = run_logged(logged, ticks)
+    events = [ev for _ in range(ticks) for ev in step(logged)]
     # The comparison below is not vacuous: the run floods leaves, wakes
     # children from a non-root square, and exchanges at several depths.
     totals = logged.ledger_totals()
@@ -471,17 +477,17 @@ def test_last_uniform_picks_last_node_and_neighbor(sim256):
     last_nb = int(st.leaf_indices[st.leaf_indptr[s + 1] - 1])
     assert [(ev.action, ev.node, ev.target) for ev in events] == \
         [("near", s, last_nb)]
-    assert near_exchange(st, s)[0].target == last_nb
+    engine._near(st, LAST, s)
+    assert drain(st)[0].target == last_nb
 
 
 def test_last_uniform_picks_last_sibling(quad16):
     graph, hierarchy = quad16
     for c in range(1, 5):   # the four leaves, siblings under the root
         st = make_sim(graph, hierarchy, "spike")
-        st.rng = LastRows()
         siblings = [k for k in range(1, 5) if k != c]
-        events = far_exchange(st, int(hierarchy.cell_rep[c]))
-        assert events[0].target == hierarchy.cell_rep[siblings[-1]]
+        engine._far(st, LAST, int(hierarchy.cell_rep[c]), c)
+        assert drain(st)[0].target == hierarchy.cell_rep[siblings[-1]]
 
 
 def test_near_neighbor_pick_is_uniform(sim256):

@@ -14,8 +14,7 @@ from geogossip import (
     greedy_route,
     sample_points,
 )
-from geogossip.routing import (_flood_core, _walk, restrict_adjacency,
-                               route_to_position)
+from geogossip.routing import _flood_core, _walk, route_to_position
 
 from conftest import make_points
 
@@ -233,6 +232,20 @@ def test_flood_accepts_cell_objects(quad16):
         r = flood(graph, cell, origin=int(cell.representative))
         assert r.complete
         assert np.array_equal(r.reached, cell.members)
+
+
+def restrict_adjacency(graph, member_mask):
+    # Reference: each member's CSR row keeps its member neighbours in
+    # order; every other row is empty.
+    indptr = [0]
+    indices = []
+    for u in range(graph.n):
+        if member_mask[u]:
+            indices.extend(v for v in graph.neighbors(u).tolist()
+                           if member_mask[v])
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64))
 
 
 def test_flood_matches_whole_graph_restriction():

@@ -45,10 +45,8 @@ from .geometry import (
 from .hierarchy import (
     EmptyCellError,
     Hierarchy,
-    LevelAssignment,
     ParamSchedule,
     ScheduleOverflowError,
-    SquareCell,
     build_hierarchy,
     build_schedule,
     count_concentration,
@@ -88,10 +86,8 @@ __all__ = [
     "sample_points",
     "EmptyCellError",
     "Hierarchy",
-    "LevelAssignment",
     "ParamSchedule",
     "ScheduleOverflowError",
-    "SquareCell",
     "build_hierarchy",
     "build_schedule",
     "count_concentration",

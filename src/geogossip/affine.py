@@ -268,8 +268,8 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
     return _trajectories(x, a, pi, pj, nu)
 
 
-def simulate_affine_gossip(x0, alpha, ticks: int, seed: int, noise=None,
-                           center: bool = False) -> np.ndarray:
+def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
+                           noise=None) -> np.ndarray:
     """One trajectory of |x(t)|^2 under uniform ordered-pair gossip.
 
     Args:
@@ -281,19 +281,15 @@ def simulate_affine_gossip(x0, alpha, ticks: int, seed: int, noise=None,
             norm_square_trajectories with the same seed and noise.
         noise: optional length-`ticks` array of nu values, added as
             +nu/-nu; zeros reproduce the clean trajectory bit for bit.
-        center: subtract the mean instead of rejecting a nonzero-sum start.
 
     Raises:
-        ValueError: if ticks < 0 or the start is not mean-zero (and center
-            is False).
+        ValueError: if ticks < 0 or the start is not mean-zero.
     """
     if ticks < 0:
         raise ValueError(f"ticks must be >= 0, got {ticks}")
-    x = np.array(x0, dtype=np.float64, copy=True)
+    x = np.asarray(x0, dtype=np.float64)
     total = float(x.sum())
-    if center:
-        x -= total / x.shape[0]
-    elif abs(total) > 1e-9 * max(1.0, float(np.abs(x).sum())):
+    if abs(total) > 1e-9 * max(1.0, float(np.abs(x).sum())):
         raise ValueError(f"start vector must sum to zero, got sum {total}")
     return norm_square_trajectories(x, alpha, ticks, 1, seed, noise=noise)[0]
 

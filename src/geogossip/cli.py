@@ -13,9 +13,10 @@ failure, 3 delivery-fault threshold exceeded.
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 
-from . import engine, experiment, metrics
+from . import experiment, metrics
 from .geometry import sample_points
 from .hierarchy import EmptyCellError, RepresentativeError, \
     ScheduleOverflowError, build_hierarchy, dump_hierarchy
@@ -35,34 +36,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+_CONFIG_FIELDS = dataclasses.fields(experiment.ExperimentConfig)
+
+
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
+    # One flag per config key, dashes for underscores; an unset flag is
+    # None and leaves the key as the config file (or default) has it.
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--algorithm", choices=experiment.ALGORITHMS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--radius-c", dest="radius_c", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--mode", choices=("paper", "practical"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--max-ticks", dest="max_ticks", type=int)
-    p.add_argument("--init", choices=engine.INIT_DISTRIBUTIONS)
-    p.add_argument("--output")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--stop-on-root", dest="stop_on_root",
-                   action="store_const", const=True)
-    p.add_argument("--fault-limit", dest="fault_limit", type=int)
+    for f in _CONFIG_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            p.add_argument(flag, dest=f.name, action="store_const",
+                           const=True)
+        else:
+            p.add_argument(flag, dest=f.name, type=f.type,
+                           choices=experiment.CHOICES.get(f.name))
 
 
 def _merged_config(args) -> experiment.ExperimentConfig:
     cfg = experiment.ExperimentConfig()
     if args.config:
         cfg = experiment.load_config(args.config, cfg)
-    overrides = {key: getattr(args, key)
-                 for key in experiment._KEY_PARSERS if hasattr(args, key)}
+    overrides = {f.name: getattr(args, f.name) for f in _CONFIG_FIELDS}
     return experiment.apply_overrides(cfg, overrides)
 
 
@@ -159,15 +154,11 @@ def _cmd_fit(args) -> int:
 
 
 def _trial_count(text: str) -> int:
-    # A Monte Carlo standard error needs two trials; 0 skips those rows.
+    # kernel_verify's own check, raised as a usage error.
     try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if trials < 0 or trials == 1:
-        raise argparse.ArgumentTypeError(
-            f"must be 0 or at least 2, got {trials}")
-    return trials
+        return experiment.trial_count(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_kernel_verify(args) -> int:

@@ -51,8 +51,8 @@ the bulk runner otherwise.
 
 The bulk runner steps only hier's representatives in Python.  A plain
 sensor's tick is a near exchange while its leaf is on, and local_on changes
-only in a level-1 flood, so the plain ticks between two level-1
-representative ticks are built in numpy; boyd builds every tick that way.
+only in a leaf's flood, so the plain ticks between two leaf
+representatives' ticks are built in numpy; boyd builds every tick that way.
 geo never reads x, so `_tick_geo` takes a whole block of rows: attempt a of
 every tick still pending is routed in one lockstep `_walk` call, and only
 the rejected ticks try again; `step` passes it a block of one row.  A
@@ -235,11 +235,11 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
 def _far(state, u, s, c):
     # Returns whether the exchange completed.
     h = state.hierarchy
-    p = h.cell_parent[c]
-    nsib = h.cell_child_count[p] - 1
+    r = h.cell_depth[c]
+    nsib = h.subdiv_at_depth[r - 1] - 1
     if nsib <= 0:
         return False
-    cp = h.cell_child_start[p] + int(u * nsib)
+    cp = h.cell_child_start[h.cell_parent[c]] + int(u * nsib)
     if cp >= c:
         cp += 1
     sp = h.cell_rep[cp]
@@ -258,16 +258,16 @@ def _far(state, u, s, c):
         state.faults[FAULT_ROUTING] += 1
         state.events.append(("far", s, sp, hops, False))
         return False
-    state.ops.append((s, sp, 0.4 * h.cell_expected[c]))
+    state.ops.append((s, sp, 0.4 * h.expected_at_depth[r]))
     state.counter[s] = 0
     state.counter[sp] = 0
     state.events.append(("far", s, sp, hops, True))
     return True
 
 
-def _toggle(state, s, c, lvl, on):
-    # Start (on=1) or end (on=0) square c's round: flood local states (level
-    # 1) or route to the child representatives (level > 1).  A square with no
+def _toggle(state, s, c, r, on):
+    # Start (on=1) or end (on=0) square c's round, c at depth r: flood local
+    # states (a leaf) or route to the child representatives.  A square with no
     # running round has nothing to wind down; the repeat trigger fires every
     # own tick once counter passes time, so make that free.  Returns whether
     # anything was sent.
@@ -275,7 +275,8 @@ def _toggle(state, s, c, lvl, on):
         return False
     state.cell_active[c] = on
     h = state.hierarchy
-    if lvl == 1:
+    m = h.subdiv_at_depth[r]
+    if m == 0:
         reached, tx = _flood(state, s)
         state.local_on[reached] = on
         state.ledger[LEDGER_FLOOD] += tx
@@ -289,7 +290,7 @@ def _toggle(state, s, c, lvl, on):
     total = 0
     ok_all = True
     start = h.cell_child_start[c]
-    for ci in range(start, start + h.cell_child_count[c]):
+    for ci in range(start, start + m):
         dst = h.cell_rep[ci]
         hops, ok = _route(state, s, dst)
         total += hops
@@ -312,17 +313,17 @@ def _toggle(state, s, c, lvl, on):
 def _tick_hier(state, u, s):
     # u is the tick's row; s = int(u[0] * n) is its firing node.
     h = state.hierarchy
-    lvl = h.levels.level[s]
-    if lvl == 0:
+    c = h.cell_of_rep[s]
+    if c < 0:
+        # a plain sensor
         if state.local_on[s] == 1:
             _near(state, u[3], s)
         return
-    c = h.cell_of_rep[s]
     r = h.cell_depth[c]
     counter = state.counter
     if state.global_on[s] == 1:
         if counter[s] == 0:
-            _toggle(state, s, c, lvl, 1)
+            _toggle(state, s, c, r, 1)
         if h.cell_parent[c] >= 0 and u[1] < state.schedule.far_prob[r]:
             if _far(state, u[2], s, c):
                 # A completed long-range exchange ends the tick; the reset
@@ -331,7 +332,7 @@ def _tick_hier(state, u, s):
     if state.local_on[s] == 1:
         _near(state, u[3], s)
     if counter[s] >= state.schedule.time[r]:
-        sent = _toggle(state, s, c, lvl, 0)
+        sent = _toggle(state, s, c, r, 0)
         if h.cell_parent[c] < 0:
             counter[s] = 0
             state.root_rounds += sent
@@ -343,14 +344,16 @@ def _run_hier(state, U, nodes):
     # Representative ticks run in Python as control; each records the tick
     # of the op it emitted (at most one: a completed far exchange ends the
     # tick before its near step).  A plain sensor's tick is a near exchange
-    # while its leaf is on, and local_on changes only in a level-1 flood,
-    # so the plain ticks before each level-1 representative tick read
+    # while its leaf is on, and local_on changes only in a leaf's flood,
+    # so the plain ticks before each leaf representative's tick read
     # local_on as it stands then.  The ops are merged in tick order and
     # applied in one pass.
-    level = state.hierarchy.levels.level[nodes]
-    rep_t = np.flatnonzero(level > 0)
-    plain_t = np.flatnonzero(level == 0)
+    h = state.hierarchy
+    cells = h.cell_of_rep[nodes]
+    rep_t = np.flatnonzero(cells >= 0)
+    plain_t = np.flatnonzero(cells < 0)
     plain_s = nodes[plain_t]
+    leaf = h.subdiv_at_depth[h.cell_depth[cells[rep_t]]] == 0
     # plain ticks before each representative tick
     before = np.searchsorted(plain_t, rep_t).tolist()
     active = np.empty(plain_t.shape[0], dtype=np.uint8)
@@ -358,10 +361,9 @@ def _run_hier(state, U, nodes):
     ops = state.ops
     op_t = []
     done = 0
-    for t, s, lvl, u, b in zip(rep_t.tolist(), nodes[rep_t].tolist(),
-                               level[rep_t].tolist(), U[rep_t].tolist(),
-                               before):
-        if lvl == 1 and b > done:
+    for t, s, is_leaf, u, b in zip(rep_t.tolist(), nodes[rep_t].tolist(),
+                                   leaf.tolist(), U[rep_t].tolist(), before):
+        if is_leaf and b > done:
             active[done:b] = local_on[plain_s[done:b]]
             done = b
         _tick_hier(state, u, s)

@@ -22,6 +22,9 @@ from .geometry import build_graph, connectivity_radius, is_connected, \
 from .hierarchy import build_hierarchy, build_schedule, default_threshold
 
 ALGORITHMS = ("hier", "boyd", "geo")
+# The config keys whose value is one of a fixed set, and that set.
+CHOICES = {"algorithm": ALGORITHMS, "mode": ("paper", "practical"),
+           "init": engine.INIT_DISTRIBUTIONS}
 
 
 class ConfigError(ValueError):
@@ -39,7 +42,8 @@ def _parse_bool(text: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; field names double as config-file keys."""
+    """Everything one run needs; field names double as config-file keys
+    and, with dashes for underscores, as command-line flags."""
 
     algorithm: str = "hier"
     n: int = 256
@@ -60,9 +64,10 @@ class ExperimentConfig:
     fault_limit: int = 0
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, "
-                              f"got {self.algorithm!r}")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got "
+                                  f"{getattr(self, key)!r}")
         if self.n < 4:
             raise ConfigError(f"n must be at least 4, got {self.n}")
         if self.radius_c <= 0:
@@ -71,9 +76,6 @@ class ExperimentConfig:
         if self.threshold is not None and self.threshold < 1:
             raise ConfigError(f"threshold must be at least 1, got "
                               f"{self.threshold}")
-        if self.mode not in ("paper", "practical"):
-            raise ConfigError(f"mode must be 'paper' or 'practical', got "
-                              f"{self.mode!r}")
         if self.a <= 0:
             raise ConfigError(f"a must be positive, got {self.a}")
         if self.gamma < 1:
@@ -86,10 +88,6 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.max_ticks < 0:
             raise ConfigError(f"max_ticks must be >= 0, got {self.max_ticks}")
-        if self.init not in engine.INIT_DISTRIBUTIONS:
-            raise ConfigError(f"init must be one of "
-                              f"{engine.INIT_DISTRIBUTIONS}, got "
-                              f"{self.init!r}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.fault_limit < 0:
@@ -396,12 +394,28 @@ def check_perturbed_deviation(traj, y0, a: float, eps: float) -> VerifyRow:
                      freq <= bound)
 
 
+def trial_count(trials: int) -> int:
+    """Return trials if kernel_verify accepts it: 0 skips the Monte Carlo
+    rows, and their standard errors need at least two trials.
+
+    Raises:
+        ValueError: if trials is 1 or negative.
+    """
+    if trials < 0 or trials == 1:
+        raise ValueError(f"trials must be 0 or at least 2, got {trials}")
+    return trials
+
+
 def kernel_verify(trials: int = 2000, seed: int = 0) -> list:
     """Run every kernel oracle and bound check; returns VerifyRow list.
 
     With trials=0 the Monte Carlo rows are skipped and only the
     deterministic checks run.
+
+    Raises:
+        ValueError: if trials is 1 or negative (see trial_count).
     """
+    trial_count(trials)
     rng = np.random.default_rng(seed)
     rows = [
         check_second_moment([affine.random_alpha(n, rng)

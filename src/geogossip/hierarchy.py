@@ -5,7 +5,8 @@ sensor count of a cell exceeds the leaf threshold.  Every cell gets a
 representative: the member sensor nearest the cell center, ties by lowest id,
 with uniqueness across the whole tree enforced by claiming representatives in
 breadth-first order (shallower cells first) and falling back to the
-next-nearest member on collision.
+next-nearest member on collision.  A representative of a cell at depth d
+holds level total_levels - d; every other sensor holds level 0.
 
 Cell membership uses half-open bounds: left/bottom edges closed, right/top
 open, except the outer right/top edge of the unit square which is closed.
@@ -19,7 +20,7 @@ runnable variant ("practical") sized from the per-round exchange count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,53 +68,27 @@ def format_path(path: tuple) -> str:
     return "/" if not path else ".".join(str(i) for i in path)
 
 
-@dataclass
-class SquareCell:
-    """One node of the recursive partition tree."""
-
-    path: tuple
-    bounds: tuple          # (x0, y0, x1, y1)
-    depth: int
-    expected_count: float
-    members: np.ndarray    # sensor ids, ascending
-    subdivision: int       # k*k split applied to this cell, 0 for leaves
-    representative: int
-    index: int             # id in breadth-first order, root = 0
-    children: list = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.subdivision == 0
-
-    @property
-    def center(self) -> tuple:
-        x0, y0, x1, y1 = self.bounds
-        return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-
-
 @dataclass(frozen=True)
-class LevelAssignment:
-    """Per-sensor level: total - depth for representatives, 0 otherwise."""
+class SquareCell:
+    """One cell as the benchmark's flood probe reads it."""
 
-    level: np.ndarray
-    total: int
+    members: np.ndarray    # sensor ids, ascending
+    representative: int
+    is_leaf: bool
 
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Flat per-cell arrays consumed by the simulation kernels, plus the
-    partition tree derived from them on first use."""
+    """The partition as flat arrays.  Cells are numbered breadth-first,
+    root = 0, each depth contiguous; a fact shared by every cell of a depth
+    is stored once per depth (index an *_at_depth array by cell_depth)."""
 
-    levels: LevelAssignment
     points: PointSet
-    threshold: float
     cell_parent: np.ndarray    # (n_cells,) parent cell id, -1 for root
     cell_depth: np.ndarray
     cell_rep: np.ndarray
-    cell_expected: np.ndarray
-    cell_subdiv: np.ndarray
-    cell_child_start: np.ndarray   # children occupy [start, start+count)
-    cell_child_count: np.ndarray
+    # children of a cell at depth r occupy [start, start + subdiv_at_depth[r])
+    cell_child_start: np.ndarray
     cell_member_start: np.ndarray  # (n_cells+1,) offsets into member_ids
     cell_grid: np.ndarray      # (n_cells, 2) grid position at the cell's depth
     member_ids: np.ndarray
@@ -126,26 +101,25 @@ class Hierarchy:
     def n_cells(self) -> int:
         return int(self.cell_rep.shape[0])
 
-    @cached_property
-    def cells(self) -> list:
-        """SquareCell objects in BFS order; cells[i].index == i."""
-        return _build_cell_objects(self)
-
-    @property
-    def root(self) -> SquareCell:
-        return self.cells[0]
-
     @property
     def total_levels(self) -> int:
-        return self.levels.total
+        return int(self.expected_at_depth.shape[0])
 
     @property
     def leaf_depth(self) -> int:
-        return self.levels.total - 1
+        return self.total_levels - 1
 
     def members_of(self, cell_id: int) -> np.ndarray:
         return self.member_ids[self.cell_member_start[cell_id]:
                                self.cell_member_start[cell_id + 1]]
+
+    @cached_property
+    def cells(self) -> list:
+        """One SquareCell per cell id.  Only the benchmark's flood probe
+        (perfbench/workloads.py) reads this; nothing in the package does."""
+        leaf = (self.subdiv_at_depth[self.cell_depth] == 0).tolist()
+        return [SquareCell(self.members_of(c), int(self.cell_rep[c]), leaf[c])
+                for c in range(self.n_cells)]
 
 
 def default_threshold(n: int) -> float:
@@ -198,7 +172,7 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
         threshold: leaf threshold tau >= 1.
 
     Returns:
-        Hierarchy with representatives and levels assigned.
+        Hierarchy with representatives assigned.
 
     Raises:
         ValueError: if threshold < 1.
@@ -218,7 +192,6 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
         splits.append(int(math.isqrt(factor)))
         expected.append(expected[-1] / factor)
     depth_count = len(expected)
-    total_levels = depth_count
 
     subdiv_at_depth = np.zeros(depth_count, dtype=np.int64)
     for d, k in enumerate(splits):
@@ -272,20 +245,14 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
 
     cell_depth = np.empty(n_cells, dtype=np.int64)
     cell_parent = np.full(n_cells, -1, dtype=np.int64)
-    cell_subdiv = np.zeros(n_cells, dtype=np.int64)
-    cell_expected = np.empty(n_cells, dtype=np.float64)
     cell_child_start = np.zeros(n_cells, dtype=np.int64)
-    cell_child_count = np.zeros(n_cells, dtype=np.int64)
     for d in range(depth_count):
         base, end = int(depth_offset[d]), int(depth_offset[d + 1])
         cell_depth[base:end] = d
-        cell_expected[base:end] = expected[d]
         if d + 1 < depth_count:
             factor = splits[d] * splits[d]
-            cell_subdiv[base:end] = factor
             ids = np.arange(end - base, dtype=np.int64)
             cell_child_start[base:end] = depth_offset[d + 1] + ids * factor
-            cell_child_count[base:end] = factor
             cell_parent[depth_offset[d + 1]:depth_offset[d + 2]] = \
                 base + np.repeat(ids, factor)
 
@@ -315,22 +282,14 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
             raise RepresentativeError(
                 f"no unclaimed member left for cell {c} at depth {int(cell_depth[c])}")
 
-    level = np.zeros(n, dtype=np.int64)
-    reps = cell_of_rep >= 0
-    level[reps] = total_levels - cell_depth[cell_of_rep[reps]]
-    levels = LevelAssignment(level=level, total=total_levels)
-
     leaf_base = int(depth_offset[depth_count - 1])
     leaf_of = (leaf_base + point_local[depth_count - 1]).astype(np.int64)
 
     return Hierarchy(
-        levels=levels, points=points,
-        threshold=float(threshold), cell_parent=cell_parent,
-        cell_depth=cell_depth, cell_rep=cell_rep, cell_expected=cell_expected,
-        cell_subdiv=cell_subdiv, cell_child_start=cell_child_start,
-        cell_child_count=cell_child_count, cell_member_start=cell_member_start,
-        cell_grid=cell_grid, member_ids=member_ids, leaf_of=leaf_of,
-        cell_of_rep=cell_of_rep,
+        points=points, cell_parent=cell_parent, cell_depth=cell_depth,
+        cell_rep=cell_rep, cell_child_start=cell_child_start,
+        cell_member_start=cell_member_start, cell_grid=cell_grid,
+        member_ids=member_ids, leaf_of=leaf_of, cell_of_rep=cell_of_rep,
         subdiv_at_depth=subdiv_at_depth, expected_at_depth=expected_at_depth)
 
 
@@ -353,27 +312,6 @@ def _grid_positions(K, local_map):
     return out
 
 
-def _build_cell_objects(h: Hierarchy) -> list:
-    splits = [math.isqrt(int(f)) for f in h.subdiv_at_depth[:-1]]
-    resolutions = np.cumprod([1] + splits).tolist()
-    depth_start = np.searchsorted(h.cell_depth, np.arange(len(resolutions)))
-    cells = []
-    for c in range(h.n_cells):
-        d = int(h.cell_depth[c])
-        K = resolutions[d]
-        gx, gy = int(h.cell_grid[c, 0]), int(h.cell_grid[c, 1])
-        cells.append(SquareCell(
-            path=_path_of(c - int(depth_start[d]), d, splits),
-            bounds=(gx / K, gy / K, (gx + 1) / K, (gy + 1) / K), depth=d,
-            expected_count=float(h.cell_expected[c]),
-            members=h.members_of(c), subdivision=int(h.cell_subdiv[c]),
-            representative=int(h.cell_rep[c]), index=c))
-    for cell in cells:
-        start = int(h.cell_child_start[cell.index])
-        cell.children = cells[start:start + int(h.cell_child_count[cell.index])]
-    return cells
-
-
 @dataclass(frozen=True)
 class ConcentrationReport:
     """Per-cell |count/expected - 1| and summary fractions."""
@@ -387,7 +325,8 @@ class ConcentrationReport:
 def count_concentration(hierarchy: Hierarchy) -> ConcentrationReport:
     """Relative deviation of actual from expected counts, per cell."""
     counts = np.diff(hierarchy.cell_member_start).astype(np.float64)
-    dev = np.abs(counts / hierarchy.cell_expected - 1.0)
+    expected = hierarchy.expected_at_depth[hierarchy.cell_depth]
+    dev = np.abs(counts / expected - 1.0)
     return ConcentrationReport(
         deviations=dev, depths=hierarchy.cell_depth.copy(),
         frac_within_tenth=float(np.mean(dev <= 0.1)),
@@ -395,17 +334,24 @@ def count_concentration(hierarchy: Hierarchy) -> ConcentrationReport:
 
 
 def dump_hierarchy(hierarchy: Hierarchy) -> str:
-    """Textual tree, one line per cell, stable across runs for golden tests."""
+    """Textual tree, one line per cell, stable across runs for golden tests.
+
+    Each cell's representative represents that cell alone, so its level is
+    total_levels - depth.
+    """
+    h = hierarchy
+    splits = [math.isqrt(int(f)) for f in h.subdiv_at_depth[:-1]]
+    depth_start = np.searchsorted(h.cell_depth, np.arange(h.total_levels))
+    counts = np.diff(h.cell_member_start)
     lines = []
-    level = hierarchy.levels
-    for cell in hierarchy.cells:
-        count = int(hierarchy.cell_member_start[cell.index + 1]
-                    - hierarchy.cell_member_start[cell.index])
-        rep_level = int(level.level[cell.representative])
+    for c in range(h.n_cells):
+        d = int(h.cell_depth[c])
+        path = _path_of(c - int(depth_start[d]), d, splits)
         lines.append(
-            f"{format_path(cell.path)} depth={cell.depth} "
-            f"expected={cell.expected_count:.6g} count={count} "
-            f"rep={cell.representative} level={rep_level}")
+            f"{format_path(path)} depth={d} "
+            f"expected={float(h.expected_at_depth[d]):.6g} "
+            f"count={int(counts[c])} rep={int(h.cell_rep[c])} "
+            f"level={h.total_levels - d}")
     return "\n".join(lines) + "\n"
 
 

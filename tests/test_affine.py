@@ -240,8 +240,9 @@ def test_zero_noise_reproduces_clean_run_exactly():
 def test_gossip_rejects_biased_start():
     with pytest.raises(ValueError):
         simulate_affine_gossip(np.ones(4), np.full(4, 0.4), ticks=2, seed=0)
-    out = simulate_affine_gossip(np.ones(4), np.full(4, 0.4), ticks=2,
-                                 seed=0, center=True)
+    x = np.ones(4)
+    out = simulate_affine_gossip(x - x.mean(), np.full(4, 0.4), ticks=2,
+                                 seed=0)
     assert out[0] == 0.0
     with pytest.raises(ValueError):
         simulate_affine_gossip(spike_vector(4), np.full(4, 0.4), ticks=-1,

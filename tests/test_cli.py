@@ -1,5 +1,6 @@
 """Command-line entry points and exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 import geogossip
 from geogossip import experiment, read_csv
-from geogossip.cli import main
+from geogossip.cli import _merged_config, build_parser, main
+from geogossip.experiment import ExperimentConfig
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -224,6 +226,35 @@ def test_help_exits_zero(capsys):
         main(["kernel-verify", "--help"])
     assert exc.value.code == 0
     assert "--trials" in capsys.readouterr().out
+
+
+def _flag_value(field):
+    # A valid value for the config key that differs from its default.
+    default = field.default
+    if field.name in experiment.CHOICES:
+        return next(c for c in experiment.CHOICES[field.name] if c != default)
+    if field.type is bool:
+        return not default
+    if field.type is str:
+        return "out.csv"
+    if not default:
+        return field.type(2)
+    return default / 2 if field.type is float else default // 2
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_every_config_key_has_a_round_tripping_flag(field):
+    value = _flag_value(field)
+    assert value != field.default
+    flag = "--" + field.name.replace("_", "-")
+    argv = ["simulate", "--seed", "1", flag]
+    if field.type is not bool:
+        argv.append(str(value))
+    args = build_parser().parse_args(argv)
+    cfg = _merged_config(args)
+    assert getattr(cfg, field.name) == value
+    assert type(getattr(cfg, field.name)) is type(value)
 
 
 def test_dump_hierarchy_command(capsys):

@@ -156,12 +156,12 @@ def test_activate_deactivate_leaf_round_trip(quad16):
     st = make_sim(graph, hierarchy, "spike")
     rep = int(hierarchy.cell_rep[1])
     members = hierarchy.members_of(1)
-    assert engine._toggle(st, rep, c=1, lvl=1, on=1)
+    assert engine._toggle(st, rep, c=1, r=1, on=1)
     on = drain(st)
     assert on[0].action == "flood_on" and on[0].ok
     assert np.array_equal(np.sort(np.flatnonzero(st.local_on)), members)
     assert st.cell_active[1] == 1
-    engine._toggle(st, rep, c=1, lvl=1, on=0)
+    engine._toggle(st, rep, c=1, r=1, on=0)
     off = drain(st)
     assert off[0].action == "flood_off" and off[0].ok
     assert not st.local_on.any()
@@ -174,7 +174,7 @@ def test_deactivate_inactive_square_is_free(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
     rep = int(hierarchy.cell_rep[1])
-    assert not engine._toggle(st, rep, c=1, lvl=1, on=0)
+    assert not engine._toggle(st, rep, c=1, r=1, on=0)
     assert drain(st) == []
     assert st.ledger_totals()["flood"] == 0
 
@@ -184,7 +184,7 @@ def test_root_activate_wakes_children(quad16):
     st = make_sim(graph, hierarchy, "spike")
     root = int(hierarchy.cell_rep[0])
     st.counter[hierarchy.cell_rep[1:5]] = 5
-    engine._toggle(st, root, c=0, lvl=2, on=1)
+    engine._toggle(st, root, c=0, r=0, on=1)
     ev = drain(st)[0]
     assert ev.action == "activate" and ev.ok and ev.count == 4
     child_reps = hierarchy.cell_rep[1:5]
@@ -192,7 +192,7 @@ def test_root_activate_wakes_children(quad16):
     assert np.all(st.counter[child_reps] == 0)
     assert st.ledger_totals()["activate"] == 4
     st.counter[child_reps] = 3
-    engine._toggle(st, root, c=0, lvl=2, on=0)
+    engine._toggle(st, root, c=0, r=0, on=0)
     drain(st)
     assert np.array_equal(np.flatnonzero(st.global_on), [root])
     assert np.all(st.counter[child_reps] == 3)   # only activation resets
@@ -206,7 +206,7 @@ def test_far_into_active_square_counts_concurrency(quad16):
     st = make_sim(graph, hierarchy, x0)
     assert hierarchy.cell_of_rep[0] == 1
     for c in range(2, 5):
-        engine._toggle(st, int(hierarchy.cell_rep[c]), c=c, lvl=1, on=1)
+        engine._toggle(st, int(hierarchy.cell_rep[c]), c=c, r=1, on=1)
     drain(st)
     engine._far(st, 0.0, 0, 1)
     assert drain(st)[0].ok  # the exchange still happens
@@ -229,7 +229,7 @@ def test_flood_gap_counted_per_missed_member(straddler):
     graph, hierarchy = straddler
     st = make_sim(graph, hierarchy, "spike")
     leaf = int(hierarchy.leaf_of[2])
-    engine._toggle(st, int(hierarchy.cell_rep[leaf]), c=leaf, lvl=1, on=1)
+    engine._toggle(st, int(hierarchy.cell_rep[leaf]), c=leaf, r=1, on=1)
     ev = drain(st)[0]
     assert ev.action == "flood_on" and not ev.ok
     assert st.fault_totals()["flood_gap"] == 1
@@ -244,12 +244,12 @@ def test_single_member_square_costs_nothing():
     st = make_sim(graph, hierarchy, "spike")
     leaf = int(hierarchy.leaf_of[2])
     rep = int(hierarchy.cell_rep[leaf])
-    engine._toggle(st, rep, c=leaf, lvl=1, on=1)
+    engine._toggle(st, rep, c=leaf, r=1, on=1)
     on = drain(st)
     assert on[0].count == 0 and on[0].ok
     assert np.array_equal(np.flatnonzero(st.local_on), [2])
     assert st.fault_totals()["flood_gap"] == 0
-    engine._toggle(st, rep, c=leaf, lvl=1, on=0)
+    engine._toggle(st, rep, c=leaf, r=1, on=0)
     drain(st)
     assert not st.local_on.any()
     assert st.ledger_totals()["flood"] == 0
@@ -470,7 +470,7 @@ def test_last_uniform_picks_last_node_and_neighbor(sim256):
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=0, init_dist="gauss")
     s = st.n - 1
-    assert hierarchy.levels.level[s] == 0   # a plain sensor
+    assert hierarchy.cell_of_rep[s] == -1   # a plain sensor
     st.local_on[s] = 1
     st.rng = LastRows()
     events = step(st)

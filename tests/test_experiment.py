@@ -186,6 +186,13 @@ def test_kernel_verify_deterministic_rows():
     assert all(r.passed for r in rows)
 
 
+@pytest.mark.parametrize("trials", [1, -1, -5])
+def test_kernel_verify_rejects_unusable_trial_counts(trials):
+    # one trial has no standard error, and a negative count is no count
+    with pytest.raises(ValueError, match="0 or at least 2"):
+        kernel_verify(trials=trials)
+
+
 def test_kernel_verify_monte_carlo_rows():
     rows = kernel_verify(trials=400, seed=1)
     names = [r.name for r in rows]

@@ -22,6 +22,24 @@ from geogossip.hierarchy import (
 from conftest import grid_points, make_points
 
 
+def sensor_level(h):
+    """Per-sensor level: total_levels - depth of the represented cell for
+    a representative, 0 for every other sensor."""
+    level = np.zeros(h.points.n, dtype=np.int64)
+    reps = h.cell_of_rep >= 0
+    level[reps] = h.total_levels - h.cell_depth[h.cell_of_rep[reps]]
+    return level
+
+
+def cell_bounds(h, c):
+    """(x0, y0, x1, y1) of cell c from its grid position and the per-axis
+    resolution of its depth."""
+    splits = [math.isqrt(int(f)) for f in h.subdiv_at_depth[:-1]]
+    K = int(np.prod(splits[:int(h.cell_depth[c])], dtype=np.int64))
+    gx, gy = int(h.cell_grid[c, 0]), int(h.cell_grid[c, 1])
+    return gx / K, gy / K, (gx + 1) / K, (gy + 1) / K
+
+
 # ---------------------------------------------------------------- split factor
 
 def test_subdivision_factor_examples():
@@ -57,11 +75,12 @@ def test_trace_single_leaf():
     h = build_hierarchy(pts, 1e4)
     assert h.total_levels == 1
     assert h.n_cells == 1
-    assert h.root.is_leaf
+    assert h.subdiv_at_depth[h.cell_depth[0]] == 0   # the root is a leaf
     assert np.array_equal(h.subdiv_at_depth, [0])
     # the lone representative holds the top level
-    assert h.levels.level[h.root.representative] == 1
-    assert np.count_nonzero(h.levels.level) == 1
+    level = sensor_level(h)
+    assert level[h.cell_rep[0]] == 1
+    assert np.count_nonzero(level) == 1
 
 
 def test_trace_two_levels():
@@ -71,7 +90,7 @@ def test_trace_two_levels():
     assert np.array_equal(h.subdiv_at_depth, [64, 0])
     assert np.allclose(h.expected_at_depth, [4096.0, 64.0])
     assert h.n_cells == 1 + 64
-    assert all(c.is_leaf for c in h.cells[1:])
+    assert np.all(h.subdiv_at_depth[h.cell_depth[1:]] == 0)
 
 
 def test_trace_deep_grid():
@@ -84,20 +103,11 @@ def test_trace_deep_grid():
     counts = np.diff(h.cell_member_start)
     assert np.array_equal(counts[h.cell_depth == 3], np.full(1024, 4))
     # levels: root rep at 4, leaf reps at 1
-    assert h.levels.level[h.root.representative] == 4
+    level = sensor_level(h)
+    assert level[h.cell_rep[0]] == 4
     leaf_reps = h.cell_rep[h.cell_depth == 3]
-    assert np.array_equal(h.levels.level[leaf_reps] >= 1,
+    assert np.array_equal(level[leaf_reps] >= 1,
                           np.ones(1024, dtype=bool))
-    # the cell tree agrees with the flat arrays: children in order, each
-    # child's path extends its parent's by its rank, bounds nest
-    for c in h.cells:
-        start = int(h.cell_child_start[c.index])
-        assert [ch.index for ch in c.children] == \
-            list(range(start, start + int(h.cell_child_count[c.index])))
-        for j, ch in enumerate(c.children):
-            assert ch.path == c.path + (j,) and ch.depth == c.depth + 1
-            assert c.bounds[0] <= ch.bounds[0] < ch.bounds[2] <= c.bounds[2]
-            assert c.bounds[1] <= ch.bounds[1] < ch.bounds[3] <= c.bounds[3]
 
 
 def test_default_threshold_collapses_desk_sizes():
@@ -114,7 +124,7 @@ def test_default_threshold_collapses_desk_sizes():
 def test_leaves_partition_sensors(hier256):
     h = hier256
     n = h.points.n
-    leaf_ids = np.flatnonzero(h.cell_subdiv == 0)
+    leaf_ids = np.flatnonzero(h.subdiv_at_depth[h.cell_depth] == 0)
     seen = np.concatenate([h.members_of(c) for c in leaf_ids])
     assert np.array_equal(np.sort(seen), np.arange(n))
     assert np.array_equal(np.sort(h.leaf_of[seen]),
@@ -133,11 +143,10 @@ def test_every_depth_partitions_sensors(hier256):
 
 def test_members_sorted_and_consistent(hier256):
     h = hier256
-    for c in h.cells:
-        members = h.members_of(c.index)
+    for c in range(h.n_cells):
+        members = h.members_of(c)
         assert np.array_equal(members, np.sort(members))
-        assert np.array_equal(members, c.members)
-        x0, y0, x1, y1 = c.bounds
+        x0, y0, x1, y1 = cell_bounds(h, c)
         xy = h.points.xy[members]
         assert np.all((xy[:, 0] >= x0) & (xy[:, 0] < x1 + 1e-12))
         assert np.all((xy[:, 1] >= y0) & (xy[:, 1] < y1 + 1e-12))
@@ -151,29 +160,64 @@ def test_representatives_unique_and_nearest(hier256):
     # replay the claim pass: breadth-first, nearest unclaimed member to the
     # cell center, ties to the smaller id
     taken = set()
-    for c in h.cells:
-        members = h.members_of(c.index)
-        x0, y0, x1, y1 = c.bounds
+    for c in range(h.n_cells):
+        members = h.members_of(c)
+        x0, y0, x1, y1 = cell_bounds(h, c)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         d2 = (xy[members, 0] - cx) ** 2 + (xy[members, 1] - cy) ** 2
         free = [(d2[i], int(members[i])) for i in range(len(members))
                 if int(members[i]) not in taken]
         want = min(free)[1]
-        assert c.representative == want
-        assert h.cell_of_rep[want] == c.index
+        assert h.cell_rep[c] == want
+        assert h.cell_of_rep[want] == c
         taken.add(want)
 
 
 def test_levels_match_depths(hier256):
+    # each representative represents exactly its own cell and every other
+    # sensor none, so a rep's level is total_levels minus its cell's depth
     h = hier256
-    lv = h.levels
-    for c in h.cells:
-        r = c.representative
-        # a rep's level comes from its shallowest represented cell
-        if h.cell_of_rep[r] == c.index:
-            assert lv.level[r] == lv.total - c.depth
-    non_reps = np.flatnonzero(h.cell_of_rep < 0)
-    assert np.all(lv.level[non_reps] == 0)
+    assert np.array_equal(h.cell_of_rep[h.cell_rep], np.arange(h.n_cells))
+    non_reps = np.ones(h.points.n, dtype=bool)
+    non_reps[h.cell_rep] = False
+    assert np.all(h.cell_of_rep[non_reps] == -1)
+    levels = [int(ln.rsplit("level=", 1)[1])
+              for ln in dump_hierarchy(h).splitlines()]
+    assert levels == (h.total_levels - h.cell_depth).tolist()
+    assert np.array_equal(sensor_level(h)[h.cell_rep], levels)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_hierarchy(grid_points(64), 8.0),
+    lambda: build_hierarchy(sample_points(256, 11), 16.0),
+    lambda: build_hierarchy(sample_points(4096, 9), 64.0),
+    lambda: build_hierarchy(sample_points(100, 5), 1e4),
+], ids=["grid-4-depths", "n256", "n4096", "single-leaf"])
+def test_children_are_flat_ranges(build):
+    # the children of c at depth r are exactly the ids
+    # [cell_child_start[c], + subdiv_at_depth[r]), one level deeper, and
+    # with k = sqrt(subdiv_at_depth[r]) they tile c's grid square: each
+    # child's grid position // k is c's, at distinct positions; the dumped
+    # path of child j extends its parent's by j
+    h = build()
+    m = h.subdiv_at_depth[h.cell_depth]
+    paths = [ln.split(" ", 1)[0] for ln in dump_hierarchy(h).splitlines()]
+    assert h.cell_parent[0] == -1 and paths[0] == "/"
+    assert np.array_equal(np.bincount(h.cell_parent[1:],
+                                      minlength=h.n_cells), m)
+    for c in range(h.n_cells):
+        start = int(h.cell_child_start[c])
+        kids = np.arange(start, start + int(m[c]))
+        assert np.all(h.cell_parent[kids] == c)
+        assert np.all(h.cell_depth[kids] == h.cell_depth[c] + 1)
+        prefix = "" if c == 0 else paths[c] + "."
+        assert [paths[i] for i in kids] == \
+            [f"{prefix}{j}" for j in range(kids.shape[0])]
+        if kids.shape[0]:
+            k = math.isqrt(int(m[c]))
+            grid = h.cell_grid[kids]
+            assert np.all(grid // k == h.cell_grid[c])
+            assert len({tuple(g) for g in grid.tolist()}) == k * k
 
 
 def test_boundary_points_go_up_and_right():
@@ -183,16 +227,16 @@ def test_boundary_points_go_up_and_right():
                        (0.25, 0.75), (0.2, 0.8), (0.5, 0.5), (0.75, 0.75)])
     h = build_hierarchy(pts, 4.0)
     assert np.array_equal(h.subdiv_at_depth, [4, 0])
-    cell = h.cells[int(h.leaf_of[6])]
-    assert cell.bounds[0] == 0.5 and cell.bounds[1] == 0.5
+    bounds = cell_bounds(h, int(h.leaf_of[6]))
+    assert bounds[0] == 0.5 and bounds[1] == 0.5
 
 
 def test_boundary_point_at_one_clamps_to_last_cell():
     pts = make_points([(0.25, 0.25), (0.2, 0.2), (0.75, 0.25),
                        (0.25, 0.75), (0.8, 0.8), (1.0, 1.0)])
     h = build_hierarchy(pts, 2.0)
-    cell = h.cells[int(h.leaf_of[5])]
-    assert cell.bounds[2] == 1.0 and cell.bounds[3] == 1.0
+    bounds = cell_bounds(h, int(h.leaf_of[5]))
+    assert bounds[2] == 1.0 and bounds[3] == 1.0
 
 
 def test_empty_cell_raises():

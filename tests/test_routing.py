@@ -14,6 +14,7 @@ from geogossip import (
     greedy_route,
     sample_points,
 )
+from geogossip.hierarchy import SquareCell
 from geogossip.routing import _flood_core, _walk, route_to_position
 
 from conftest import make_points
@@ -228,8 +229,10 @@ def test_flood_reports_unreached_members():
 
 def test_flood_accepts_cell_objects(quad16):
     graph, hierarchy = quad16
-    for cell in hierarchy.cells[1:]:
-        r = flood(graph, cell, origin=int(cell.representative))
+    for c in range(1, hierarchy.n_cells):
+        cell = SquareCell(hierarchy.members_of(c), int(hierarchy.cell_rep[c]),
+                          True)
+        r = flood(graph, cell, origin=cell.representative)
         assert r.complete
         assert np.array_equal(r.reached, cell.members)
 
@@ -256,7 +259,8 @@ def test_flood_matches_whole_graph_restriction():
     rng = np.random.default_rng(21)
     sets = [rng.choice(g.n, size=int(rng.integers(1, 120)), replace=False)
             for _ in range(60)]
-    sets += [cell.members for cell in build_hierarchy(pts, 64).cells]
+    h = build_hierarchy(pts, 64)
+    sets += [h.members_of(c) for c in range(h.n_cells)]
     for members in sets:
         origin = int(members[rng.integers(0, members.shape[0])])
         mask = np.zeros(g.n, dtype=bool)

@@ -49,19 +49,35 @@ one per-tick entry point and applies its ops to x before it returns; `run`
 advances stride by stride, through `step` when it logs events and through
 the bulk runner otherwise.
 
-The bulk runner steps only hier's representatives in Python.  A plain
-sensor's tick is a near exchange while its leaf is on, and local_on changes
-only in a leaf's flood, so the plain ticks between two leaf
-representatives' ticks are built in numpy; boyd builds every tick that way.
-geo never reads x, so `_tick_geo` takes a whole block of rows: attempt a of
-every tick still pending is routed in one lockstep `_walk` call, and only
-the rejected ticks try again; `step` passes it a block of one row.  A
-block's ops are merged in tick order and applied in one pass over x as
-Python floats: the same IEEE doubles in the same order, so bulk and stepped
-runs stay bit-identical.  The bulk runner empties the event list after every
-block without reading it.
+The bulk runner runs a hier tick in Python only when it can change
+protocol state.  A representative's tick is live when it would restart its
+square's round (global_on set, counter 0), pass its far coin (global_on
+set, a parent, u[1] < far_prob), or end a round (counter at time while the
+square is active, or at the root).  Any other tick is quiet and does
+exactly what a plain sensor's tick does, a near exchange while its leaf is
+on, plus counter += 1 while counter < time.  So each block classifies each
+cell once, from its state at the block start, its tick count k and whether
+any of its far coins passes: if none of its ticks can be live, its ticks
+are built in numpy with the plain ones and its counter ends at
+min(c0 + k, ceil(time)), or stays c0 when c0 >= time.  This is exact
+because only a live tick changes another representative's state, and in
+three ways only: its parent's activation (global_on = 1, counter = 0) or
+deactivation (global_on = 0), and a completed far exchange (counter = 0).
+Each appends an event naming its target, which the runner reads to wake a
+quiet target: its counter catches up with its earlier quiet ticks unless
+the event reset it, and its later ticks run in Python.  A built tick reads
+local_on, which changes only in a leaf's flood, so the built ticks before
+each live leaf tick read a snapshot taken just before it; boyd builds
+every tick that way.  geo never reads x, so `_tick_geo` takes a whole
+block of rows: attempt a of every tick still pending is routed in one
+lockstep `_walk` call, and only the rejected ticks try again; `step` passes
+it a block of one row.  A block's ops are merged in tick order and applied
+in one pass over x as Python floats: the same IEEE doubles in the same
+order, so bulk and stepped runs stay bit-identical.  The bulk runner
+empties the event list after every block.
 """
 
+import heapq
 import itertools
 import math
 from collections import namedtuple
@@ -341,38 +357,88 @@ def _tick_hier(state, u, s):
 
 
 def _run_hier(state, U, nodes):
-    # Representative ticks run in Python as control; each records the tick
-    # of the op it emitted (at most one: a completed far exchange ends the
-    # tick before its near step).  A plain sensor's tick is a near exchange
-    # while its leaf is on, and local_on changes only in a leaf's flood,
-    # so the plain ticks before each leaf representative's tick read
-    # local_on as it stands then.  The ops are merged in tick order and
-    # applied in one pass.
+    # The live/quiet rule is in the module docstring.  Live cells' ticks
+    # run through _tick_hier in tick order, from a heap that wake() extends
+    # with a woken cell's later ticks.  Each live tick records the tick of
+    # the op it emitted (at most one: a completed far exchange ends the
+    # tick before its near step).  The remaining ticks, plain and quiet,
+    # are near exchanges on the local_on snapshot; the ops are merged in
+    # tick order and applied in one pass.
     h = state.hierarchy
+    sched = state.schedule
+    counter = state.counter
     cells = h.cell_of_rep[nodes]
     rep_t = np.flatnonzero(cells >= 0)
-    plain_t = np.flatnonzero(cells < 0)
-    plain_s = nodes[plain_t]
-    leaf = h.subdiv_at_depth[h.cell_depth[cells[rep_t]]] == 0
-    # plain ticks before each representative tick
-    before = np.searchsorted(plain_t, rep_t).tolist()
-    active = np.empty(plain_t.shape[0], dtype=np.uint8)
+    rep_s = nodes[rep_t]
+    rep_c = cells[rep_t]
+    depth = h.cell_depth[rep_c]
+    # Per representative tick, its cell's inputs: tick count in the block,
+    # whether any of those ticks passes the far coin, and the start state.
+    count = np.bincount(rep_c, minlength=h.n_cells)[rep_c]
+    coin = np.bincount(rep_c[U[rep_t, 1] < sched.far_prob[depth]],
+                       minlength=h.n_cells)[rep_c] > 0
+    time = sched.time[depth]
+    c0 = counter[rep_s]
+    child = h.cell_parent[rep_c] >= 0
+    live_t = ((state.global_on[rep_s] == 1) & ((c0 == 0) | coin & child)
+              | ((state.cell_active[rep_c] == 1) | ~child)
+              & (c0 + count - 1 >= time))
+    live = np.zeros(h.n_cells, dtype=bool)
+    live[rep_c[live_t]] = True
+    heap = rep_t[live_t].tolist()
+
+    def wake(c, t, sync):
+        # A live tick at t changed the state of c's quiet representative.
+        if live[c]:
+            return
+        live[c] = True
+        own = rep_t[rep_c == c]
+        i = int(np.searchsorted(own, t))
+        s = h.cell_rep[c]
+        limit = sched.time[h.cell_depth[c]]
+        if sync and counter[s] < limit:
+            counter[s] = min(counter[s] + i, math.ceil(limit))
+        for later in own[i:].tolist():
+            heapq.heappush(heap, later)
+
+    on_at = np.empty(nodes.shape[0], dtype=np.uint8)
     local_on = state.local_on
+    events = state.events
     ops = state.ops
     op_t = []
+    py_t = []
     done = 0
-    for t, s, is_leaf, u, b in zip(rep_t.tolist(), nodes[rep_t].tolist(),
-                                   leaf.tolist(), U[rep_t].tolist(), before):
-        if is_leaf and b > done:
-            active[done:b] = local_on[plain_s[done:b]]
-            done = b
-        _tick_hier(state, u, s)
+    while heap:
+        t = heapq.heappop(heap)
+        s = int(nodes[t])
+        c = cells[t]
+        leaf = h.subdiv_at_depth[h.cell_depth[c]] == 0
+        if leaf and t > done:
+            on_at[done:t] = local_on[nodes[done:t]]
+            done = t
+        seen = len(events)
+        _tick_hier(state, U[t], s)
+        py_t.append(t)
         if len(ops) > len(op_t):
             op_t.append(t)
-    active[done:] = local_on[plain_s[done:]]
-    on = active == 1
-    fire_t = plain_t[on]
-    fire_s = plain_s[on]
+        for action, _, target, _, ok in events[seen:]:
+            if action == "far":
+                if ok:
+                    wake(h.cell_of_rep[target], t, False)
+            elif action == "activate" or action == "deactivate":
+                start = h.cell_child_start[target]
+                for ci in range(start, start + h.subdiv_at_depth[
+                        h.cell_depth[target]]):
+                    if _route(state, s, h.cell_rep[ci])[1]:
+                        wake(ci, t, action == "deactivate")
+    on_at[done:] = local_on[nodes[done:]]
+    on_at[py_t] = 0
+    fire_t = np.flatnonzero(on_at)
+    fire_s = nodes[fire_t]
+    # Quiet counters count up to ceil(time) and stop there.
+    quiet = ~live[rep_c]
+    counter[rep_s[quiet]] = np.maximum(
+        c0, np.minimum(c0 + count, np.ceil(time)))[quiet]
     keep, v = _near_ops(state, fire_s, U[fire_t, 3])
     a = fire_s[keep]
     k = np.zeros(v.shape[0])

@@ -1,10 +1,18 @@
 """Event engine: tick kernels, stepping, ledgers, faults."""
 
+import bisect
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as hst
 
 from geogossip import engine
+from geogossip.hierarchy import RepresentativeError
 from geogossip import (
+    EmptyCellError,
     build_graph,
     build_hierarchy,
     build_schedule,
@@ -458,6 +466,113 @@ def test_deep_hierarchy_step_matches_bulk_at_any_stride(deep4096):
         st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
         run(st, max_ticks=ticks, stride=stride)
         assert_same_state(logged, st)
+
+
+@pytest.fixture(scope="module")
+def short_rounds1024():
+    """grid_points(32) at threshold 8: splits 36 and 4, so three depths.
+    Rounds last 9, 12 and 5 own ticks at depths 0, 1 and 2, so within 100k
+    ticks rounds end and restart all over the hierarchy, and a parent
+    often ends its round while its children still count theirs.  gamma =
+    256 keeps far kicks rare enough that the values stay finite."""
+    pts = grid_points(32)
+    graph = build_graph(pts, connectivity_radius(1024, 2.0))
+    hierarchy = build_hierarchy(pts, threshold=8)
+    sched = build_schedule(1024, 1e-2, 1e-1, 1.0, hierarchy, "practical",
+                           c1=0.03, gamma=256.0)
+    sched = dataclasses.replace(sched, time=np.array([9.0, 12.0, 5.0]))
+    return graph, hierarchy, sched
+
+
+def changed_then_ticks(hierarchy, events, fired, stride):
+    """Which outside changes of a representative's state the stepped log
+    shows, each followed by another tick of that representative inside
+    the same bulk block (blocks of block_rows("hier") rows, cut at every
+    stride): "activate" or "deactivate" by its parent, "far" (a completed
+    far exchange reset its counter), "root" (the root ended its round)."""
+    rows = block_rows("hier")
+    own_ticks = {}
+    for t, s in enumerate(fired.tolist()):
+        own_ticks.setdefault(s, []).append(t)
+
+    def ticks_again(node, t):
+        own = own_ticks.get(node, [])
+        i = bisect.bisect_right(own, t)
+        return (i < len(own)
+                and (own[i] // stride, own[i] % stride // rows)
+                == (t // stride, t % stride // rows))
+
+    kinds = set()
+    for ev in events:
+        if ev.action in ("activate", "deactivate") and ev.ok:
+            start = hierarchy.cell_child_start[ev.target]
+            m = hierarchy.subdiv_at_depth[hierarchy.cell_depth[ev.target]]
+            if any(ticks_again(int(s), ev.tick)
+                   for s in hierarchy.cell_rep[start:start + m]):
+                kinds.add(ev.action)
+            if ev.action == "deactivate" and ev.target == 0 \
+                    and ticks_again(ev.node, ev.tick):
+                kinds.add("root")
+        elif ev.action == "far" and ev.ok and ticks_again(ev.target,
+                                                         ev.tick):
+            kinds.add("far")
+    return kinds
+
+
+def test_woken_representatives_step_matches_bulk(short_rounds1024):
+    # The bulk runner runs a quiet representative's ticks as plain ticks
+    # until a live tick changes its state; the stepped run must agree at
+    # strides whose blocks hold every kind of such change.
+    graph, hierarchy, sched = short_rounds1024
+    assert hierarchy.total_levels == 3
+    ticks = 100_000
+    logged = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    # step draws the same rows as the bulk runner; replay who fired when
+    rows = copy.deepcopy(logged.rng).random((ticks, engine.ROW_WIDTH["hier"]))
+    fired = (rows[:, 0] * graph.n).astype(np.int64)
+    events = [ev for _ in range(ticks) for ev in step(logged)]
+    assert np.isfinite(logged.x).all()
+    for stride in (3000, block_rows("hier") + 1, 3 * block_rows("hier") + 5):
+        assert changed_then_ticks(hierarchy, events, fired, stride) == {
+            "activate", "deactivate", "far", "root"}
+        st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+        run(st, max_ticks=ticks, stride=stride)
+        assert_same_state(logged, st)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=hst.integers(256, 1024), threshold=hst.integers(4, 16),
+       seed=hst.integers(0, 2**31 - 1), c1=hst.floats(0.02, 1.0),
+       stride=hst.integers(16, 3 * block_rows("hier") + 1))
+def test_bulk_run_matches_stepping_on_deep_hierarchies(n, threshold, seed,
+                                                       c1, stride):
+    # Three or four depths (at these sizes only three build); small c1
+    # shortens every round, so rounds end and far exchanges land within
+    # the budget.  Two-split runs can diverge, but stay finite for 20k
+    # ticks.  Strides start at 16 to bound the time per example (a stride
+    # of one costs seconds); test_bulk_run_is_stride_and_block_invariant
+    # covers strides 1 and 7.
+    pts = sample_points(n, seed)
+    try:
+        hierarchy = build_hierarchy(pts, threshold)
+    except (EmptyCellError, RepresentativeError):
+        assume(False)
+    assume(3 <= hierarchy.total_levels <= 4)
+    graph = build_graph(pts, connectivity_radius(n, 2.0))
+    sched = build_schedule(n, 1e-2, 1e-1, 1.0, hierarchy, "practical",
+                           c1=c1, gamma=64.0)
+    stepped = init_sim(graph, hierarchy, sched, seed=seed, init_dist="gauss")
+    bulk = init_sim(graph, hierarchy, sched, seed=seed, init_dist="gauss")
+
+    def step_to(rec):
+        while stepped.tick < rec.tick:
+            step(stepped)
+        assert_same_state(stepped, bulk)
+
+    series = run(bulk, max_ticks=20_000, stride=stride, on_record=step_to)
+    assert series.stop_reason == "max_ticks"
+    assert np.isfinite(bulk.x).all()
 
 
 def test_pick_from_unit_interval_stays_in_range():

@@ -356,6 +356,12 @@ def _tick_hier(state, u, s):
         counter[s] += 1
 
 
+def _quiet_counter(c, k, time):
+    # A counter after k quiet ticks from c: it counts up to ceil(time) and
+    # stops there, and one already at or past time stays.
+    return np.maximum(c, np.minimum(c + k, np.ceil(time)))
+
+
 def _run_hier(state, U, nodes):
     # The live/quiet rule is in the module docstring.  Live cells' ticks
     # run through _tick_hier in tick order, from a heap that wake() extends
@@ -394,10 +400,10 @@ def _run_hier(state, U, nodes):
         live[c] = True
         own = rep_t[rep_c == c]
         i = int(np.searchsorted(own, t))
-        s = h.cell_rep[c]
-        limit = sched.time[h.cell_depth[c]]
-        if sync and counter[s] < limit:
-            counter[s] = min(counter[s] + i, math.ceil(limit))
+        if sync:
+            s = h.cell_rep[c]
+            counter[s] = _quiet_counter(counter[s], i,
+                                        sched.time[h.cell_depth[c]])
         for later in own[i:].tolist():
             heapq.heappush(heap, later)
 
@@ -426,6 +432,7 @@ def _run_hier(state, U, nodes):
                 if ok:
                     wake(h.cell_of_rep[target], t, False)
             elif action == "activate" or action == "deactivate":
+                # only the children whose route succeeded changed state
                 start = h.cell_child_start[target]
                 for ci in range(start, start + h.subdiv_at_depth[
                         h.cell_depth[target]]):
@@ -435,10 +442,8 @@ def _run_hier(state, U, nodes):
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
     fire_s = nodes[fire_t]
-    # Quiet counters count up to ceil(time) and stop there.
     quiet = ~live[rep_c]
-    counter[rep_s[quiet]] = np.maximum(
-        c0, np.minimum(c0 + count, np.ceil(time)))[quiet]
+    counter[rep_s[quiet]] = _quiet_counter(c0, count, time)[quiet]
     keep, v = _near_ops(state, fire_s, U[fire_t, 3])
     a = fire_s[keep]
     k = np.zeros(v.shape[0])
@@ -700,7 +705,8 @@ def _run_chunk(state: SimState, ticks: int) -> None:
             _tick_geo(state, U, nodes)
             _apply_bulk(state, state.ops)
             state.ops.clear()
-        # Nothing reads a bulk block's events; keep the buffer to one block.
+        # _run_hier reads only its live ticks' events; keep the buffer to
+        # one block.
         state.events.clear()
     state.tick += ticks
 

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 
 from geogossip import engine
-from geogossip.hierarchy import RepresentativeError
 from geogossip import (
     EmptyCellError,
     build_graph,
@@ -24,6 +23,7 @@ from geogossip import (
     sample_points,
     step,
 )
+from geogossip.hierarchy import RepresentativeError
 
 from conftest import LAST, LastRows, grid_points, make_points
 
@@ -471,10 +471,11 @@ def test_deep_hierarchy_step_matches_bulk_at_any_stride(deep4096):
 @pytest.fixture(scope="module")
 def short_rounds1024():
     """grid_points(32) at threshold 8: splits 36 and 4, so three depths.
-    Rounds last 9, 12 and 5 own ticks at depths 0, 1 and 2, so within 100k
-    ticks rounds end and restart all over the hierarchy, and a parent
-    often ends its round while its children still count theirs.  gamma =
-    256 keeps far kicks rare enough that the values stay finite."""
+    Far probabilities are those of c1 = 0.03 and gamma = 256, rare enough
+    that the values stay finite.  Rounds last 9, 12 and 5 own ticks at
+    depths 0, 1 and 2, so within 100k ticks rounds end and restart all
+    over the hierarchy, and a parent often ends its round while its
+    children still count theirs."""
     pts = grid_points(32)
     graph = build_graph(pts, connectivity_radius(1024, 2.0))
     hierarchy = build_hierarchy(pts, threshold=8)

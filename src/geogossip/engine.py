@@ -72,8 +72,9 @@ every tick that way.  geo never reads x, so `_tick_geo` takes a whole
 block of rows: attempt a of every tick still pending is routed in one
 lockstep `_walk` call, and only the rejected ticks try again; `step` passes
 it a block of one row.  A block's ops are merged in tick order and applied
-in one pass over x as Python floats: the same IEEE doubles in the same
-order, so bulk and stepped runs stay bit-identical.  The bulk runner
+through a memoryview of x, which touches only the ops' endpoints and reads
+and writes them as Python floats: the same IEEE doubles in the same order
+as `step`, so bulk and stepped runs stay bit-identical.  The bulk runner
 empties the event list after every block.
 """
 
@@ -147,9 +148,11 @@ def _flood(state, origin):
 
 
 def _apply(x, ops):
-    # Apply value ops (a, b, k) to x in order.  k == 0.0 is a midpoint;
-    # any other k is an antisymmetric kick of k times the difference, which
-    # moves both ends by the same amount and so preserves the pair sum.
+    # Apply value ops (a, b, k) to the array x in order, through a memoryview
+    # (items as Python floats; the rest of x untouched).  k == 0.0 is a
+    # midpoint; any other k is an antisymmetric kick of k times the
+    # difference, which moves both ends equally and keeps the pair sum.
+    x = memoryview(x)
     for a, b, k in ops:
         if k == 0.0:
             m = 0.5 * (x[a] + x[b])
@@ -159,14 +162,6 @@ def _apply(x, ops):
             d = k * (x[b] - x[a])
             x[a] += d
             x[b] -= d
-
-
-def _apply_bulk(state, ops):
-    # _apply on Python floats, then one write back: the same IEEE doubles
-    # in the same order as on state.x, without a numpy scalar per access.
-    xl = state.x.tolist()
-    _apply(xl, ops)
-    state.x[:] = xl
 
 
 def _near(state, u, s):
@@ -455,7 +450,7 @@ def _run_hier(state, U, nodes):
         v = np.concatenate([v, rb])[order]
         k = np.concatenate([k, rk])[order]
         ops.clear()
-    _apply_bulk(state, zip(a.tolist(), v.tolist(), k.tolist()))
+    _apply(state.x, zip(a.tolist(), v.tolist(), k.tolist()))
 
 
 @dataclass
@@ -519,7 +514,8 @@ class SimState:
     def error_ratio(self) -> float:
         if self.norm0 == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.x)) / self.norm0
+        # np.linalg.norm's own arithmetic for a real vector
+        return math.sqrt(self.x.dot(self.x)) / self.norm0
 
     def ledger_totals(self) -> dict:
         return dict(zip(LEDGER_NAMES, (int(v) for v in self.ledger)))
@@ -668,23 +664,25 @@ def format_event(ev: Event) -> str:
     return f"{ev.tick} {ev.node} {ev.action} {ev.target} {ev.count}"
 
 
-def snapshot(state: SimState) -> MetricsRecord:
-    """Current tick as one metrics row."""
-    lg = state.ledger
+def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
+    """Current tick as one metrics row (err_l2_ratio: a known error_ratio)."""
+    if err_l2_ratio is None:
+        err_l2_ratio = state.error_ratio()
+    lg, ft = state.ledger.tolist(), state.faults.tolist()
     return MetricsRecord(
         algorithm=state.algorithm, n=state.n, seed=state.seed,
         tick=state.tick,
-        transmissions_total=int(lg.sum()),
-        transmissions_near=int(lg[LEDGER_NEAR]),
-        transmissions_far_routing=int(lg[LEDGER_FAR]),
-        transmissions_control=int(lg[LEDGER_ACTIVATE] + lg[LEDGER_DEACTIVATE]
-                                  + lg[LEDGER_FLOOD]),
-        err_l2_ratio=state.error_ratio(),
-        fault_routing=int(state.faults[FAULT_ROUTING]),
-        fault_isolated_near=int(state.faults[FAULT_ISOLATED_NEAR]),
-        fault_concurrent_round=int(state.faults[FAULT_CONCURRENT]),
-        fault_flood_gap=int(state.faults[FAULT_FLOOD_GAP]),
-        fault_geo_reject=int(state.faults[FAULT_GEO_REJECT]),
+        transmissions_total=sum(lg),
+        transmissions_near=lg[LEDGER_NEAR],
+        transmissions_far_routing=lg[LEDGER_FAR],
+        transmissions_control=(lg[LEDGER_ACTIVATE] + lg[LEDGER_DEACTIVATE]
+                               + lg[LEDGER_FLOOD]),
+        err_l2_ratio=err_l2_ratio,
+        fault_routing=ft[FAULT_ROUTING],
+        fault_isolated_near=ft[FAULT_ISOLATED_NEAR],
+        fault_concurrent_round=ft[FAULT_CONCURRENT],
+        fault_flood_gap=ft[FAULT_FLOOD_GAP],
+        fault_geo_reject=ft[FAULT_GEO_REJECT],
     )
 
 
@@ -699,11 +697,11 @@ def _run_chunk(state: SimState, ticks: int) -> None:
         elif state.algorithm == "boyd":
             # A boyd tick is a near exchange on the full adjacency.
             keep, v = _near_ops(state, nodes, U[:, 1])
-            _apply_bulk(state, zip(nodes[keep].tolist(), v.tolist(),
-                                   itertools.repeat(0.0)))
+            _apply(state.x, zip(nodes[keep].tolist(), v.tolist(),
+                                itertools.repeat(0.0)))
         else:
             _tick_geo(state, U, nodes)
-            _apply_bulk(state, state.ops)
+            _apply(state.x, state.ops)
             state.ops.clear()
         # _run_hier reads only its live ticks' events; keep the buffer to
         # one block.
@@ -774,9 +772,10 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
             # engine.step to time every tick.
             for _ in range(chunk):
                 event_sink(step(state))
-        if not math.isfinite(state.error_ratio()):
+        err = state.error_ratio()
+        if not math.isfinite(err):
             return MetricsSeries(records, "diverged")
-        rec = snapshot(state)
+        rec = snapshot(state, err)
         emit(rec)
         if target_ratio is not None and rec.err_l2_ratio <= target_ratio:
             return MetricsSeries(records, "target")

@@ -1,13 +1,14 @@
 """Metrics rows, CSV serialization, and log-log scaling fits.
 
 The CSV schema is fixed: one header line, then one row per MetricsRecord
-with its fields in declaration order (COLUMNS).  Floats are written with
-repr (shortest round-trip form) so identical runs produce byte-identical
-files.
+with its fields in declaration order (COLUMNS), each written with str: for
+a float, numpy's or Python's, that is its shortest round-trip form, so
+identical runs produce byte-identical files.
 """
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,11 +39,7 @@ class MetricsRecord:
                 f"err_l2_ratio must be >= 0, got {self.err_l2_ratio}")
 
     def to_line(self) -> str:
-        parts = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            parts.append(repr(v) if isinstance(v, float) else str(v))
-        return ",".join(parts)
+        return ",".join(map(str, _column_values(self)))
 
 
 # The CSV columns are MetricsRecord's fields, in order; each cell parses
@@ -50,6 +47,7 @@ class MetricsRecord:
 COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 _COLUMN_TYPES = tuple(f.type for f in fields(MetricsRecord))
 HEADER_LINE = ",".join(COLUMNS)
+_column_values = operator.attrgetter(*COLUMNS)
 
 
 def record_from_row(row: list) -> MetricsRecord:

@@ -391,13 +391,25 @@ def block_rows(algorithm):
     return engine.BLOCK_VALUES // engine.ROW_WIDTH[algorithm]
 
 
-@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
-def test_bulk_run_is_stride_and_block_invariant(sim256, algorithm):
+@pytest.fixture(scope="module")
+def graph2048():
+    """A graph for boyd and geo on which a short stride's block has far
+    fewer ops than n, so it writes x only at its ops' endpoints."""
+    pts = sample_points(2048, seed=11)
+    return build_graph(pts, connectivity_radius(2048, 2.0)), None, None
+
+
+@pytest.mark.parametrize("sim, algorithm", [
+    *(pytest.param("sim256", a, id=a) for a in ("hier", "boyd", "geo")),
+    *(pytest.param("graph2048", a, id=f"{a}-n2048") for a in ("boyd", "geo")),
+])
+def test_bulk_run_is_stride_and_block_invariant(request, sim, algorithm):
+    sim = request.getfixturevalue(sim)
     rows = block_rows(algorithm)
     ticks = 3 * rows + 5
     states = []
-    for stride in (1, 7, sim256[0].n, rows + 1):
-        st = fresh_state(sim256, algorithm)
+    for stride in (1, 7, sim[0].n, rows + 1):
+        st = fresh_state(sim, algorithm)
         run(st, max_ticks=ticks, stride=stride)
         states.append(st)
     assert states[0].ledger.sum() > 0

@@ -31,12 +31,18 @@ def test_csv_round_trip_is_exact():
     rows = [rec(tick=10, total=123, err=0.4421898987654321),
             rec(algo="geo", n=128, seed=3, tick=20, total=99999,
                 err=1.0 / 3.0, fault_geo_reject=7)]
+    # numpy scalars write the same line as their Python twins
+    as_numpy = rec(algo="geo", n=np.int64(128), seed=np.int64(3),
+                   tick=np.int64(20), total=np.int64(99999),
+                   err=np.float64(1.0) / 3.0, fault_geo_reject=np.int64(7))
+    assert as_numpy.to_line() == rows[1].to_line()
+    rows.append(as_numpy)
     buf = io.StringIO()
     write_header(buf)
     write_records(buf, rows)
     back = read_csv(io.StringIO(buf.getvalue()))
     assert back == rows
-    assert back[1].err_l2_ratio == 1.0 / 3.0   # repr round trip, not rounded
+    assert back[1].err_l2_ratio == 1.0 / 3.0   # shortest round trip, exact
 
 
 def test_read_skips_repeated_headers():

@@ -29,9 +29,11 @@ uniforms from [0, 1); column 0 picks the firing node, and a pick among m
 choices is int(u * m).  hier rows are (node, far coin, sibling, neighbor),
 boyd rows are (node, neighbor), and geo attempt a reads (x, y, acceptance
 coin) from columns 1+3a .. 3+3a; columns a tick does not use are discarded.
-The bulk runner draws the rows in blocks of at most BLOCK_VALUES values;
-`step` draws one row.  A Generator emits doubles strictly in sequence, so
-both see the same rows and end in the same state at any stride.
+`run` draws the rows in blocks of at most BLOCK_VALUES values, for the
+bulk runner and for its logged loop, which hands `step` one row of a block
+at a time as a list of Python floats; `step` called without a row draws
+its own.  A Generator emits doubles strictly in sequence, so every path
+sees the same rows and ends in the same state at any stride.
 
 The tick kernels are Python over numpy arrays, and they are control
 only.  They take the SimState and read every array under its one name:
@@ -41,8 +43,8 @@ x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
 is a midpoint, both ends taking their mean; any other k is a far exchange's
 kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
 ops in order.  Each kernel also appends one (action, node, target, count,
-ok) tuple to state.events, so `step` returns a replayable event log from the
-identical code path the bulk runner uses.
+ok) tuple of Python scalars to state.events, so `step` returns a replayable
+event log from the identical code path the bulk runner uses.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns; `run`
@@ -143,7 +145,8 @@ def _flood(state, origin):
     if hit is None:
         order, tx = _flood_core(state.leaf_indptr, state.leaf_indices,
                                 origin)
-        hit = state.floods[origin] = (np.array(order, dtype=np.int64), tx)
+        hit = state.floods[origin] = (np.array(order, dtype=np.int64),
+                                      int(tx))
     return hit
 
 
@@ -165,12 +168,18 @@ def _apply(x, ops):
 
 
 def _near(state, u, s):
+    # u may be a Python float (a logged run's rows are lists), and a Python
+    # float times a numpy int takes numpy's slow reflected path, about ten
+    # times the cost of float times int.  So a per-tick kernel reads each
+    # array entry it multiplies or emits as a Python int, as lo, deg and v
+    # are here.
     indptr = state.leaf_indptr
-    deg = indptr[s + 1] - indptr[s]
+    lo = int(indptr[s])
+    deg = int(indptr[s + 1]) - lo
     if deg == 0:
         state.faults[FAULT_ISOLATED_NEAR] += 1
         return
-    v = state.leaf_indices[indptr[s] + int(u * deg)]
+    v = int(state.leaf_indices[lo + int(u * deg)])
     state.ops.append((s, v, 0.0))
     state.ledger[LEDGER_NEAR] += 2
     state.events.append(("near", s, v, 2, True))
@@ -247,13 +256,13 @@ def _far(state, u, s, c):
     # Returns whether the exchange completed.
     h = state.hierarchy
     r = h.cell_depth[c]
-    nsib = h.subdiv_at_depth[r - 1] - 1
+    nsib = int(h.subdiv_at_depth[r - 1]) - 1
     if nsib <= 0:
         return False
-    cp = h.cell_child_start[h.cell_parent[c]] + int(u * nsib)
+    cp = int(h.cell_child_start[h.cell_parent[c]]) + int(u * nsib)
     if cp >= c:
         cp += 1
-    sp = h.cell_rep[cp]
+    sp = int(h.cell_rep[cp])
     hops, ok = _route(state, s, sp)
     if not ok:
         state.ledger[LEDGER_FAR] += hops
@@ -291,12 +300,12 @@ def _toggle(state, s, c, r, on):
         reached, tx = _flood(state, s)
         state.local_on[reached] = on
         state.ledger[LEDGER_FLOOD] += tx
-        gap = (h.cell_member_start[c + 1] - h.cell_member_start[c]
+        gap = (int(h.cell_member_start[c + 1] - h.cell_member_start[c])
                - len(reached))
         if gap > 0:
             state.faults[FAULT_FLOOD_GAP] += gap
-        state.events.append(("flood_on" if on == 1 else "flood_off", s, c,
-                             tx, gap == 0))
+        state.events.append(("flood_on" if on == 1 else "flood_off", s,
+                             int(c), tx, gap == 0))
         return True
     total = 0
     ok_all = True
@@ -314,10 +323,10 @@ def _toggle(state, s, c, r, on):
             ok_all = False
     if on == 1:
         state.ledger[LEDGER_ACTIVATE] += total
-        state.events.append(("activate", s, c, total, ok_all))
+        state.events.append(("activate", s, int(c), total, ok_all))
     else:
         state.ledger[LEDGER_DEACTIVATE] += total
-        state.events.append(("deactivate", s, c, total, ok_all))
+        state.events.append(("deactivate", s, int(c), total, ok_all))
     return True
 
 
@@ -497,7 +506,7 @@ class SimState:
     # something.  `run` reads it to stop on root deactivation.
     root_rounds: int = 0
     # (action, node, target, count, ok) per kernel call since `step` or the
-    # bulk block loop last emptied it.
+    # bulk block loop last emptied it, all Python scalars.
     events: list = field(default_factory=list, repr=False)
     # Value ops (a, b, k) the kernels emitted and `_apply` has not yet
     # applied to x.
@@ -627,27 +636,32 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
 
 def _take_events(state: SimState, tick: int) -> list:
     # Applies the pending value ops, then returns the buffered kernel
-    # events as Event tuples; empties both buffers.
+    # events as Event tuples (the kernels emit Python scalars, so no field
+    # is converted); empties both buffers.
     if state.ops:
         _apply(state.x, state.ops)
         state.ops.clear()
-    out = [Event(tick, a, int(node), int(target), int(count), bool(ok))
-           for a, node, target, count, ok in state.events]
+    out = [Event(tick, *ev) for ev in state.events]
     state.events.clear()
     return out
 
 
-def step(state: SimState) -> list:
-    """Advance one tick and return the events it produced."""
+def step(state: SimState, u=None) -> list:
+    """Advance one tick and return the events it produced.
+
+    u is the tick's row of ROW_WIDTH uniforms, a list or an array; without
+    it, step draws the row from state.rng.
+    """
     tick = state.tick
-    u = state.rng.random(ROW_WIDTH[state.algorithm])
+    if u is None:
+        u = state.rng.random(ROW_WIDTH[state.algorithm])
     s = int(u[0] * state.n)
     if state.algorithm == "hier":
         _tick_hier(state, u, s)
     elif state.algorithm == "boyd":
         _near(state, u[1], s)
     else:
-        _tick_geo(state, u[None, :], np.array([s]))
+        _tick_geo(state, np.array([u]), np.array([s]))
     state.tick = tick + 1
     return _take_events(state, tick)
 
@@ -686,11 +700,17 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
     )
 
 
-def _run_chunk(state: SimState, ticks: int) -> None:
+def _row_blocks(state: SimState, ticks: int):
+    # The next ticks' rows from state.rng, in blocks of at most
+    # BLOCK_VALUES values.
     width = ROW_WIDTH[state.algorithm]
     rows = BLOCK_VALUES // width
     for start in range(0, ticks, rows):
-        U = state.rng.random((min(rows, ticks - start), width))
+        yield state.rng.random((min(rows, ticks - start), width))
+
+
+def _run_chunk(state: SimState, ticks: int) -> None:
+    for U in _row_blocks(state, ticks):
         nodes = (U[:, 0] * state.n).astype(np.int64)
         if state.algorithm == "hier":
             _run_hier(state, U, nodes)
@@ -766,12 +786,14 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
         if event_sink is None:
             _run_chunk(state, chunk)
         else:
-            # The same kernels one tick at a time, so the random stream and
-            # all state match the bulk path bit for bit.  `step` is looked
-            # up as a module global each tick: perfbench's tracer rebinds
-            # engine.step to time every tick.
-            for _ in range(chunk):
-                event_sink(step(state))
+            # The same kernels one tick at a time, on the rows the bulk
+            # path draws, so the random stream and all state match it bit
+            # for bit.  Each block becomes Python floats with one tolist().
+            # `step` is looked up as a module global each tick:
+            # perfbench's tracer rebinds engine.step to time every tick.
+            for U in _row_blocks(state, chunk):
+                for u in U.tolist():
+                    event_sink(step(state, u))
         err = state.error_ratio()
         if not math.isfinite(err):
             return MetricsSeries(records, "diverged")

@@ -385,6 +385,8 @@ def assert_same_state(a, b):
     assert a.tick == b.tick
     for name in STATE_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # equal generator states: neither path drew a value the other did not
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def block_rows(algorithm):
@@ -430,6 +432,30 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     events = step(b)
     assert events and {ev.tick for ev in events} == {ticks}
     assert events == step(a)
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
+@pytest.mark.parametrize("stride", ["1", "7", "block+1"])
+def test_logged_run_matches_stepping_and_bulk(sim256, algorithm, stride):
+    # A logged run hands step the rows of its blocks; a step-only loop
+    # draws one row a tick, and the bulk run draws the same blocks.  The
+    # last stride ends mid-block at every stride.
+    rows = block_rows(algorithm)
+    stride = {"1": 1, "7": 7, "block+1": rows + 1}[stride]
+    ticks = rows + 1 + rows // 2
+    assert ticks % stride or stride == 1
+    stepped = fresh_state(sim256, algorithm)
+    stepped_events = [ev for _ in range(ticks) for ev in step(stepped)]
+    logged = fresh_state(sim256, algorithm)
+    logged_events = []
+    run(logged, max_ticks=ticks, stride=stride,
+        event_sink=logged_events.extend)
+    bulk = fresh_state(sim256, algorithm)
+    run(bulk, max_ticks=ticks, stride=stride)
+    assert stepped.ledger.sum() > 0
+    assert logged_events == stepped_events
+    assert_same_state(stepped, logged)
+    assert_same_state(stepped, bulk)
 
 
 def test_root_deactivation_stops_bulk_and_logged_alike(sim256):

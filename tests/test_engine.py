@@ -438,8 +438,9 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
 @pytest.mark.parametrize("stride", ["1", "7", "block+1"])
 def test_logged_run_matches_stepping_and_bulk(sim256, algorithm, stride):
     # A logged run hands step the rows of its blocks; a step-only loop
-    # draws one row a tick, and the bulk run draws the same blocks.  The
-    # last stride ends mid-block at every stride.
+    # draws one row a tick, and the bulk run draws the same blocks.  ticks
+    # is no multiple of 7 or of a block plus one, so the last stride ends
+    # mid-block.
     rows = block_rows(algorithm)
     stride = {"1": 1, "7": 7, "block+1": rows + 1}[stride]
     ticks = rows + 1 + rows // 2

@@ -18,8 +18,7 @@ import sys
 
 from . import experiment, metrics
 from .geometry import sample_points
-from .hierarchy import EmptyCellError, RepresentativeError, \
-    ScheduleOverflowError, build_hierarchy, dump_hierarchy
+from .hierarchy import build_hierarchy, dump_hierarchy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -125,15 +124,24 @@ def _cmd_sweep(args) -> int:
                       if tok.strip()]
     out_path = cfg.output or "sweep.csv"
     # Each run builds its state before writing its first row, so a grid
-    # whose first run cannot build leaves an earlier file intact.
+    # none of whose runs can build leaves an earlier file intact.
     with contextlib.closing(_OpenOnWrite(out_path)) as csv_fh:
         results = experiment.sweep(cfg, ns, seeds, algorithms=algorithms,
                                    csv_fh=csv_fh)
     worst = 0
+    built = [r for r in results if r.error is None]
     for result in results:
+        if result.error is not None:
+            run = result.config
+            print(f"error: {run.algorithm} n={run.n} seed={run.seed}: "
+                  f"{result.error}", file=sys.stderr)
+            continue
         print(result.summary)
         worst = max(worst, result.delivery_faults())
-    print(f"wrote {out_path} ({len(results)} runs)")
+    if built:
+        print(f"wrote {out_path} ({len(built)} runs)")
+    if len(built) < len(results):
+        return EXIT_CONFIG
     if worst > cfg.fault_limit:
         print(f"delivery faults {worst} exceed limit {cfg.fault_limit}",
               file=sys.stderr)
@@ -231,8 +239,7 @@ def main(argv=None) -> int:
     except experiment.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EmptyCellError, RepresentativeError, ScheduleOverflowError,
-            OSError) as exc:
+    except experiment.BUILD_ERRORS + (OSError,) as exc:
         # The sampled points cannot carry the hierarchy, or a file failed.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -586,7 +586,7 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
     Raises:
         ValueError: on inconsistent inputs.
     """
-    if algorithm not in ("hier", "boyd", "geo"):
+    if algorithm not in ROW_WIDTH:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if record_seed is None:
         record_seed = int(seed)
@@ -607,10 +607,10 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         if not np.array_equal(hierarchy.points.xy, graph.points.xy):
             raise ValueError("hierarchy and graph were built from "
                              "different point sets")
-        if schedule.depth_count != hierarchy.leaf_depth + 1:
+        if schedule.depth_count != hierarchy.total_levels:
             raise ValueError(
                 f"schedule covers {schedule.depth_count} depths but the "
-                f"hierarchy has {hierarchy.leaf_depth + 1}")
+                f"hierarchy has {hierarchy.total_levels}")
         cell_active = np.zeros(hierarchy.n_cells, dtype=np.uint8)
         global_on[hierarchy.cell_rep[0]] = 1
         leaf_of = hierarchy.leaf_of

@@ -17,14 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine, engine, metrics
-from .geometry import build_graph, connectivity_radius, is_connected, \
-    sample_points
-from .hierarchy import build_hierarchy, build_schedule, default_threshold
+from .geometry import DEFAULT_RADIUS_CONSTANT, build_graph, \
+    connectivity_radius, is_connected, sample_points
+from .hierarchy import DEFAULT_A, DEFAULT_C1, DEFAULT_GAMMA, MODES, \
+    EmptyCellError, RepresentativeError, ScheduleOverflowError, \
+    build_hierarchy, build_schedule, default_threshold
 
-ALGORITHMS = ("hier", "boyd", "geo")
+ALGORITHMS = tuple(engine.ROW_WIDTH)
 # The config keys whose value is one of a fixed set, and that set.
-CHOICES = {"algorithm": ALGORITHMS, "mode": ("paper", "practical"),
+CHOICES = {"algorithm": ALGORITHMS, "mode": MODES,
            "init": engine.INIT_DISTRIBUTIONS}
+# What a run raises when its sampled points cannot carry its hierarchy or
+# schedule; sweep records it per run.
+BUILD_ERRORS = (EmptyCellError, RepresentativeError, ScheduleOverflowError)
 
 
 class ConfigError(ValueError):
@@ -48,12 +53,12 @@ class ExperimentConfig:
     algorithm: str = "hier"
     n: int = 256
     seed: int = None
-    radius_c: float = 2.0
+    radius_c: float = DEFAULT_RADIUS_CONSTANT
     threshold: float = None
     mode: str = "practical"
-    a: float = 1.0
-    gamma: float = 8.0
-    c1: float = 4.0
+    a: float = DEFAULT_A
+    gamma: float = DEFAULT_GAMMA
+    c1: float = DEFAULT_C1
     eps: float = 0.01
     delta: float = 0.1
     max_ticks: int = 10_000_000
@@ -190,12 +195,14 @@ def build_state(config: ExperimentConfig) -> engine.SimState:
 
 @dataclass
 class ExperimentResult:
-    """One run's series, its summary line, and the final state."""
+    """One run's series, its summary line, and the final state; or, for a
+    sweep run that could not build, only the error it raised."""
 
     config: ExperimentConfig
     series: engine.MetricsSeries
     state: engine.SimState
     connected: bool
+    error: Exception = None
 
     @property
     def summary(self) -> str:
@@ -265,7 +272,9 @@ def sweep(config: ExperimentConfig, ns, seeds, algorithms=None, csv_fh=None,
     """Run the cross product of algorithms x ns x seeds into one CSV.
 
     Runs execute in sorted (algorithm, n, seed) order, which is also the
-    row order, so merged output is deterministic.
+    row order, so merged output is deterministic.  A run that raises one of
+    BUILD_ERRORS writes no row; its result carries the error, with no
+    series and no state, and the sweep goes on.
 
     Returns:
         list of ExperimentResult in execution order.
@@ -283,9 +292,16 @@ def sweep(config: ExperimentConfig, ns, seeds, algorithms=None, csv_fh=None,
                 cfg = dataclasses.replace(config, algorithm=algo, n=n,
                                           seed=seed)
                 cfg.validate()
-                results.append(run_experiment(cfg, csv_fh=csv_fh,
-                                              write_header=first))
-                first = False
+                try:
+                    # only the run's build_state raises these, before any
+                    # row is written
+                    result = run_experiment(cfg, csv_fh=csv_fh,
+                                            write_header=first)
+                except BUILD_ERRORS as exc:
+                    result = ExperimentResult(cfg, None, None, None, exc)
+                else:
+                    first = False
+                results.append(result)
     return results
 
 

@@ -47,9 +47,6 @@ class GeometricGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     @property
     def n(self) -> int:
         return self.points.n
@@ -135,7 +132,7 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
 
     # Every (point, candidate) pair of the 3x3 neighborhood, one cell
     # offset at a time.  Closed ball: dx*dx + dy*dy <= radius*radius is THE
-    # adjacency test, shared with the brute-force oracle.
+    # adjacency test; tests/test_geometry.py holds its brute-force oracle.
     rsq = float(radius) * float(radius)
     keys = []
     for ax in (-1, 0, 1):
@@ -162,18 +159,6 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
                           indices=indices, grid_side=grid_side,
                           cell_start=cell_start, cell_points=order,
                           point_cell=point_cell)
-
-
-def brute_force_adjacency(points: PointSet, radius: float):
-    """O(n^2) oracle: (indptr, indices) CSR identical to build_graph's."""
-    xy = points.xy
-    d = xy[:, None, :] - xy[None, :, :]
-    within = (d[..., 0] ** 2 + d[..., 1] ** 2) <= radius * radius
-    np.fill_diagonal(within, False)
-    indptr = np.zeros(points.n + 1, dtype=np.int64)
-    np.cumsum(within.sum(axis=1), out=indptr[1:])
-    indices = np.nonzero(within)[1].astype(np.int64)
-    return indptr, indices
 
 
 def is_connected(graph: GeometricGraph) -> bool:

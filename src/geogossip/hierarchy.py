@@ -13,6 +13,12 @@ open, except the outer right/top edge of the unit square which is closed.
 Equivalently, the grid index of a point at per-axis resolution K is
 min(floor(x * K), K - 1).
 
+Cells are numbered by one recurrence.  The root is local cell 0 of depth 0;
+a depth-d cell's children, in a k x k grid, are local cells
+parent * k^2 + (gx % k) * k + gy % k of depth d + 1, where (gx, gy) is the
+child's grid position at resolution K_{d+1} = K_d * k.  So a child's grid
+position is its parent's times k plus divmod(offset, k).
+
 The module also builds the per-depth round schedule (accuracy eps_r, failure
 budget delta_r, round length time_r in representative ticks, and per-tick Far
 probability) in two modes: the literal 16th-power recursion ("paper") and a
@@ -38,6 +44,8 @@ DEFAULT_GAMMA = 8.0
 # gamma * C1 = 100 and 128, above three times the kick coefficient there
 # (3 * 0.4 * 82 = 98): error ratio 1.6e3 and 1.1e3 at 95M ticks, rising.
 DEFAULT_C1 = 4.0
+# Schedule modes: the paper's recursion and the runnable variant.
+MODES = ("paper", "practical")
 
 
 class EmptyCellError(RuntimeError):
@@ -80,8 +88,11 @@ class SquareCell:
 @dataclass(frozen=True)
 class Hierarchy:
     """The partition as flat arrays.  Cells are numbered breadth-first,
-    root = 0, each depth contiguous; a fact shared by every cell of a depth
-    is stored once per depth (index an *_at_depth array by cell_depth)."""
+    root = 0, each depth contiguous; within a depth, the children of local
+    cell p are local cells p * k^2 + j, j the row-major offset
+    (gx % k) * k + gy % k in p's k x k grid.  A fact shared by every cell of
+    a depth is stored once per depth (index an *_at_depth array by
+    cell_depth)."""
 
     points: PointSet
     cell_parent: np.ndarray    # (n_cells,) parent cell id, -1 for root
@@ -104,10 +115,6 @@ class Hierarchy:
     @property
     def total_levels(self) -> int:
         return int(self.expected_at_depth.shape[0])
-
-    @property
-    def leaf_depth(self) -> int:
-        return self.total_levels - 1
 
     def members_of(self, cell_id: int) -> np.ndarray:
         return self.member_ids[self.cell_member_start[cell_id]:
@@ -184,89 +191,67 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
     n = points.n
     xy = points.xy
 
-    # per-depth expected counts and split factors
+    # per-depth expected counts and per-axis split factors k
     expected = [float(n)]
-    splits = []            # per-axis k at each subdivided depth
+    splits = []
     while expected[-1] > threshold:
         factor = subdivision_factor(expected[-1])
-        splits.append(int(math.isqrt(factor)))
+        splits.append(math.isqrt(factor))
         expected.append(expected[-1] / factor)
     depth_count = len(expected)
-
-    subdiv_at_depth = np.zeros(depth_count, dtype=np.int64)
-    for d, k in enumerate(splits):
-        subdiv_at_depth[d] = k * k
-    expected_at_depth = np.asarray(expected, dtype=np.float64)
-
-    # per-depth grid resolution and point grid coordinates
-    resolutions = [1]
-    for k in splits:
-        resolutions.append(resolutions[-1] * k)
-
-    # local cell index per depth, ordered so children of one parent are
-    # contiguous and parents follow their own depth order
-    point_local = [np.zeros(n, dtype=np.int64)]
-    cells_per_depth = [1]
-    grid_local = [np.zeros(1, dtype=np.int64)]   # grid position -> local index
-    for d in range(1, depth_count):
-        K = resolutions[d]
-        k = splits[d - 1]
-        gx = np.arange(K, dtype=np.int64)
-        gxx, gyy = np.meshgrid(gx, gx, indexing="ij")
-        parent_grid = (gxx // k) * resolutions[d - 1] + (gyy // k)
-        local = grid_local[d - 1][parent_grid.ravel()] * (k * k) \
-            + (gxx.ravel() % k) * k + (gyy.ravel() % k)
-        grid_local.append(local)
-        px = _grid_index(xy[:, 0], K)
-        py = _grid_index(xy[:, 1], K)
-        point_local.append(local[px * K + py])
-        cells_per_depth.append(K * K)
-
+    subdiv_at_depth = np.array([k * k for k in splits] + [0], dtype=np.int64)
+    cells_per_depth = np.cumprod([1] + [k * k for k in splits])
     depth_offset = np.zeros(depth_count + 1, dtype=np.int64)
     np.cumsum(cells_per_depth, out=depth_offset[1:])
     n_cells = int(depth_offset[-1])
+    cell_depth = np.repeat(np.arange(depth_count, dtype=np.int64),
+                           cells_per_depth)
 
-    # members grouped per cell, ids ascending inside each cell
+    # Per depth: each point's local cell id, and each cell's grid position,
+    # by the numbering recurrence.  A depth's grid index is read off the
+    # leaf-resolution index, so a point's cells nest by construction
+    # (binning each depth off x alone can split them a rounding error
+    # below a grid line when k is not a power of two).
+    leaf_res = math.prod(splits)
+    px = _grid_index(xy[:, 0], leaf_res)
+    py = _grid_index(xy[:, 1], leaf_res)
+    local = np.zeros(n, dtype=np.int64)
+    grid = np.zeros((1, 2), dtype=np.int64)
+    resolution = 1
     cell_member_start = np.zeros(n_cells + 1, dtype=np.int64)
     member_ids = np.empty(n * depth_count, dtype=np.int64)
-    pos = 0
-    for d in range(depth_count):
-        counts = np.bincount(point_local[d], minlength=cells_per_depth[d])
-        if counts.min() == 0:
-            local = int(np.flatnonzero(counts == 0)[0])
-            raise EmptyCellError(_path_of(local, d, splits), d)
-        order = np.argsort(point_local[d], kind="stable").astype(np.int64)
-        member_ids[pos:pos + n] = order
-        base = depth_offset[d]
-        # end offsets per cell; the last one doubles as the next depth's start
-        cell_member_start[base + 1:base + cells_per_depth[d] + 1] = \
-            pos + np.cumsum(counts)
-        pos += n
-
-    cell_depth = np.empty(n_cells, dtype=np.int64)
     cell_parent = np.full(n_cells, -1, dtype=np.int64)
     cell_child_start = np.zeros(n_cells, dtype=np.int64)
+    cell_grid = np.empty((n_cells, 2), dtype=np.int64)
+    centers = np.empty((n_cells, 2), dtype=np.float64)
     for d in range(depth_count):
-        base, end = int(depth_offset[d]), int(depth_offset[d + 1])
-        cell_depth[base:end] = d
-        if d + 1 < depth_count:
-            factor = splits[d] * splits[d]
-            ids = np.arange(end - base, dtype=np.int64)
-            cell_child_start[base:end] = depth_offset[d + 1] + ids * factor
-            cell_parent[depth_offset[d + 1]:depth_offset[d + 2]] = \
-                base + np.repeat(ids, factor)
+        base, end = depth_offset[d], depth_offset[d + 1]
+        if d:
+            k = splits[d - 1]
+            resolution *= k
+            step = leaf_res // resolution
+            local = local * (k * k) + (px // step % k) * k + py // step % k
+            offset = np.stack(divmod(np.arange(k * k), k), axis=1)
+            grid = (grid[:, None] * k + offset).reshape(-1, 2)
+            up = depth_offset[d - 1]
+            cell_parent[base:end] = up + np.arange(end - base) // (k * k)
+            cell_child_start[up:base] = base + np.arange(0, end - base, k * k)
+        # members grouped per cell, ids ascending inside each cell
+        counts = np.bincount(local, minlength=end - base)
+        if counts.min() == 0:
+            empty = int(np.flatnonzero(counts == 0)[0])
+            raise EmptyCellError(_path_of(empty, d, splits), d)
+        member_ids[d * n:(d + 1) * n] = np.argsort(local, kind="stable")
+        # end offsets per cell; the last one doubles as the next depth's start
+        cell_member_start[base + 1:end + 1] = d * n + np.cumsum(counts)
+        cell_grid[base:end] = grid
+        centers[base:end] = (grid + 0.5) / resolution
 
     # representatives: nearest member to the center, ties by id, claimed
     # breadth-first so shallower cells win collisions
     cell_rep = np.full(n_cells, -1, dtype=np.int64)
     cell_of_rep = np.full(n, -1, dtype=np.int64)
     taken = np.zeros(n, dtype=bool)
-    cell_grid = np.empty((n_cells, 2), dtype=np.int64)
-    centers = np.empty((n_cells, 2), dtype=np.float64)
-    for d in range(depth_count):
-        base, end = int(depth_offset[d]), int(depth_offset[d + 1])
-        cell_grid[base:end] = _grid_positions(resolutions[d], grid_local[d])
-        centers[base:end] = (cell_grid[base:end] + 0.5) / resolutions[d]
     for c in range(n_cells):
         members = member_ids[cell_member_start[c]:cell_member_start[c + 1]]
         dx = xy[members, 0] - centers[c, 0]
@@ -282,15 +267,13 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
             raise RepresentativeError(
                 f"no unclaimed member left for cell {c} at depth {int(cell_depth[c])}")
 
-    leaf_base = int(depth_offset[depth_count - 1])
-    leaf_of = (leaf_base + point_local[depth_count - 1]).astype(np.int64)
-
     return Hierarchy(
         points=points, cell_parent=cell_parent, cell_depth=cell_depth,
         cell_rep=cell_rep, cell_child_start=cell_child_start,
         cell_member_start=cell_member_start, cell_grid=cell_grid,
-        member_ids=member_ids, leaf_of=leaf_of, cell_of_rep=cell_of_rep,
-        subdiv_at_depth=subdiv_at_depth, expected_at_depth=expected_at_depth)
+        member_ids=member_ids, leaf_of=depth_offset[-2] + local,
+        cell_of_rep=cell_of_rep, subdiv_at_depth=subdiv_at_depth,
+        expected_at_depth=np.asarray(expected, dtype=np.float64))
 
 
 def _path_of(local: int, depth: int, splits: list) -> tuple:
@@ -300,16 +283,6 @@ def _path_of(local: int, depth: int, splits: list) -> tuple:
         digits.append(int(local % factor))
         local //= factor
     return tuple(reversed(digits))
-
-
-def _grid_positions(K, local_map):
-    # invert grid position -> local index into local index -> grid position
-    gx = np.arange(K, dtype=np.int64)
-    gxx, gyy = np.meshgrid(gx, gx, indexing="ij")
-    out = np.empty((K * K, 2), dtype=np.int64)
-    out[local_map, 0] = gxx.ravel()
-    out[local_map, 1] = gyy.ravel()
-    return out
 
 
 @dataclass(frozen=True)
@@ -363,10 +336,6 @@ class ParamSchedule:
     the per-own-tick probability of a long-range exchange.
     """
 
-    mode: str
-    a: float
-    gamma: float
-    c1: float
     eps: np.ndarray
     delta: np.ndarray
     time: np.ndarray
@@ -415,7 +384,7 @@ def build_schedule(n: int, eps0: float, delta0: float, a: float,
         delta0: root failure budget, in (0, 1).
         a: paper-mode accuracy exponent, > 0; practical mode ignores it.
         hierarchy: built partition (supplies per-depth subdivision factors).
-        mode: "paper" or "practical".
+        mode: one of MODES.
         c1: practical round-length constant, > 0.
         gamma: practical separation factor, >= 1.
 
@@ -431,8 +400,8 @@ def build_schedule(n: int, eps0: float, delta0: float, a: float,
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
-    if mode not in ("paper", "practical"):
-        raise ValueError(f"mode must be 'paper' or 'practical', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if c1 <= 0:
         raise ValueError(f"c1 must be positive, got {c1}")
     if gamma < 1:
@@ -484,6 +453,4 @@ def build_schedule(n: int, eps0: float, delta0: float, a: float,
             time[r] = max(1.0, time[r])
         far_prob = (1.0 / gamma) / time
 
-    return ParamSchedule(mode=mode, a=float(a), gamma=float(gamma),
-                         c1=float(c1), eps=eps, delta=delta, time=time,
-                         far_prob=far_prob)
+    return ParamSchedule(eps=eps, delta=delta, time=time, far_prob=far_prob)

@@ -61,11 +61,6 @@ def write_header(fh) -> None:
     fh.write(HEADER_LINE + "\n")
 
 
-def write_records(fh, records) -> None:
-    for rec in records:
-        fh.write(rec.to_line() + "\n")
-
-
 def read_csv(path) -> list:
     """Read metrics rows from a path or an open text stream.
 

@@ -32,6 +32,12 @@ class LastRows:
         return LAST if size is None else np.full(size, LAST)
 
 
+def write_records(fh, records) -> None:
+    """Write MetricsRecords as CSV rows, one line each, no header."""
+    for rec in records:
+        fh.write(rec.to_line() + "\n")
+
+
 def make_points(xy) -> PointSet:
     """Wrap explicit coordinates as a PointSet (seed -1 marks synthetic)."""
     arr = np.ascontiguousarray(xy, dtype=np.float64)

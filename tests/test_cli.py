@@ -149,6 +149,26 @@ def test_sweep_runs_grid(tmp_path, capsys):
                     ("geo", 64, 0), ("geo", 64, 1)}
 
 
+def test_sweep_records_a_run_that_cannot_build(tmp_path, capsys):
+    # at threshold 4, seed 0 leaves a depth-2 cell empty and seed 1
+    # builds: the sweep names seed 0, keeps seed 1's rows and exits 1
+    out = tmp_path / "partial.csv"
+    code = main(["sweep", "--ns", "64", "--seeds", "0,1", "--threshold",
+                 "4", "--max-ticks", "20000", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        "error: hier n=64 seed=0: cell 0.1 at depth 2 has no sensors; "
+        "resample the points or raise the leaf threshold"]
+    assert captured.out.count("stop=") == 1
+    lines = out.read_text().splitlines()
+    assert sum(ln.startswith("algorithm,") for ln in lines) == 1
+    assert lines[0].startswith("algorithm,")
+    rows = read_csv(out)
+    assert len(rows) == len(lines) - 1
+    assert {(r.algorithm, r.n, r.seed) for r in rows} == {("hier", 64, 1)}
+
+
 def test_sweep_rejects_bad_ns(capsys):
     code = main(["sweep", "--ns", "64,big", "--seeds", "0"])
     captured = capsys.readouterr()
@@ -158,7 +178,8 @@ def test_sweep_rejects_bad_ns(capsys):
 
 def test_fit_command(tmp_path, capsys):
     # synthetic converged runs following an exact square law
-    from geogossip.metrics import write_header, write_records
+    from geogossip.metrics import write_header
+    from conftest import write_records
     from test_metrics import rec
     p = tmp_path / "fit.csv"
     with open(p, "w") as fh:
@@ -174,7 +195,8 @@ def test_fit_command(tmp_path, capsys):
 
 
 def test_fit_needs_enough_sizes(tmp_path, capsys):
-    from geogossip.metrics import write_header, write_records
+    from geogossip.metrics import write_header
+    from conftest import write_records
     from test_metrics import rec
     p = tmp_path / "thin.csv"
     with open(p, "w") as fh:

@@ -9,10 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from geogossip import (build_graph, connectivity_radius, is_connected,
                        sample_points)
-from geogossip.geometry import brute_force_adjacency
 from geogossip.routing import restrict_edges
 
 from conftest import make_points
+
+
+def brute_force_adjacency(points, radius):
+    """O(n^2) oracle: (indptr, indices) CSR identical to build_graph's."""
+    xy = points.xy
+    d = xy[:, None, :] - xy[None, :, :]
+    within = (d[..., 0] ** 2 + d[..., 1] ** 2) <= radius * radius
+    np.fill_diagonal(within, False)
+    indptr = np.zeros(points.n + 1, dtype=np.int64)
+    np.cumsum(within.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(within)[1].astype(np.int64)
+    return indptr, indices
 
 
 def test_sample_points_deterministic():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geogossip import (
     build_hierarchy,
@@ -14,6 +15,7 @@ from geogossip import (
 )
 from geogossip.hierarchy import (
     EmptyCellError,
+    RepresentativeError,
     ScheduleOverflowError,
     count_concentration,
     default_threshold,
@@ -218,6 +220,44 @@ def test_children_are_flat_ranges(build):
             grid = h.cell_grid[kids]
             assert np.all(grid // k == h.cell_grid[c])
             assert len({tuple(g) for g in grid.tolist()}) == k * k
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 4096), seed=st.integers(0, 2 ** 32 - 1),
+       threshold=st.floats(2.0, 128.0))
+def test_every_cell_nests_in_its_parent(n, seed, threshold):
+    # each cell's members lie in its parent's and in its own bounds:
+    # closed at the lower edge, open at the upper, closed at 1.0
+    try:
+        h = build_hierarchy(sample_points(n, seed), threshold)
+    except (EmptyCellError, RepresentativeError):
+        return
+    for c in range(1, h.n_cells):
+        parent = h.members_of(int(h.cell_parent[c]))
+        assert np.all(np.isin(h.members_of(c), parent))
+    for c in range(h.n_cells):
+        x0, y0, x1, y1 = cell_bounds(h, c)
+        xy = h.points.xy[h.members_of(c)]
+        for lo, hi, v in ((x0, x1, xy[:, 0]), (y0, y1, xy[:, 1])):
+            assert np.all(v >= lo)
+            assert np.all(v < hi) if hi < 1.0 else np.all(v <= 1.0)
+
+
+def test_cells_nest_a_rounding_error_below_a_grid_line():
+    # 735^2 lattice points at threshold 20 split 28 then 6 cells an axis.
+    # x = 0.6071428571428571 lies an ulp below 17/28: x * 28 rounds up to
+    # 17, x * 168 rounds down to 101 = 6 * 17 - 1.  Binning each depth off
+    # x alone puts the point outside its leaf's parent; every cell on the
+    # leaf's chain of parents must hold it.
+    xy = grid_points(735).xy.copy()
+    xy[0, 0] = 0.6071428571428571
+    h = build_hierarchy(make_points(xy), 20.0)
+    assert np.array_equal(h.subdiv_at_depth, [784, 36, 0])
+    c = int(h.leaf_of[0])
+    assert h.cell_grid[c, 0] == 101
+    while c >= 0:
+        assert 0 in h.members_of(c)
+        c = int(h.cell_parent[c])
 
 
 def test_boundary_points_go_up_and_right():

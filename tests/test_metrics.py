@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from geogossip import MetricsRecord, fit_scaling, read_csv
-from geogossip.metrics import (
-    COLUMNS,
-    transmissions_at_target,
-    write_header,
-    write_records,
-)
+from geogossip.metrics import COLUMNS, transmissions_at_target, write_header
+
+from conftest import write_records
 
 
 def rec(algo="hier", n=64, seed=0, tick=0, total=0, err=1.0, **kw):

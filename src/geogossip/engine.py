@@ -47,9 +47,17 @@ ok) tuple of Python scalars to state.events, so `step` returns a replayable
 event log from the identical code path the bulk runner uses.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
-one per-tick entry point and applies its ops to x before it returns; `run`
-advances stride by stride, through `step` when it logs events and through
-the bulk runner otherwise.
+one per-tick entry point and applies its ops to x before it returns.  `run`
+advances stride by stride through `step` when it logs events.  Otherwise
+it runs blocks of BLOCK_VALUES values whatever the stride, and a record
+costs a norm, not a block: after a block's kernels run, its ops are
+applied up to each record tick inside it, and the ledger, faults and
+root_rounds are set to their values there.  Those come from per-tick
+counts, located with one searchsorted per array: the counts after each
+tick stepped in Python (every geo tick counts as one) and the ticks built
+in numpy.  A stop at a record inside a block restores the protocol state
+and generator saved at the block start and reruns the block up to the
+stop, which happens at most once per run.
 
 The bulk runner runs a hier tick in Python only when it can change
 protocol state.  A representative's tick is live when it would restart its
@@ -118,12 +126,27 @@ INIT_DISTRIBUTIONS = ("spike", "uniform", "gauss", "gradient")
 GEO_ATTEMPT_CAP = 64
 
 # Uniforms per tick row, and the most values one bulk draw holds (this bounds
-# the memory of a long stride to 128 KB).
+# a block's rows to 128 KB).
 ROW_WIDTH = {"hier": 4, "boyd": 2, "geo": 1 + 3 * GEO_ATTEMPT_CAP}
 BLOCK_VALUES = 16384
 
 Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
                              "ok"])
+
+# One bulk block's outcome, in ticks counted from the block start.  ops
+# iterates its value ops (a, b, k) in tick order, and op_t is each op's tick.
+# The counts (ledger, faults, root_rounds, as `_counts` lists them) at a
+# tick t come from the ticks before t: live[i] holds them at the block
+# start (i = 0) and after each of the ticks live_t stepped in Python, and
+# each built near tick adds 2 near transmissions (kept_t) or one isolated
+# fault (lone_t).
+Block = namedtuple("Block", ["ops", "op_t", "live_t", "live", "kept_t",
+                             "lone_t"])
+
+# The protocol arrays a block start saves, so that a stop inside the block
+# can rerun it up to the stop.
+BLOCK_SAVED = ("local_on", "global_on", "counter", "cell_active", "ledger",
+               "faults")
 
 
 def _route(state, src, dst):
@@ -205,6 +228,8 @@ def _tick_geo(state, U, nodes):
     # nodes[t] = int(U[t, 0] * n).  Attempt a of every tick still pending
     # is routed in one _walk call; a tick is done once its candidate (a
     # stop node other than the firing node) passes the acceptance coin.
+    # Returns per tick its routing transmissions, whether it exchanged and
+    # whether it hit the attempt cap.
     g = state.graph
     accept = state.geo_accept
     m = nodes.shape[0]
@@ -228,15 +253,17 @@ def _tick_geo(state, U, nodes):
         pending = pending[~done]
     # After the cap the last candidate is accepted anyway; a tick with no
     # candidate at all exchanges nothing.
-    capped = pending[cand[pending] >= 0]
-    accepted[capped] = True
-    state.faults[FAULT_GEO_REJECT] += capped.shape[0]
+    capped = np.zeros(m, dtype=bool)
+    capped[pending[cand[pending] >= 0]] = True
+    accepted |= capped
+    state.faults[FAULT_GEO_REJECT] += int(np.count_nonzero(capped))
     state.ledger[LEDGER_FAR] += int(total.sum())
     s_l, c_l, ok_l = nodes.tolist(), cand.tolist(), accepted.tolist()
     state.ops.extend((s, c, 0.0) for s, c, ok in zip(s_l, c_l, ok_l) if ok)
     state.events.extend(("far", s, c, t, ok)
                         for s, c, t, ok in zip(s_l, c_l, total.tolist(),
                                                ok_l))
+    return total, accepted, capped
 
 
 def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
@@ -360,6 +387,27 @@ def _tick_hier(state, u, s):
         counter[s] += 1
 
 
+def _counts(state):
+    # The counts a record reads, as one list: ledger, faults, root_rounds.
+    return state.ledger.tolist() + state.faults.tolist() + [state.root_rounds]
+
+
+def _set_counts(state, counts):
+    nl = len(LEDGER_NAMES)
+    state.ledger[:] = counts[:nl]
+    state.faults[:] = counts[nl:-1]
+    state.root_rounds = counts[-1]
+
+
+def _counts_at(block, offs):
+    # The counts at each tick offset of offs (ascending, within the block).
+    rows = block.live[np.searchsorted(block.live_t, offs)]
+    rows[:, LEDGER_NEAR] += 2 * np.searchsorted(block.kept_t, offs)
+    rows[:, len(LEDGER_NAMES) + FAULT_ISOLATED_NEAR] += np.searchsorted(
+        block.lone_t, offs)
+    return rows.tolist()
+
+
 def _quiet_counter(c, k, time):
     # A counter after k quiet ticks from c: it counts up to ceil(time) and
     # stops there, and one already at or past time stays.
@@ -371,9 +419,9 @@ def _run_hier(state, U, nodes):
     # run through _tick_hier in tick order, from a heap that wake() extends
     # with a woken cell's later ticks.  Each live tick records the tick of
     # the op it emitted (at most one: a completed far exchange ends the
-    # tick before its near step).  The remaining ticks, plain and quiet,
-    # are near exchanges on the local_on snapshot; the ops are merged in
-    # tick order and applied in one pass.
+    # tick before its near step) and the counts after it.  The remaining
+    # ticks, plain and quiet, are near exchanges on the local_on snapshot;
+    # the ops are merged in tick order into the returned Block.
     h = state.hierarchy
     sched = state.schedule
     counter = state.counter
@@ -417,6 +465,7 @@ def _run_hier(state, U, nodes):
     ops = state.ops
     op_t = []
     py_t = []
+    live_counts = [_counts(state)]
     done = 0
     while heap:
         t = heapq.heappop(heap)
@@ -429,6 +478,7 @@ def _run_hier(state, U, nodes):
         seen = len(events)
         _tick_hier(state, U[t], s)
         py_t.append(t)
+        live_counts.append(_counts(state))
         if len(ops) > len(op_t):
             op_t.append(t)
         for action, _, target, _, ok in events[seen:]:
@@ -450,16 +500,21 @@ def _run_hier(state, U, nodes):
     counter[rep_s[quiet]] = _quiet_counter(c0, count, time)[quiet]
     keep, v = _near_ops(state, fire_s, U[fire_t, 3])
     a = fire_s[keep]
+    kept_t = fire_t[keep]
     k = np.zeros(v.shape[0])
+    t = kept_t
     if ops:
         ra, rb, rk = zip(*ops)
-        order = np.argsort(np.concatenate([fire_t[keep], op_t]),
-                           kind="stable")
+        t = np.concatenate([kept_t, op_t])
+        order = np.argsort(t, kind="stable")
+        t = t[order]
         a = np.concatenate([a, ra])[order]
         v = np.concatenate([v, rb])[order]
         k = np.concatenate([k, rk])[order]
         ops.clear()
-    _apply(state.x, zip(a.tolist(), v.tolist(), k.tolist()))
+    return Block(zip(a.tolist(), v.tolist(), k.tolist()), t,
+                 np.array(py_t, dtype=np.int64), np.array(live_counts),
+                 kept_t, fire_t[~keep])
 
 
 @dataclass
@@ -709,24 +764,85 @@ def _row_blocks(state: SimState, ticks: int):
         yield state.rng.random((min(rows, ticks - start), width))
 
 
-def _run_chunk(state: SimState, ticks: int) -> None:
-    for U in _row_blocks(state, ticks):
-        nodes = (U[:, 0] * state.n).astype(np.int64)
-        if state.algorithm == "hier":
-            _run_hier(state, U, nodes)
-        elif state.algorithm == "boyd":
-            # A boyd tick is a near exchange on the full adjacency.
-            keep, v = _near_ops(state, nodes, U[:, 1])
-            _apply(state.x, zip(nodes[keep].tolist(), v.tolist(),
-                                itertools.repeat(0.0)))
-        else:
-            _tick_geo(state, U, nodes)
-            _apply(state.x, state.ops)
-            state.ops.clear()
-        # _run_hier reads only its live ticks' events; keep the buffer to
-        # one block.
-        state.events.clear()
-    state.tick += ticks
+def _run_block(state: SimState, U) -> Block:
+    # One block of rows through the bulk kernels.  The protocol state and
+    # the counts end at the block end; x waits for the returned ops.
+    nodes = (U[:, 0] * state.n).astype(np.int64)
+    m = nodes.shape[0]
+    no_ticks = np.zeros(0, dtype=np.int64)
+    if state.algorithm == "hier":
+        block = _run_hier(state, U, nodes)
+    elif state.algorithm == "boyd":
+        # A boyd tick is a near exchange on the full adjacency.
+        live = np.array([_counts(state)])
+        keep, v = _near_ops(state, nodes, U[:, 1])
+        t = np.arange(m)
+        kept_t = t[keep]
+        block = Block(zip(nodes[keep].tolist(), v.tolist(),
+                          itertools.repeat(0.0)),
+                      kept_t, no_ticks, live, kept_t, t[~keep])
+    else:
+        # Each geo tick has its own routing and cap counts, so each counts
+        # as a live tick.
+        live = np.repeat(np.array([_counts(state)]), m + 1, axis=0)
+        total, accepted, capped = _tick_geo(state, U, nodes)
+        live[1:, LEDGER_FAR] += np.cumsum(total)
+        live[1:, len(LEDGER_NAMES) + FAULT_GEO_REJECT] += np.cumsum(capped)
+        block = Block(iter(state.ops), np.flatnonzero(accepted), np.arange(m),
+                      live, no_ticks, no_ticks)
+        state.ops = []
+    # _run_hier reads only its live ticks' events; keep the buffer to one
+    # block.
+    state.events.clear()
+    return block
+
+
+def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
+    # Blocks of BLOCK_VALUES // width rows (fewer only before max_ticks),
+    # whatever the stride.  After a block's kernels run, the protocol state
+    # is at the block end and its ops wait.  At each record tick b inside
+    # the block, the ops of ticks before b are applied and the counts set
+    # to theirs at b; then record() takes the row and names the stop it
+    # fires, if any.  A stop before the block end restores the protocol
+    # state saved at the block start and reruns the block's first b - t0
+    # rows: the Generator emits doubles in sequence, so it draws the same
+    # rows.  x needs no copy, as the kernels never read it and the ops
+    # before b are already applied.
+    width = ROW_WIDTH[state.algorithm]
+    rows = BLOCK_VALUES // width
+    due = state.tick + stride
+    while True:
+        t0 = state.tick
+        t1 = t0 + rows if max_ticks is None else min(t0 + rows, max_ticks)
+        saved = ([getattr(state, name).copy() for name in BLOCK_SAVED],
+                 state.root_rounds, state.rng.bit_generator.state)
+        block = _run_block(state, state.rng.random((t1 - t0, width)))
+        end = _counts(state)
+        marks = list(range(due, t1 + 1, stride))
+        due += len(marks) * stride
+        if t1 == max_ticks and (not marks or marks[-1] < t1):
+            marks.append(t1)
+        offs = np.array(marks, dtype=np.int64) - t0
+        done = 0
+        for b, j, counts in zip(marks,
+                                np.searchsorted(block.op_t, offs).tolist(),
+                                _counts_at(block, offs)):
+            _apply(state.x, itertools.islice(block.ops, j - done))
+            done = j
+            _set_counts(state, counts)
+            state.tick = b
+            reason = record()
+            if reason is not None:
+                if b < t1:
+                    arrays, state.root_rounds, rng_state = saved
+                    for name, arr in zip(BLOCK_SAVED, arrays):
+                        setattr(state, name, arr)
+                    state.rng.bit_generator.state = rng_state
+                    _run_block(state, state.rng.random((b - t0, width)))
+                return reason
+        _apply(state.x, block.ops)
+        _set_counts(state, end)
+        state.tick = t1
 
 
 def run(state: SimState, *, max_ticks=None, target_ratio=None,
@@ -735,7 +851,8 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
     """Run until a stop condition fires, recording one row per stride.
 
     Error ratios are recomputed exactly (full norm) at stride boundaries,
-    which is also where stop conditions are evaluated.
+    which is also where stop conditions are evaluated.  A norm that
+    overflows raises no numpy warning: it is the "diverged" stop.
 
     Args:
         state: simulation state (advanced in place).
@@ -744,7 +861,11 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
         stop_on_root_deactivation: stop when the root square completes a
             round.
         stride: ticks between records (default: n).
-        on_record: called with each MetricsRecord as it is produced.
+        on_record: called with each MetricsRecord as it is produced.  It
+            sees the row only: a bulk run records inside a block whose
+            protocol state and random stream are already past the row's
+            tick, so the state is the stepped state only once `run`
+            returns.
         event_sink: called with each tick's event list (this routes the run
             through the stepper; results are identical to the bulk path).
 
@@ -771,21 +892,38 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
         if on_record is not None:
             on_record(rec)
 
-    records = []
-    emit(snapshot(state))
-    if target_ratio is not None and records[-1].err_l2_ratio <= target_ratio:
-        return MetricsSeries(records, "target")
-    if max_ticks is not None and state.tick >= max_ticks:
-        return MetricsSeries(records, "max_ticks")
+    def record():
+        # The row at state.tick, then the stop it fires, if any.
+        err = state.error_ratio()
+        if not math.isfinite(err):
+            return "diverged"
+        emit(snapshot(state, err))
+        if target_ratio is not None and err <= target_ratio:
+            return "target"
+        if stop_on_root_deactivation and state.root_rounds > rounds:
+            return "root_deactivation"
+        if max_ticks is not None and state.tick >= max_ticks:
+            return "max_ticks"
+        return None
 
-    while True:
-        chunk = stride
-        if max_ticks is not None:
-            chunk = min(chunk, max_ticks - state.tick)
-        rounds = state.root_rounds
+    records = []
+    rounds = state.root_rounds   # the first record after it grows stops
+    # A norm overflows only as the values diverge, which record() reports.
+    with np.errstate(over="ignore"):
+        emit(snapshot(state))
+        if target_ratio is not None and \
+                records[-1].err_l2_ratio <= target_ratio:
+            return MetricsSeries(records, "target")
+        if max_ticks is not None and state.tick >= max_ticks:
+            return MetricsSeries(records, "max_ticks")
         if event_sink is None:
-            _run_chunk(state, chunk)
-        else:
+            return MetricsSeries(records, _run_bulk(state, stride, max_ticks,
+                                                    record))
+        reason = None
+        while reason is None:
+            chunk = stride
+            if max_ticks is not None:
+                chunk = min(chunk, max_ticks - state.tick)
             # The same kernels one tick at a time, on the rows the bulk
             # path draws, so the random stream and all state match it bit
             # for bit.  Each block becomes Python floats with one tolist().
@@ -794,14 +932,5 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
             for U in _row_blocks(state, chunk):
                 for u in U.tolist():
                     event_sink(step(state, u))
-        err = state.error_ratio()
-        if not math.isfinite(err):
-            return MetricsSeries(records, "diverged")
-        rec = snapshot(state, err)
-        emit(rec)
-        if target_ratio is not None and rec.err_l2_ratio <= target_ratio:
-            return MetricsSeries(records, "target")
-        if stop_on_root_deactivation and state.root_rounds > rounds:
-            return MetricsSeries(records, "root_deactivation")
-        if max_ticks is not None and state.tick >= max_ticks:
-            return MetricsSeries(records, "max_ticks")
+            reason = record()
+    return MetricsSeries(records, reason)

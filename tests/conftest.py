@@ -23,13 +23,26 @@ LAST = np.nextafter(1.0, 0.0)
 
 class LastRows:
     """Stands in for a state's Generator; every uniform it returns is LAST.
-    `drawn` counts the uniforms handed out."""
+    `drawn` counts the uniforms handed out, and stands in for the
+    `bit_generator.state` that a bulk run saves and restores."""
 
     drawn = 0
 
     def random(self, size=None):
         self.drawn += 1 if size is None else int(np.prod(size))
         return LAST if size is None else np.full(size, LAST)
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.drawn
+
+    @state.setter
+    def state(self, drawn):
+        self.drawn = drawn
 
 
 def write_records(fh, records) -> None:

@@ -524,12 +524,13 @@ def short_rounds1024():
     return graph, hierarchy, sched
 
 
-def changed_then_ticks(hierarchy, events, fired, stride):
+def changed_then_ticks(hierarchy, events, fired):
     """Which outside changes of a representative's state the stepped log
     shows, each followed by another tick of that representative inside
-    the same bulk block (blocks of block_rows("hier") rows, cut at every
-    stride): "activate" or "deactivate" by its parent, "far" (a completed
-    far exchange reset its counter), "root" (the root ended its round)."""
+    the same bulk block (blocks of block_rows("hier") rows from the run
+    start, whatever the stride): "activate" or "deactivate" by its parent,
+    "far" (a completed far exchange reset its counter), "root" (the root
+    ended its round)."""
     rows = block_rows("hier")
     own_ticks = {}
     for t, s in enumerate(fired.tolist()):
@@ -538,9 +539,7 @@ def changed_then_ticks(hierarchy, events, fired, stride):
     def ticks_again(node, t):
         own = own_ticks.get(node, [])
         i = bisect.bisect_right(own, t)
-        return (i < len(own)
-                and (own[i] // stride, own[i] % stride // rows)
-                == (t // stride, t % stride // rows))
+        return i < len(own) and own[i] // rows == t // rows
 
     kinds = set()
     for ev in events:
@@ -561,8 +560,9 @@ def changed_then_ticks(hierarchy, events, fired, stride):
 
 def test_woken_representatives_step_matches_bulk(short_rounds1024):
     # The bulk runner runs a quiet representative's ticks as plain ticks
-    # until a live tick changes its state; the stepped run must agree at
-    # strides whose blocks hold every kind of such change.
+    # until a live tick changes its state; the stepped run must agree when
+    # the blocks hold every kind of such change, at strides that record
+    # inside blocks and across them.
     graph, hierarchy, sched = short_rounds1024
     assert hierarchy.total_levels == 3
     ticks = 100_000
@@ -572,27 +572,71 @@ def test_woken_representatives_step_matches_bulk(short_rounds1024):
     fired = (rows[:, 0] * graph.n).astype(np.int64)
     events = [ev for _ in range(ticks) for ev in step(logged)]
     assert np.isfinite(logged.x).all()
+    assert changed_then_ticks(hierarchy, events, fired) == {
+        "activate", "deactivate", "far", "root"}
     for stride in (3000, block_rows("hier") + 1, 3 * block_rows("hier") + 5):
-        assert changed_then_ticks(hierarchy, events, fired, stride) == {
-            "activate", "deactivate", "far", "root"}
         st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
         run(st, max_ticks=ticks, stride=stride)
         assert_same_state(logged, st)
+
+
+@pytest.mark.parametrize("algorithm, stop, sim", [
+    ("hier", "target", "sim256"),
+    ("boyd", "target", "sim256"),
+    ("geo", "target", "sim256"),
+    ("hier", "root_deactivation", "short_rounds1024"),
+    ("hier", "diverged", "sim256"),
+])
+def test_stop_inside_a_block_ends_in_the_stepped_state(request, algorithm,
+                                                       stop, sim):
+    # A bulk run records inside its blocks; a stop there reruns the block
+    # from its start up to the stop, so the run ends in the stepped state
+    # at the stop tick, generator included.  Each case stops past its
+    # first block, so the rerun starts mid-run.
+    graph, hierarchy, sched = request.getfixturevalue(sim)
+    if algorithm != "hier":
+        hierarchy = sched = None
+    init = "gauss"
+    kw = {"stop_on_root_deactivation": stop == "root_deactivation"}
+    if stop == "target":
+        kw["target_ratio"] = {"hier": 0.1, "boyd": 1e-3, "geo": 0.3}[algorithm]
+    if stop == "diverged":
+        # test_unstable_schedule_reports_divergence's schedule, from values
+        # near the norm's overflow, so the run diverges within 20k ticks
+        sched = build_schedule(256, 1e-2, 1e-1, 1.0, hierarchy, "practical",
+                               c1=0.5, gamma=1.0)
+        init = 1e140 * np.random.default_rng(0).standard_normal(graph.n)
+
+    def fresh():
+        return init_sim(graph, hierarchy, sched, seed=5, init_dist=init,
+                        algorithm=algorithm)
+
+    bulk = fresh()
+    series = run(bulk, max_ticks=1_000_000, stride=7, **kw)
+    assert series.stop_reason == stop
+    rows = block_rows(algorithm)
+    assert bulk.tick > rows and bulk.tick % rows != 0
+    stepped = fresh()
+    for _ in range(bulk.tick):
+        step(stepped)
+    assert_same_state(stepped, bulk)
+    if stop != "diverged":   # a diverged run records no row at its stop
+        assert series.final == engine.snapshot(stepped)
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(n=hst.integers(256, 1024), threshold=hst.integers(4, 16),
        seed=hst.integers(0, 2**31 - 1), c1=hst.floats(0.02, 1.0),
-       stride=hst.integers(16, 3 * block_rows("hier") + 1))
+       stride=hst.integers(1, 3 * block_rows("hier") + 1))
 def test_bulk_run_matches_stepping_on_deep_hierarchies(n, threshold, seed,
                                                        c1, stride):
     # Three or four depths (at these sizes only three build); small c1
     # shortens every round, so rounds end and far exchanges land within
     # the budget.  Two-split runs can diverge, but stay finite for 20k
-    # ticks.  Strides start at 16 to bound the time per example (a stride
-    # of one costs seconds); test_bulk_run_is_stride_and_block_invariant
-    # covers strides 1 and 7.
+    # ticks.  A record can fall inside a bulk block, whose protocol state
+    # and generator are already at the block end, so each row and x are
+    # compared at every record, and the whole state once run returns.
     pts = sample_points(n, seed)
     try:
         hierarchy = build_hierarchy(pts, threshold)
@@ -608,10 +652,12 @@ def test_bulk_run_matches_stepping_on_deep_hierarchies(n, threshold, seed,
     def step_to(rec):
         while stepped.tick < rec.tick:
             step(stepped)
-        assert_same_state(stepped, bulk)
+        assert rec == engine.snapshot(stepped)
+        assert np.array_equal(stepped.x, bulk.x)
 
     series = run(bulk, max_ticks=20_000, stride=stride, on_record=step_to)
     assert series.stop_reason == "max_ticks"
+    assert_same_state(stepped, bulk)
     assert np.isfinite(bulk.x).all()
 
 

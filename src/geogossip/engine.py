@@ -29,7 +29,7 @@ uniforms from [0, 1); column 0 picks the firing node, and a pick among m
 choices is int(u * m).  hier rows are (node, far coin, sibling, neighbor),
 boyd rows are (node, neighbor), and geo attempt a reads (x, y, acceptance
 coin) from columns 1+3a .. 3+3a; columns a tick does not use are discarded.
-`run` draws the rows in blocks of at most BLOCK_VALUES values, for the
+`run` draws the rows in blocks of `block_rows(algorithm)` rows, for the
 bulk runner and for its logged loop, which hands `step` one row of a block
 at a time as a list of Python floats; `step` called without a row draws
 its own.  A Generator emits doubles strictly in sequence, so every path
@@ -49,15 +49,17 @@ event log from the identical code path the bulk runner uses.
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns.  `run`
 advances stride by stride through `step` when it logs events.  Otherwise
-it runs blocks of BLOCK_VALUES values whatever the stride, and a record
+it runs blocks of `block_rows` rows whatever the stride, and a record
 costs a norm, not a block: after a block's kernels run, its ops are
 applied up to each record tick inside it, and the ledger, faults and
 root_rounds are set to their values there.  Those come from per-tick
 counts, located with one searchsorted per array: the counts after each
 tick stepped in Python (every geo tick counts as one) and the ticks built
-in numpy.  A stop at a record inside a block restores the protocol state
-and generator saved at the block start and reruns the block up to the
-stop, which happens at most once per run.
+in numpy.  A stop at a record inside a block, at most once per run,
+restores the generator saved at the block start and redraws the block's
+rows up to the stop.  hier also restores its protocol state saved there
+and reruns those rows through its kernels; boyd and geo write no protocol
+array, and their counts are already those at the stop.
 
 The bulk runner runs a hier tick in Python only when it can change
 protocol state.  A representative's tick is live when it would restart its
@@ -125,10 +127,11 @@ INIT_DISTRIBUTIONS = ("spike", "uniform", "gauss", "gradient")
 
 GEO_ATTEMPT_CAP = 64
 
-# Uniforms per tick row, and the most values one bulk draw holds (this bounds
-# a block's rows to 128 KB).
+# Uniforms per tick row, and the most rows and values one bulk block holds
+# (the values bound its rows to 512 KB).
 ROW_WIDTH = {"hier": 4, "boyd": 2, "geo": 1 + 3 * GEO_ATTEMPT_CAP}
-BLOCK_VALUES = 16384
+BLOCK_ROWS = 4096
+BLOCK_VALUES = 65536
 
 Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
                              "ok"])
@@ -143,10 +146,15 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 Block = namedtuple("Block", ["ops", "op_t", "live_t", "live", "kept_t",
                              "lone_t"])
 
-# The protocol arrays a block start saves, so that a stop inside the block
-# can rerun it up to the stop.
+# The protocol arrays a hier block start saves, so that a stop inside the
+# block can rerun it up to the stop.
 BLOCK_SAVED = ("local_on", "global_on", "counter", "cell_active", "ledger",
                "faults")
+
+
+def block_rows(algorithm: str) -> int:
+    """Rows in one of `run`'s blocks of algorithm's ticks."""
+    return min(BLOCK_ROWS, BLOCK_VALUES // ROW_WIDTH[algorithm])
 
 
 def _route(state, src, dst):
@@ -710,7 +718,7 @@ def step(state: SimState, u=None) -> list:
     tick = state.tick
     if u is None:
         u = state.rng.random(ROW_WIDTH[state.algorithm])
-    s = int(u[0] * state.n)
+    s = int(u[0] * len(state.x))
     if state.algorithm == "hier":
         _tick_hier(state, u, s)
     elif state.algorithm == "boyd":
@@ -756,10 +764,9 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
 
 
 def _row_blocks(state: SimState, ticks: int):
-    # The next ticks' rows from state.rng, in blocks of at most
-    # BLOCK_VALUES values.
+    # The next ticks' rows from state.rng, in blocks of at most block_rows.
     width = ROW_WIDTH[state.algorithm]
-    rows = BLOCK_VALUES // width
+    rows = block_rows(state.algorithm)
     for start in range(0, ticks, rows):
         yield state.rng.random((min(rows, ticks - start), width))
 
@@ -798,24 +805,29 @@ def _run_block(state: SimState, U) -> Block:
 
 
 def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
-    # Blocks of BLOCK_VALUES // width rows (fewer only before max_ticks),
-    # whatever the stride.  After a block's kernels run, the protocol state
-    # is at the block end and its ops wait.  At each record tick b inside
-    # the block, the ops of ticks before b are applied and the counts set
-    # to theirs at b; then record() takes the row and names the stop it
-    # fires, if any.  A stop before the block end restores the protocol
-    # state saved at the block start and reruns the block's first b - t0
-    # rows: the Generator emits doubles in sequence, so it draws the same
-    # rows.  x needs no copy, as the kernels never read it and the ops
+    # Blocks of block_rows rows (fewer only before max_ticks), whatever the
+    # stride.  After a block's kernels run, the protocol state is at the
+    # block end and its ops wait.  At each record tick b inside the block,
+    # the ops of ticks before b are applied and the counts set to theirs
+    # at b; then record() takes the row and names the stop it fires, if
+    # any.  A stop before the block end restores the generator saved at
+    # the block start and redraws the block's first b - t0 rows: the
+    # Generator emits doubles in sequence, so it draws the same rows.  hier
+    # also restores its protocol state saved there and reruns those rows;
+    # boyd and geo write no protocol array, so their redrawn rows are
+    # dropped.  x needs no copy, as the kernels never read it and the ops
     # before b are already applied.
     width = ROW_WIDTH[state.algorithm]
-    rows = BLOCK_VALUES // width
+    rows = block_rows(state.algorithm)
+    hier = state.algorithm == "hier"
     due = state.tick + stride
     while True:
         t0 = state.tick
         t1 = t0 + rows if max_ticks is None else min(t0 + rows, max_ticks)
-        saved = ([getattr(state, name).copy() for name in BLOCK_SAVED],
-                 state.root_rounds, state.rng.bit_generator.state)
+        rng_state = state.rng.bit_generator.state
+        if hier:
+            saved = ([getattr(state, name).copy() for name in BLOCK_SAVED],
+                     state.root_rounds)
         block = _run_block(state, state.rng.random((t1 - t0, width)))
         end = _counts(state)
         marks = list(range(due, t1 + 1, stride))
@@ -834,11 +846,13 @@ def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
             reason = record()
             if reason is not None:
                 if b < t1:
-                    arrays, state.root_rounds, rng_state = saved
-                    for name, arr in zip(BLOCK_SAVED, arrays):
-                        setattr(state, name, arr)
                     state.rng.bit_generator.state = rng_state
-                    _run_block(state, state.rng.random((b - t0, width)))
+                    U = state.rng.random((b - t0, width))
+                    if hier:
+                        arrays, state.root_rounds = saved
+                        for name, arr in zip(BLOCK_SAVED, arrays):
+                            setattr(state, name, arr)
+                        _run_block(state, U)
                 return reason
         _apply(state.x, block.ops)
         _set_counts(state, end)

@@ -23,6 +23,7 @@ from geogossip import (
     sample_points,
     step,
 )
+from geogossip.engine import block_rows
 from geogossip.hierarchy import RepresentativeError
 
 from conftest import LAST, LastRows, grid_points, make_points
@@ -389,10 +390,6 @@ def assert_same_state(a, b):
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-def block_rows(algorithm):
-    return engine.BLOCK_VALUES // engine.ROW_WIDTH[algorithm]
-
-
 @pytest.fixture(scope="module")
 def graph2048():
     """A graph for boyd and geo on which a short stride's block has far
@@ -622,6 +619,32 @@ def test_stop_inside_a_block_ends_in_the_stepped_state(request, algorithm,
     assert_same_state(stepped, bulk)
     if stop != "diverged":   # a diverged run records no row at its stop
         assert series.final == engine.snapshot(stepped)
+
+
+def test_geo_stop_inside_a_block_routes_each_row_once(sim256, monkeypatch):
+    # geo writes no protocol array, so a stop inside its second block only
+    # redraws the rows up to the stop: no row is routed twice.
+    graph = sim256[0]
+    routed = []
+
+    def counting(state, U, nodes):
+        routed.append(U.shape[0])
+        return tick_geo(state, U, nodes)
+
+    tick_geo = engine._tick_geo
+    monkeypatch.setattr(engine, "_tick_geo", counting)
+    bulk = init_sim(graph, seed=5, init_dist="gauss", algorithm="geo")
+    series = run(bulk, max_ticks=1_000_000, stride=7, target_ratio=0.45)
+    monkeypatch.undo()
+    rows = block_rows("geo")
+    assert series.stop_reason == "target"
+    assert rows < bulk.tick < 2 * rows
+    assert routed == [rows, rows]
+    stepped = init_sim(graph, seed=5, init_dist="gauss", algorithm="geo")
+    for _ in range(bulk.tick):
+        step(stepped)
+    assert_same_state(stepped, bulk)
+    assert series.final == engine.snapshot(stepped)
 
 
 @settings(max_examples=20, deadline=None,

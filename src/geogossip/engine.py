@@ -764,7 +764,8 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
 
 
 def _row_blocks(state: SimState, ticks: int):
-    # The next ticks' rows from state.rng, in blocks of at most block_rows.
+    # The next ticks' rows from state.rng, in blocks of block_rows rows
+    # (fewer only at the end).
     width = ROW_WIDTH[state.algorithm]
     rows = block_rows(state.algorithm)
     for start in range(0, ticks, rows):

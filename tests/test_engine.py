@@ -625,13 +625,13 @@ def test_geo_stop_inside_a_block_routes_each_row_once(sim256, monkeypatch):
     # geo writes no protocol array, so a stop inside its second block only
     # redraws the rows up to the stop: no row is routed twice.
     graph = sim256[0]
+    tick_geo = engine._tick_geo
     routed = []
 
     def counting(state, U, nodes):
         routed.append(U.shape[0])
         return tick_geo(state, U, nodes)
 
-    tick_geo = engine._tick_geo
     monkeypatch.setattr(engine, "_tick_geo", counting)
     bulk = init_sim(graph, seed=5, init_dist="gauss", algorithm="geo")
     series = run(bulk, max_ticks=1_000_000, stride=7, target_ratio=0.45)

@@ -61,26 +61,37 @@ rows up to the stop.  hier also restores its protocol state saved there
 and reruns those rows through its kernels; boyd and geo write no protocol
 array, and their counts are already those at the stop.
 
-The bulk runner runs a hier tick in Python only when it can change
-protocol state.  A representative's tick is live when it would restart its
-square's round (global_on set, counter 0), pass its far coin (global_on
-set, a parent, u[1] < far_prob), or end a round (counter at time while the
-square is active, or at the root).  Any other tick is quiet and does
-exactly what a plain sensor's tick does, a near exchange while its leaf is
-on, plus counter += 1 while counter < time.  So each block classifies each
-cell once, from its state at the block start, its tick count k and whether
-any of its far coins passes: if none of its ticks can be live, its ticks
-are built in numpy with the plain ones and its counter ends at
-min(c0 + k, ceil(time)), or stays c0 when c0 >= time.  This is exact
-because only a live tick changes another representative's state, and in
-three ways only: its parent's activation (global_on = 1, counter = 0) or
-deactivation (global_on = 0), and a completed far exchange (counter = 0).
-Each appends an event naming its target, which the runner reads to wake a
-quiet target: its counter catches up with its earlier quiet ticks unless
-the event reset it, and its later ticks run in Python.  A built tick reads
-local_on, which changes only in a leaf's flood, so the built ticks before
-each live leaf tick read a snapshot taken just before it; boyd builds
-every tick that way.  geo never reads x, so `_tick_geo` takes a whole
+The bulk runner runs a hier tick in Python only when it is live, that is
+when it can change protocol state.  A representative's tick is live when it
+would restart its square's round (global_on set, counter 0), pass its far
+coin (global_on set, a parent, u[1] < far_prob), or end a round (counter at
+time while the square is active, or at the root).  Any other tick is quiet
+and does exactly what a plain sensor's tick does, a near exchange while its
+leaf is on, plus counter += 1 while counter < time.  So k quiet ticks take a
+counter c to min(c + k, ceil(time)), or leave it when c >= time, and a
+square's next live tick follows from its state alone: a restart can only be
+its next tick, a far coin only one that passes, and a round end only the
+tick at which its counter reaches ceil(time).  Each block first tests each
+square once, from its state at the block start, its tick count and whether
+any of its far coins passes; a square none of whose ticks can be live has
+its ticks built in numpy with the plain ones.  Each other square schedules
+its next live tick, steps it in Python and schedules again, its quiet ticks
+before that one built in numpy and counted into its counter when the
+counter is next read.  This is exact because only a live tick changes
+another representative's state, and in three ways only: its parent's
+activation (global_on = 1, counter = 0) or deactivation (global_on = 0), and
+a completed far exchange (counter = 0).  Each appends an event naming its
+target, which the runner reads to reschedule the target from its next
+tick, after counting its earlier quiet ticks unless the event reset its
+counter.  A built tick reads local_on, which changes only in a leaf's
+flood, so the built ticks before each live leaf tick read a snapshot taken
+just before it; boyd builds every tick that way.
+
+A live tick's control traffic is memoised, as the graph and the leaf
+squares are fixed for a run: a fan-out's routes (to a square's children,
+or a far exchange's two legs) go through one lockstep `_walk` call, and the
+run's first flood floods every leaf from its representative in one
+`_frontier_flood` call.  geo never reads x, so `_tick_geo` takes a whole
 block of rows: attempt a of every tick still pending is routed in one
 lockstep `_walk` call, and only the rejected ticks try again; `step` passes
 it a block of one row.  A block's ops are merged in tick order and applied
@@ -90,6 +101,7 @@ as `step`, so bulk and stepped runs stay bit-identical.  The bulk runner
 empties the event list after every block.
 """
 
+import bisect
 import heapq
 import itertools
 import math
@@ -101,7 +113,7 @@ import numpy as np
 from .geometry import GeometricGraph
 from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
-from .routing import _flood_core, _route_one, _walk, restrict_edges
+from .routing import _frontier_flood, _walk, restrict_edges
 
 LEDGER_NEAR = 0
 LEDGER_FAR = 1
@@ -157,28 +169,37 @@ def block_rows(algorithm: str) -> int:
     return min(BLOCK_ROWS, BLOCK_VALUES // ROW_WIDTH[algorithm])
 
 
-def _route(state, src, dst):
-    # Greedy route from node src to node dst: (hops, ok).  The graph is
-    # fixed for a run, so each (src, dst) route is computed once.
-    key = (src, dst)
-    hit = state.routes.get(key)
-    if hit is None:
-        xy = state.graph.points.xy
-        path, ok = _route_one(state.graph, src, dst, xy[dst, 0], xy[dst, 1])
-        hit = state.routes[key] = (path.shape[0] - 1, ok)
-    return hit
+def _route_all(state, pairs):
+    # Greedy routes between node pairs (src, dst) into state.routes as
+    # (hops, ok): the pairs not there yet walk in one lockstep _walk call.
+    # The graph is fixed for a run, so each route is computed once.
+    todo = [p for p in pairs if p not in state.routes]
+    if todo:
+        g = state.graph
+        xy = g.points.xy
+        src, dst = np.array(todo, dtype=np.int64).T
+        _, hops, ok = _walk(g.indptr, g.indices, xy, src, dst, xy[dst, 0],
+                            xy[dst, 1])
+        state.routes.update(zip(todo, zip(hops.tolist(), ok.tolist())))
 
 
 def _flood(state, origin):
-    # Flood from origin over the leaf CSR: (reached ids, transmissions).
-    # The leaf CSR is fixed for a run, so each origin floods once.
-    hit = state.floods.get(origin)
-    if hit is None:
-        order, tx = _flood_core(state.leaf_indptr, state.leaf_indices,
-                                origin)
-        hit = state.floods[origin] = (np.array(order, dtype=np.int64),
-                                      int(tx))
-    return hit
+    # The flood from a leaf representative over the leaf CSR: (reached ids
+    # in ascending order, transmissions).  The leaf CSR is fixed for a run
+    # and has no edge between leaves, so the first flood of a run floods
+    # every leaf from its representative in one _frontier_flood call and
+    # memoises them all.
+    if not state.floods:
+        h = state.hierarchy
+        reps = h.cell_rep[h.subdiv_at_depth[h.cell_depth] == 0]
+        label, tx = _frontier_flood(state.leaf_indptr, state.leaf_indices,
+                                    reps)
+        ids = np.flatnonzero(label >= 0)
+        ids = ids[np.argsort(label[ids], kind="stable")]
+        ends = np.cumsum(np.bincount(label[ids], minlength=reps.shape[0]))
+        state.floods.update(zip(reps.tolist(),
+                                zip(np.split(ids, ends[:-1]), tx.tolist())))
+    return state.floods[origin]
 
 
 def _apply(x, ops):
@@ -298,7 +319,8 @@ def _far(state, u, s, c):
     if cp >= c:
         cp += 1
     sp = int(h.cell_rep[cp])
-    hops, ok = _route(state, s, sp)
+    _route_all(state, [(s, sp), (sp, s)])
+    hops, ok = state.routes[(s, sp)]
     if not ok:
         state.ledger[LEDGER_FAR] += hops
         state.faults[FAULT_ROUTING] += 1
@@ -306,7 +328,7 @@ def _far(state, u, s, c):
         return False
     if state.cell_active[cp] == 1:
         state.faults[FAULT_CONCURRENT] += 1
-    back, ok = _route(state, sp, s)
+    back, ok = state.routes[(sp, s)]
     hops += back
     state.ledger[LEDGER_FAR] += hops
     if not ok:
@@ -342,12 +364,13 @@ def _toggle(state, s, c, r, on):
         state.events.append(("flood_on" if on == 1 else "flood_off", s,
                              int(c), tx, gap == 0))
         return True
+    start = int(h.cell_child_start[c])
+    reps = h.cell_rep[start:start + m].tolist()
+    _route_all(state, [(s, dst) for dst in reps])
     total = 0
     ok_all = True
-    start = h.cell_child_start[c]
-    for ci in range(start, start + m):
-        dst = h.cell_rep[ci]
-        hops, ok = _route(state, s, dst)
+    for dst in reps:
+        hops, ok = state.routes[(s, dst)]
         total += hops
         if ok:
             state.global_on[dst] = on
@@ -423,9 +446,15 @@ def _quiet_counter(c, k, time):
 
 
 def _run_hier(state, U, nodes):
-    # The live/quiet rule is in the module docstring.  Live cells' ticks
-    # run through _tick_hier in tick order, from a heap that wake() extends
-    # with a woken cell's later ticks.  Each live tick records the tick of
+    # The live rule is in the module docstring.  Only scheduled cells have
+    # ticks stepped in Python: those whose state at the block start lets
+    # any of their ticks in the block be live, and those an event reaches.
+    # schedule(c) pushes c's next own tick that can be live onto a heap,
+    # and a cell rescheduled before that tick leaves a stale entry, which
+    # is dropped.  The heap runs the live ticks through _tick_hier in tick
+    # order.  A cell's counter catches up only when it is read: pos[c]
+    # indexes c's first own tick not yet counted, and advance() counts the
+    # quiet ticks before a later one.  Each live tick records the tick of
     # the op it emitted (at most one: a completed far exchange ends the
     # tick before its near step) and the counts after it.  The remaining
     # ticks, plain and quiet, are near exchanges on the local_on snapshot;
@@ -433,40 +462,74 @@ def _run_hier(state, U, nodes):
     h = state.hierarchy
     sched = state.schedule
     counter = state.counter
+    global_on = state.global_on
+    cell_active = state.cell_active
     cells = h.cell_of_rep[nodes]
     rep_t = np.flatnonzero(cells >= 0)
-    rep_s = nodes[rep_t]
     rep_c = cells[rep_t]
     depth = h.cell_depth[rep_c]
-    # Per representative tick, its cell's inputs: tick count in the block,
-    # whether any of those ticks passes the far coin, and the start state.
-    count = np.bincount(rep_c, minlength=h.n_cells)[rep_c]
-    coin = np.bincount(rep_c[U[rep_t, 1] < sched.far_prob[depth]],
-                       minlength=h.n_cells)[rep_c] > 0
-    time = sched.time[depth]
+    coin_t = U[rep_t, 1] < sched.far_prob[depth]
+    # The filter: whether any tick of a cell in the block can be live, from
+    # its tick count, whether any of its far coins passes, and its state at
+    # the block start.
+    n_own = np.bincount(rep_c, minlength=h.n_cells)
+    count = n_own[rep_c]
+    coin = np.bincount(rep_c[coin_t], minlength=h.n_cells)[rep_c] > 0
+    rep_s = nodes[rep_t]
     c0 = counter[rep_s]
     child = h.cell_parent[rep_c] >= 0
-    live_t = ((state.global_on[rep_s] == 1) & ((c0 == 0) | coin & child)
-              | ((state.cell_active[rep_c] == 1) | ~child)
-              & (c0 + count - 1 >= time))
-    live = np.zeros(h.n_cells, dtype=bool)
-    live[rep_c[live_t]] = True
-    heap = rep_t[live_t].tolist()
+    maybe = ((global_on[rep_s] == 1) & ((c0 == 0) | coin & child)
+             | ((cell_active[rep_c] == 1) | ~child)
+             & (c0 + count - 1 >= sched.time[depth]))
+    # Cell c's own ticks in tick order are own_t[first[c]:first[c + 1]],
+    # and next_coin[i] is the first index from i on whose far coin passes.
+    by_cell = np.argsort(rep_c, kind="stable")
+    own_t = rep_t[by_cell].tolist()
+    first = np.zeros(h.n_cells + 1, dtype=np.int64)
+    np.cumsum(n_own, out=first[1:])
+    idx = np.arange(len(own_t) + 1)
+    idx[:-1][~coin_t[by_cell]] = len(own_t)
+    next_coin = np.minimum.accumulate(idx[::-1])[::-1].tolist()
+    pos = first[:-1].tolist()
+    end = first[1:].tolist()
+    due = [-1] * h.n_cells   # own_t index of a cell's scheduled tick, or -1
+    rep = h.cell_rep.tolist()
+    cell_depth = h.cell_depth.tolist()
+    parent = h.cell_parent.tolist()
+    round_end = np.ceil(sched.time).astype(np.int64).tolist()
+    leaf_depth = (h.subdiv_at_depth == 0).tolist()
+    heap = []
 
-    def wake(c, t, sync):
-        # A live tick at t changed the state of c's quiet representative.
-        if live[c]:
-            return
-        live[c] = True
-        own = rep_t[rep_c == c]
-        i = int(np.searchsorted(own, t))
-        if sync:
-            s = h.cell_rep[c]
-            counter[s] = _quiet_counter(counter[s], i,
-                                        sched.time[h.cell_depth[c]])
-        for later in own[i:].tolist():
-            heapq.heappush(heap, later)
+    def advance(c, i):
+        # Count c's quiet ticks before own_t[i].
+        s = rep[c]
+        counter[s] = _quiet_counter(counter[s], i - pos[c],
+                                    sched.time[cell_depth[c]])
+        pos[c] = i
 
+    def schedule(c):
+        # A restart (global_on, counter 0) can only be c's next tick, a far
+        # coin only one that passes, and a round end only the tick at which
+        # its quiet ticks bring the counter to ceil(time).
+        i = pos[c]
+        s = rep[c]
+        cnt = int(counter[s])
+        j = end[c]
+        if global_on[s] == 1:
+            if cnt == 0:
+                j = i
+            elif parent[c] >= 0:
+                j = min(j, next_coin[i])
+        if cell_active[c] == 1 or parent[c] < 0:
+            j = min(j, i + max(0, round_end[cell_depth[c]] - cnt))
+        if j < end[c]:
+            due[c] = j
+            heapq.heappush(heap, own_t[j])
+        else:
+            due[c] = -1
+
+    for c in np.unique(rep_c[maybe]).tolist():
+        schedule(c)
     on_at = np.empty(nodes.shape[0], dtype=np.uint8)
     local_on = state.local_on
     events = state.events
@@ -477,12 +540,17 @@ def _run_hier(state, U, nodes):
     done = 0
     while heap:
         t = heapq.heappop(heap)
-        s = int(nodes[t])
-        c = cells[t]
-        leaf = h.subdiv_at_depth[h.cell_depth[c]] == 0
-        if leaf and t > done:
+        c = int(cells[t])
+        j = due[c]
+        if j < 0 or own_t[j] != t:
+            continue
+        due[c] = -1
+        advance(c, j)
+        pos[c] = j + 1
+        if leaf_depth[cell_depth[c]] and t > done:
             on_at[done:t] = local_on[nodes[done:t]]
             done = t
+        s = rep[c]
         seen = len(events)
         _tick_hier(state, U[t], s)
         py_t.append(t)
@@ -490,22 +558,35 @@ def _run_hier(state, U, nodes):
         if len(ops) > len(op_t):
             op_t.append(t)
         for action, _, target, _, ok in events[seen:]:
+            # Each event that changed another cell's state reschedules it
+            # from its first tick after t.  An activation or a completed
+            # far exchange set its counter to 0; a deactivation left it,
+            # so it first counts the quiet ticks before t.
             if action == "far":
-                if ok:
-                    wake(h.cell_of_rep[target], t, False)
+                hit = [int(h.cell_of_rep[target])] if ok else []
             elif action == "activate" or action == "deactivate":
                 # only the children whose route succeeded changed state
                 start = h.cell_child_start[target]
-                for ci in range(start, start + h.subdiv_at_depth[
-                        h.cell_depth[target]]):
-                    if _route(state, s, h.cell_rep[ci])[1]:
-                        wake(ci, t, action == "deactivate")
+                hit = [ci for ci in range(start, start + h.subdiv_at_depth[
+                    cell_depth[target]]) if state.routes[(s, rep[ci])][1]]
+            else:
+                hit = []
+            for ci in hit:
+                i = bisect.bisect_left(own_t, t, pos[ci], end[ci])
+                if action == "deactivate":
+                    advance(ci, i)
+                else:
+                    pos[ci] = i
+                schedule(ci)
+        schedule(c)
     on_at[done:] = local_on[nodes[done:]]
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
     fire_s = nodes[fire_t]
-    quiet = ~live[rep_c]
-    counter[rep_s[quiet]] = _quiet_counter(c0, count, time)[quiet]
+    # Every cell's ticks not yet counted are quiet.
+    counter[h.cell_rep] = _quiet_counter(
+        counter[h.cell_rep], first[1:] - np.array(pos),
+        sched.time[h.cell_depth])
     keep, v = _near_ops(state, fire_s, U[fire_t, 3])
     a = fire_s[keep]
     kept_t = fire_t[keep]
@@ -574,8 +655,9 @@ class SimState:
     # Value ops (a, b, k) the kernels emitted and `_apply` has not yet
     # applied to x.
     ops: list = field(default_factory=list, repr=False)
-    # Memoised floods (origin -> (reached, tx)) and node-to-node routes
-    # ((src, dst) -> (path, ok)); both depend only on the fixed graph.
+    # Memoised leaf floods (representative -> (reached ids, tx)) and
+    # node-to-node routes ((src, dst) -> (hops, ok)); both depend only on
+    # the fixed graph and hierarchy.
     floods: dict = field(default_factory=dict, repr=False)
     routes: dict = field(default_factory=dict, repr=False)
 

@@ -13,8 +13,10 @@ reached node forwards once to each in-cell neighbor).
 Routing has one implementation, `_walk`, a lockstep router: it moves a batch
 of packets one hop per round, all together, with numpy over the CSR arrays,
 so a round costs a few array operations whatever the batch size.  A single
-route is a batch of one.  The flood core is plain Python over CSR arrays and
-returns its reached ids in visit order.
+route is a batch of one.  Flooding has one too, `_frontier_flood`: it floods
+from many origins at once, one breadth-first frontier per round for all of
+them, and labels each reached node with its origin.  A single flood is a
+batch of one origin.
 """
 
 from dataclasses import dataclass
@@ -115,20 +117,31 @@ def _route_one(graph, src, dst, tx, ty):
     return trail[:hops[0] + 1, 0], bool(ok[0])
 
 
-def _flood_core(lindptr, lindices, origin):
-    # BFS over the in-cell adjacency; returns the reached ids in visit order.
-    order = [origin]
-    seen = {origin}
-    transmissions = 0
-    for u in order:
-        lo = lindptr[u]
-        hi = lindptr[u + 1]
-        transmissions += hi - lo
-        for v in lindices[lo:hi].tolist():
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    return order, transmissions
+def _frontier_flood(indptr, indices, origins):
+    # Breadth-first floods from every origin at once over a CSR, one
+    # frontier per round for all.  Returns (label, tx): label[v] is the
+    # position in origins of the flood that reached node v, -1 for a node
+    # none reached, and tx[i] sums the degrees of flood i's reached nodes.
+    # A node two floods reach gets one of their labels, so the labels are
+    # each flood's reached set only when no two origins share a component
+    # (the engine's leaf CSR has no edge between leaves).
+    n = indptr.shape[0] - 1
+    origins = np.asarray(origins, dtype=np.int64)
+    label = np.full(n, -1, dtype=np.int64)
+    label[origins] = np.arange(origins.shape[0])
+    front = origins
+    while front.shape[0]:
+        lo = indptr[front]
+        cnt = indptr[front + 1] - lo
+        nb = indices[_concat_ranges(lo, cnt)]
+        new = label[nb] < 0
+        nb = nb[new]
+        label[nb] = label[front].repeat(cnt)[new]
+        front = np.unique(nb)
+    reached = np.flatnonzero(label >= 0)
+    tx = np.bincount(label[reached], weights=np.diff(indptr)[reached],
+                     minlength=origins.shape[0])
+    return label, tx.astype(np.int64)
 
 
 def greedy_route(graph: GeometricGraph, src: int, dst: int) -> RouteResult:
@@ -205,8 +218,8 @@ def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
     lindptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[keep], minlength=ids.shape[0]),
               out=lindptr[1:])
-    order, tx = _flood_core(lindptr, local[keep], start)
-    reached = ids[np.sort(order)]
+    label, tx = _frontier_flood(lindptr, local[keep], [start])
+    reached = ids[label == 0]
     unreached = members[~np.isin(members, reached)]
-    return FloodResult(reached=reached, transmissions=int(tx),
+    return FloodResult(reached=reached, transmissions=int(tx[0]),
                        unreached=unreached)

@@ -84,3 +84,14 @@ def quad16():
     graph = build_graph(pts, 1.5)
     hierarchy = build_hierarchy(pts, threshold=4)
     return graph, hierarchy
+
+
+@pytest.fixture(scope="session")
+def straddler():
+    """Node 2 has one graph neighbor (node 4) but it sits across the leaf
+    boundary, so in-leaf exchanges and floods cannot reach node 2."""
+    pts = make_points([(0.2, 0.2), (0.25, 0.2), (0.45, 0.45), (0.2, 0.8),
+                       (0.52, 0.52), (0.8, 0.8), (0.8, 0.2)])
+    graph = build_graph(pts, 0.1)
+    hierarchy = build_hierarchy(pts, 2)
+    return graph, hierarchy

@@ -48,17 +48,6 @@ def quad_sim_parts(quad16):
     return graph, hierarchy
 
 
-@pytest.fixture(scope="module")
-def straddler():
-    """Node 2 has one graph neighbor (node 4) but it sits across the leaf
-    boundary, so in-leaf exchanges and floods cannot reach node 2."""
-    pts = make_points([(0.2, 0.2), (0.25, 0.2), (0.45, 0.45), (0.2, 0.8),
-                       (0.52, 0.52), (0.8, 0.8), (0.8, 0.2)])
-    graph = build_graph(pts, 0.1)
-    hierarchy = build_hierarchy(pts, 2)
-    return graph, hierarchy
-
-
 # ------------------------------------------------------------------- init
 
 def test_init_only_root_rep_awake(quad16):
@@ -575,6 +564,117 @@ def test_woken_representatives_step_matches_bulk(short_rounds1024):
         st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
         run(st, max_ticks=ticks, stride=stride)
         assert_same_state(logged, st)
+
+
+def is_live(state, u, s):
+    """Whether the tick of row u, fired by s, is live in the state before
+    it: a representative's restart, passing far coin or round end."""
+    h = state.hierarchy
+    c = h.cell_of_rep[s]
+    if c < 0:
+        return False
+    r = h.cell_depth[c]
+    root = h.cell_parent[c] < 0
+    on = state.global_on[s] == 1
+    return bool(on and (state.counter[s] == 0
+                        or not root and u[1] < state.schedule.far_prob[r])
+                or (state.cell_active[c] == 1 or root)
+                and state.counter[s] >= state.schedule.time[r])
+
+
+def stepped_ticks(monkeypatch, bulk, key):
+    """Call bulk(); return the ticks key(u) names, for the rows u that
+    reached _tick_hier."""
+    tick_hier = engine._tick_hier
+    seen = []
+
+    def recording(st, u, s):
+        seen.append(key(u))
+        return tick_hier(st, u, s)
+
+    monkeypatch.setattr(engine, "_tick_hier", recording)
+    bulk()
+    monkeypatch.undo()
+    return seen
+
+
+def test_bulk_run_steps_exactly_the_live_ticks(short_rounds1024,
+                                               monkeypatch):
+    # Every tick the bulk runner steps in Python is live, and every live
+    # tick is stepped: the quiet ticks before a live one are built in
+    # numpy, even in a block where the square's round ends.
+    graph, hierarchy, sched = short_rounds1024
+    ticks = 30_000
+    stepped = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    rows = stepped.rng.random((ticks, engine.ROW_WIDTH["hier"]))
+    live = []
+    for t, u in enumerate(rows.tolist()):
+        if is_live(stepped, u, int(u[0] * graph.n)):
+            live.append(t)
+        step(stepped, u)
+    reps = np.count_nonzero(hierarchy.cell_of_rep[
+        (rows[:, 0] * graph.n).astype(np.int64)] >= 0)
+    assert 0 < len(live) < reps // 2
+    tick_of = {row.tobytes(): t for t, row in enumerate(rows)}
+    bulk = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    assert stepped_ticks(monkeypatch,
+                         lambda: run(bulk, max_ticks=ticks, stride=3000),
+                         lambda u: tick_of[u.tobytes()]) == live
+    assert_same_state(stepped, bulk)
+
+
+@pytest.mark.parametrize("kind", ["far", "activate", "deactivate"])
+def test_outside_event_reschedules_a_pending_live_tick(quad16, monkeypatch,
+                                                       kind):
+    # Leaf 1's representative a has a live tick pending later in the
+    # block when tick 0 changes its state from outside.  A completed far
+    # exchange from leaf 2, or the root's activation, resets its counter:
+    # its round end at its fourth tick gives way to a restart at its
+    # first.  The root's deactivation turns its global state off: its far
+    # coin at its third tick no longer counts, and it steps nothing.
+    graph, hierarchy = quad16
+    sched = build_schedule(graph.n, 1e-2, 1e-1, 1.0, hierarchy, "practical")
+    a, b, root = (int(hierarchy.cell_rep[c]) for c in (1, 2, 0))
+    end = int(np.ceil(sched.time[1]))
+
+    def fresh():
+        st = init_sim(graph, hierarchy, sched, seed=0, init_dist="gauss")
+        st.global_on[[a, b]] = 1
+        st.cell_active[[1, 2]] = 1
+        st.local_on[hierarchy.members_of(1)] = 1
+        st.local_on[hierarchy.members_of(2)] = 1
+        st.counter[b] = 1
+        if kind == "deactivate":
+            st.cell_active[0] = 1
+            st.counter[root] = int(np.ceil(sched.time[0]))
+            st.counter[a] = 5
+        else:
+            st.counter[a] = end - 3
+        return st
+
+    # Row t is (node, far coin, sibling, neighbour); u[3] also names t.
+    first = {"far": b, "activate": root, "deactivate": root}[kind]
+    nodes = [first, a, a, a, a]
+    coins = [0.0, LAST, 0.0 if kind == "deactivate" else LAST, LAST, LAST]
+    U = np.array([[(s + 0.5) / graph.n, coin, 0.0, (t + 0.5) / len(nodes)]
+                  for t, (s, coin) in enumerate(zip(nodes, coins))])
+    stepped = fresh()
+    live = []
+    for t, u in enumerate(U.tolist()):
+        if is_live(stepped, u, nodes[t]):
+            live.append(t)
+        step(stepped, u)
+    assert live == {"far": [0, 1], "activate": [0, 1],
+                    "deactivate": [0]}[kind]
+    bulk = fresh()
+
+    def one_block():
+        engine._apply(bulk.x, engine._run_block(bulk, U).ops)
+        bulk.tick = len(nodes)
+
+    assert stepped_ticks(monkeypatch, one_block,
+                         lambda u: int(u[3] * len(nodes))) == live
+    assert_same_state(stepped, bulk)
 
 
 @pytest.mark.parametrize("algorithm, stop, sim", [

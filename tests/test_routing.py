@@ -1,6 +1,7 @@
 """Greedy geographic routing and in-cell flooding."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from geogossip import (
     greedy_route,
     sample_points,
 )
+from geogossip import engine
 from geogossip.hierarchy import SquareCell
-from geogossip.routing import _flood_core, _walk, route_to_position
+from geogossip.routing import (_frontier_flood, _walk, restrict_edges,
+                               route_to_position)
 
 from conftest import make_points
 
@@ -184,6 +187,39 @@ def test_walk_matches_reference_walker(case):
         assert bool(ok[i]) == ok_i
 
 
+def test_batched_routes_match_greedy_route(graph4096, monkeypatch):
+    # A fan-out's routes fill state.routes in one lockstep _walk call, each
+    # pair's (hops, ok) as greedy_route finds it alone, dead ends included;
+    # a memoised pair is not walked again.
+    dead = build_graph(make_points([(0.1, 0.1), (0.15, 0.1),
+                                    (0.8, 0.8), (0.85, 0.8)]), 0.1)
+    rng = np.random.default_rng(5)
+    cases = [(dead, [(0, 1), (1, 0), (0, 3), (3, 2)]),
+             (graph4096, [tuple(p) for p in rng.choice(
+                 4096, size=(64, 2), replace=False).tolist()])]
+    walk = engine._walk
+    walkers = []
+
+    def counting(*args):
+        walkers.append(len(args[3]))
+        return walk(*args)
+
+    monkeypatch.setattr(engine, "_walk", counting)
+    states = []
+    for g, pairs in cases:
+        state = SimpleNamespace(graph=g, routes={})
+        engine._route_all(state, pairs)
+        engine._route_all(state, pairs[:3])
+        assert walkers == [len(pairs)]
+        walkers.clear()
+        for src, dst in pairs:
+            r = greedy_route(g, src, dst)
+            assert state.routes[(src, dst)] == (r.hops, r.success)
+            assert type(r.hops) is type(state.routes[(src, dst)][0])
+        states.append(state)
+    assert states[0].routes[(0, 3)] == (1, False)
+
+
 # ------------------------------------------------------------------ flood
 
 def test_flood_chain_counts_both_directions(path3):
@@ -237,6 +273,23 @@ def test_flood_accepts_cell_objects(quad16):
         assert np.array_equal(r.reached, cell.members)
 
 
+def reference_flood(lindptr, lindices, origin):
+    # Reference: a one-origin BFS over a CSR, one node at a time; returns
+    # the reached ids in visit order and the sum of their degrees.
+    order = [origin]
+    seen = {origin}
+    transmissions = 0
+    for u in order:
+        lo = lindptr[u]
+        hi = lindptr[u + 1]
+        transmissions += hi - lo
+        for v in lindices[lo:hi].tolist():
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return order, transmissions
+
+
 def restrict_adjacency(graph, member_mask):
     # Reference: each member's CSR row keeps its member neighbours in
     # order; every other row is empty.
@@ -266,7 +319,7 @@ def test_flood_matches_whole_graph_restriction():
         mask = np.zeros(g.n, dtype=bool)
         mask[members] = True
         lindptr, lindices = restrict_adjacency(g, mask)
-        order, tx = _flood_core(lindptr, lindices, origin)
+        order, tx = reference_flood(lindptr, lindices, origin)
         reached = np.sort(np.array(order, dtype=np.int64))
         r = flood(g, members, origin)
         assert np.array_equal(r.reached, reached)
@@ -274,3 +327,28 @@ def test_flood_matches_whole_graph_restriction():
         assert r.transmissions == tx
         assert np.array_equal(r.unreached,
                               members[~np.isin(members, reached)])
+
+
+def test_frontier_flood_matches_reference_on_leaves(straddler):
+    # Every leaf flooded from its representative at once over the leaf CSR
+    # (no edge between leaves) labels each leaf's reached set as one BFS
+    # from that representative does, and sums the same degrees.  In the
+    # straddler, a leaf member whose only neighbour is in another leaf
+    # stays unreached.
+    pts = sample_points(300, seed=4)
+    cases = [(build_graph(pts, connectivity_radius(300, 2.0)),
+              build_hierarchy(pts, 64)), straddler]
+    gaps = 0
+    for g, h in cases:
+        lindptr, lindices = restrict_edges(
+            g, lambda u, v: h.leaf_of[u] == h.leaf_of[v])
+        leaves = np.flatnonzero(h.subdiv_at_depth[h.cell_depth] == 0)
+        reps = h.cell_rep[leaves]
+        label, tx = _frontier_flood(lindptr, lindices, reps)
+        assert tx.dtype == np.int64
+        for i, (c, rep) in enumerate(zip(leaves, reps.tolist())):
+            order, ref_tx = reference_flood(lindptr, lindices, rep)
+            assert np.array_equal(np.flatnonzero(label == i), np.sort(order))
+            assert tx[i] == ref_tx
+            gaps += h.members_of(c).shape[0] - len(order)
+    assert gaps > 0

@@ -631,7 +631,7 @@ def test_outside_event_reschedules_a_pending_live_tick(quad16, monkeypatch,
     # exchange from leaf 2, or the root's activation, resets its counter:
     # its round end at its fourth tick gives way to a restart at its
     # first.  The root's deactivation turns its global state off: its far
-    # coin at its third tick no longer counts, and it steps nothing.
+    # coin at its second tick no longer counts, and it steps nothing.
     graph, hierarchy = quad16
     sched = build_schedule(graph.n, 1e-2, 1e-1, 1.0, hierarchy, "practical")
     a, b, root = (int(hierarchy.cell_rep[c]) for c in (1, 2, 0))

@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation")
     _add_override_flags(p)
     p.add_argument("--event-log", help="write a line-per-event log "
-                                       "(tick node action target hops)")
+                                       "(tick node action target "
+                                       "transmission-count)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a grid of simulations")

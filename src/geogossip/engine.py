@@ -42,13 +42,16 @@ They update counters, protocol states, ledger and faults, but never write
 x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
 is a midpoint, both ends taking their mean; any other k is a far exchange's
 kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
-ops in order.  Each kernel also appends one (action, node, target, count,
-ok) tuple of Python scalars to state.events, so `step` returns a replayable
-event log from the identical code path the bulk runner uses.
+ops in order.  Each kernel call also appends one Event of Python scalars,
+stamped with state.tick, to state.events, so `step` returns a replayable
+event log from the identical code path the bulk runner uses: it hands back
+the kernels' list as it stands and puts a fresh one on the state.  Every op
+comes with an event, so a tick without one returns at once.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns.  `run`
-advances stride by stride through `step` when it logs events.  Otherwise
+advances stride by stride through `step` when it logs events, and hands
+its sink the events of each drawn block in one call.  Otherwise
 it runs blocks of `block_rows` rows whatever the stride, and a record
 costs a norm, not a block: after a block's kernels run, its ops are
 applied up to each record tick inside it, and the ledger, faults and
@@ -91,14 +94,17 @@ A live tick's control traffic is memoised, as the graph and the leaf
 squares are fixed for a run: a fan-out's routes (to a square's children,
 or a far exchange's two legs) go through one lockstep `_walk` call, and the
 run's first flood floods every leaf from its representative in one
-`_frontier_flood` call.  geo never reads x, so `_tick_geo` takes a whole
-block of rows: attempt a of every tick still pending is routed in one
-lockstep `_walk` call, and only the rejected ticks try again; `step` passes
-it a block of one row.  A block's ops are merged in tick order and applied
-through a memoryview of x, which touches only the ops' endpoints and reads
-and writes them as Python floats: the same IEEE doubles in the same order
-as `step`, so bulk and stepped runs stay bit-identical.  The bulk runner
-empties the event list after every block.
+`_frontier_flood` call.  The runner sets state.tick to each live tick
+before stepping it, so its events carry their own ticks as stepped ones
+do, and empties the event list after every block.  geo never reads x, so
+`_tick_geo` takes a whole block of rows: attempt a of every tick still
+pending is routed in one lockstep `_walk` call, and only the rejected
+ticks try again.  It builds no event; `step` passes it a block of one row
+and builds the tick's one event from the totals it returns.  A block's ops
+are merged in tick order and applied through a memoryview of x, which
+touches only the ops' endpoints and reads and writes them as Python
+floats: the same IEEE doubles in the same order as `step`, so bulk and
+stepped runs stay bit-identical.
 """
 
 import bisect
@@ -234,7 +240,7 @@ def _near(state, u, s):
     v = int(state.leaf_indices[lo + int(u * deg)])
     state.ops.append((s, v, 0.0))
     state.ledger[LEDGER_NEAR] += 2
-    state.events.append(("near", s, v, 2, True))
+    state.events.append(Event(state.tick, "near", s, v, 2, True))
 
 
 def _near_ops(state, s, u):
@@ -257,8 +263,9 @@ def _tick_geo(state, U, nodes):
     # nodes[t] = int(U[t, 0] * n).  Attempt a of every tick still pending
     # is routed in one _walk call; a tick is done once its candidate (a
     # stop node other than the firing node) passes the acceptance coin.
-    # Returns per tick its routing transmissions, whether it exchanged and
-    # whether it hit the attempt cap.
+    # Appends the accepted ticks' ops but no event, and returns per tick
+    # its routing transmissions, whether it exchanged and whether it hit
+    # the attempt cap.
     g = state.graph
     accept = state.geo_accept
     m = nodes.shape[0]
@@ -287,11 +294,8 @@ def _tick_geo(state, U, nodes):
     accepted |= capped
     state.faults[FAULT_GEO_REJECT] += int(np.count_nonzero(capped))
     state.ledger[LEDGER_FAR] += int(total.sum())
-    s_l, c_l, ok_l = nodes.tolist(), cand.tolist(), accepted.tolist()
-    state.ops.extend((s, c, 0.0) for s, c, ok in zip(s_l, c_l, ok_l) if ok)
-    state.events.extend(("far", s, c, t, ok)
-                        for s, c, t, ok in zip(s_l, c_l, total.tolist(),
-                                               ok_l))
+    state.ops.extend(zip(nodes[accepted].tolist(), cand[accepted].tolist(),
+                         itertools.repeat(0.0)))
     return total, accepted, capped
 
 
@@ -324,7 +328,7 @@ def _far(state, u, s, c):
     if not ok:
         state.ledger[LEDGER_FAR] += hops
         state.faults[FAULT_ROUTING] += 1
-        state.events.append(("far", s, sp, hops, False))
+        state.events.append(Event(state.tick, "far", s, sp, hops, False))
         return False
     if state.cell_active[cp] == 1:
         state.faults[FAULT_CONCURRENT] += 1
@@ -333,12 +337,12 @@ def _far(state, u, s, c):
     state.ledger[LEDGER_FAR] += hops
     if not ok:
         state.faults[FAULT_ROUTING] += 1
-        state.events.append(("far", s, sp, hops, False))
+        state.events.append(Event(state.tick, "far", s, sp, hops, False))
         return False
     state.ops.append((s, sp, 0.4 * h.expected_at_depth[r]))
     state.counter[s] = 0
     state.counter[sp] = 0
-    state.events.append(("far", s, sp, hops, True))
+    state.events.append(Event(state.tick, "far", s, sp, hops, True))
     return True
 
 
@@ -361,8 +365,9 @@ def _toggle(state, s, c, r, on):
                - len(reached))
         if gap > 0:
             state.faults[FAULT_FLOOD_GAP] += gap
-        state.events.append(("flood_on" if on == 1 else "flood_off", s,
-                             int(c), tx, gap == 0))
+        state.events.append(Event(state.tick,
+                                  "flood_on" if on == 1 else "flood_off", s,
+                                  int(c), tx, gap == 0))
         return True
     start = int(h.cell_child_start[c])
     reps = h.cell_rep[start:start + m].tolist()
@@ -381,10 +386,11 @@ def _toggle(state, s, c, r, on):
             ok_all = False
     if on == 1:
         state.ledger[LEDGER_ACTIVATE] += total
-        state.events.append(("activate", s, int(c), total, ok_all))
+        action = "activate"
     else:
         state.ledger[LEDGER_DEACTIVATE] += total
-        state.events.append(("deactivate", s, int(c), total, ok_all))
+        action = "deactivate"
+    state.events.append(Event(state.tick, action, s, int(c), total, ok_all))
     return True
 
 
@@ -538,6 +544,7 @@ def _run_hier(state, U, nodes):
     py_t = []
     live_counts = [_counts(state)]
     done = 0
+    t0 = state.tick
     while heap:
         t = heapq.heappop(heap)
         c = int(cells[t])
@@ -552,12 +559,13 @@ def _run_hier(state, U, nodes):
             done = t
         s = rep[c]
         seen = len(events)
+        state.tick = t0 + t
         _tick_hier(state, U[t], s)
         py_t.append(t)
         live_counts.append(_counts(state))
         if len(ops) > len(op_t):
             op_t.append(t)
-        for action, _, target, _, ok in events[seen:]:
+        for _, action, _, target, _, ok in events[seen:]:
             # Each event that changed another cell's state reschedules it
             # from its first tick after t.  An activation or a completed
             # far exchange set its counter to 0; a deactivation left it,
@@ -579,6 +587,7 @@ def _run_hier(state, U, nodes):
                     pos[ci] = i
                 schedule(ci)
         schedule(c)
+    state.tick = t0
     on_at[done:] = local_on[nodes[done:]]
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
@@ -649,8 +658,9 @@ class SimState:
     # Rounds the root square has ended: root deactivations that sent
     # something.  `run` reads it to stop on root deactivation.
     root_rounds: int = 0
-    # (action, node, target, count, ok) per kernel call since `step` or the
-    # bulk block loop last emptied it, all Python scalars.
+    # One Event per kernel call, stamped with state.tick and made of
+    # Python scalars, since `step` last took the list or the bulk block
+    # loop last emptied it.
     events: list = field(default_factory=list, repr=False)
     # Value ops (a, b, k) the kernels emitted and `_apply` has not yet
     # applied to x.
@@ -779,16 +789,15 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
     )
 
 
-def _take_events(state: SimState, tick: int) -> list:
-    # Applies the pending value ops, then returns the buffered kernel
-    # events as Event tuples (the kernels emit Python scalars, so no field
-    # is converted); empties both buffers.
+def _take_events(state: SimState) -> list:
+    # Applies the pending value ops, then returns the kernels' event list
+    # as it stands and puts a fresh one on the state.
     if state.ops:
         _apply(state.x, state.ops)
         state.ops.clear()
-    out = [Event(tick, *ev) for ev in state.events]
-    state.events.clear()
-    return out
+    events = state.events
+    state.events = []
+    return events
 
 
 def step(state: SimState, u=None) -> list:
@@ -797,7 +806,6 @@ def step(state: SimState, u=None) -> list:
     u is the tick's row of ROW_WIDTH uniforms, a list or an array; without
     it, step draws the row from state.rng.
     """
-    tick = state.tick
     if u is None:
         u = state.rng.random(ROW_WIDTH[state.algorithm])
     s = int(u[0] * len(state.x))
@@ -806,9 +814,18 @@ def step(state: SimState, u=None) -> list:
     elif state.algorithm == "boyd":
         _near(state, u[1], s)
     else:
-        _tick_geo(state, np.array([u]), np.array([s]))
-    state.tick = tick + 1
-    return _take_events(state, tick)
+        # An accepted tick's partner is its op's other end; a tick with no
+        # candidate at all names -1.
+        total, accepted, _ = _tick_geo(state, np.array([u]), np.array([s]))
+        ok = bool(accepted[0])
+        state.events.append(Event(state.tick, "far", s,
+                                  state.ops[-1][1] if ok else -1,
+                                  int(total[0]), ok))
+    state.tick += 1
+    # Every op comes with an event, so a tick without one is done.
+    if not state.events:
+        return []
+    return _take_events(state)
 
 
 def replay_ledger(events) -> np.ndarray:
@@ -819,8 +836,10 @@ def replay_ledger(events) -> np.ndarray:
     return ledger
 
 
-def format_event(ev: Event) -> str:
-    return f"{ev.tick} {ev.node} {ev.action} {ev.target} {ev.count}"
+def format_events(events) -> str:
+    """Event log lines, one per event: tick node action target count."""
+    return "".join([f"{t} {s} {action} {v} {count}\n"
+                    for t, action, s, v, count, _ in events])
 
 
 def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
@@ -935,7 +954,9 @@ def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
                         arrays, state.root_rounds = saved
                         for name, arr in zip(BLOCK_SAVED, arrays):
                             setattr(state, name, arr)
+                        state.tick = t0
                         _run_block(state, U)
+                        state.tick = b
                 return reason
         _apply(state.x, block.ops)
         _set_counts(state, end)
@@ -963,8 +984,10 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
             protocol state and random stream are already past the row's
             tick, so the state is the stepped state only once `run`
             returns.
-        event_sink: called with each tick's event list (this routes the run
-            through the stepper; results are identical to the bulk path).
+        event_sink: called with the events of each block of rows the run
+            draws (at most `block_rows` ticks, in tick order); this routes
+            the run through `step`, and results are identical to the bulk
+            path.
 
     Returns:
         MetricsSeries with the recorded rows and the stop reason, one of
@@ -1023,11 +1046,14 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
                 chunk = min(chunk, max_ticks - state.tick)
             # The same kernels one tick at a time, on the rows the bulk
             # path draws, so the random stream and all state match it bit
-            # for bit.  Each block becomes Python floats with one tolist().
-            # `step` is looked up as a module global each tick:
-            # perfbench's tracer rebinds engine.step to time every tick.
+            # for bit.  Each block becomes Python floats with one tolist(),
+            # and its events go to the sink in one call.  `step` is looked
+            # up as a module global each tick: perfbench's tracer rebinds
+            # engine.step to time every tick.
             for U in _row_blocks(state, chunk):
+                events = []
                 for u in U.tolist():
-                    event_sink(step(state, u))
+                    events += step(state, u)
+                event_sink(events)
             reason = record()
     return MetricsSeries(records, reason)

@@ -251,8 +251,7 @@ def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
     event_sink = None
     if event_fh is not None:
         def event_sink(events):
-            for ev in events:
-                event_fh.write(engine.format_event(ev) + "\n")
+            event_fh.write(engine.format_events(events))
 
     series = engine.run(
         state,

@@ -39,7 +39,7 @@ def make_sim(graph, hierarchy, x0, seed=0, **sched_kw):
 
 def drain(st):
     """Apply the ops the kernels left in st.ops; return their events."""
-    return engine._take_events(st, st.tick)
+    return engine._take_events(st)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +445,34 @@ def test_logged_run_matches_stepping_and_bulk(sim256, algorithm, stride):
     assert_same_state(stepped, bulk)
 
 
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
+def test_logged_run_sinks_each_block_in_one_call(sim256, algorithm):
+    # At a stride of two blocks and three rows, the run's blocks are rows,
+    # rows, 3, rows, 2 ticks: each sink call holds the events of the
+    # ticks since the last one, at most one block of them, in tick order.
+    rows = block_rows(algorithm)
+    ticks = 3 * rows + 5
+    logged = fresh_state(sim256, algorithm)
+    calls = []
+
+    def sink(events):
+        calls.append((logged.tick, events))
+
+    run(logged, max_ticks=ticks, stride=2 * rows + 3, event_sink=sink)
+    assert [t for t, _ in calls] == [rows, 2 * rows, 2 * rows + 3,
+                                     3 * rows + 3, ticks]
+    start = 0
+    for end, events in calls:
+        assert all(start <= ev.tick < end for ev in events)
+        start = end
+    joined = [ev for _, events in calls for ev in events]
+    assert [ev.tick for ev in joined] == sorted(ev.tick for ev in joined)
+    stepped = fresh_state(sim256, algorithm)
+    assert joined == [ev for _ in range(ticks) for ev in step(stepped)]
+    assert joined
+    assert_same_state(stepped, logged)
+
+
 def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
     # Both paths count the root's ended rounds in state.root_rounds, and
     # run stops at the first stride boundary after it grows.
@@ -620,6 +648,37 @@ def test_bulk_run_steps_exactly_the_live_ticks(short_rounds1024,
     assert stepped_ticks(monkeypatch,
                          lambda: run(bulk, max_ticks=ticks, stride=3000),
                          lambda u: tick_of[u.tobytes()]) == live
+    assert_same_state(stepped, bulk)
+
+
+def test_bulk_live_ticks_emit_their_stepped_events(short_rounds1024,
+                                                   monkeypatch):
+    # The bulk runner stamps each live tick's events with that tick, so
+    # they are the stepped run's events at the same ticks.
+    graph, hierarchy, sched = short_rounds1024
+    ticks = 30_000
+    stepped = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    rows = stepped.rng.random((ticks, engine.ROW_WIDTH["hier"]))
+    stepped_events = {}
+    for t, u in enumerate(rows.tolist()):
+        stepped_events[t] = step(stepped, u)
+    tick_of = {row.tobytes(): t for t, row in enumerate(rows)}
+    tick_hier = engine._tick_hier
+    emitted = {}
+
+    def recording(st, u, s):
+        seen = len(st.events)
+        tick_hier(st, u, s)
+        emitted[tick_of[u.tobytes()]] = st.events[seen:]
+
+    monkeypatch.setattr(engine, "_tick_hier", recording)
+    bulk = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    run(bulk, max_ticks=ticks, stride=3000)
+    monkeypatch.undo()
+    assert sum(map(len, emitted.values())) > 0
+    for t, events in emitted.items():
+        assert all(ev.tick == t for ev in events)
+        assert events == stepped_events[t]
     assert_same_state(stepped, bulk)
 
 
@@ -824,7 +883,7 @@ def test_near_neighbor_pick_is_uniform(sim256):
     hits = np.zeros(st.n, dtype=np.int64)
     for u in np.random.default_rng(3).random(draws):
         engine._near(st, u, s)
-        hits[st.events.pop()[2]] += 1
+        hits[st.events.pop().target] += 1
     assert hits[nbrs].sum() == draws
     p = 1.0 / deg[s]
     assert np.all(np.abs(hits[nbrs] - draws * p)

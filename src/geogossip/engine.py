@@ -29,11 +29,12 @@ uniforms from [0, 1); column 0 picks the firing node, and a pick among m
 choices is int(u * m).  hier rows are (node, far coin, sibling, neighbor),
 boyd rows are (node, neighbor), and geo attempt a reads (x, y, acceptance
 coin) from columns 1+3a .. 3+3a; columns a tick does not use are discarded.
-`run` draws the rows in blocks of `block_rows(algorithm)` rows, for the
-bulk runner and for its logged loop, which hands `step` one row of a block
-at a time as a list of Python floats; `step` called without a row draws
-its own.  A Generator emits doubles strictly in sequence, so every path
-sees the same rows and ends in the same state at any stride.
+`run` draws the rows in blocks of at most `block_rows(algorithm)` rows.
+A logged run hands `step` one row of a block at a time as a list of Python
+floats, and any other run hands the whole block to the bulk kernels; `step`
+called without a row draws its own.  A Generator emits doubles strictly in
+sequence, so every path sees the same rows and ends in the same state at
+any stride.
 
 The tick kernels are Python over numpy arrays, and they are control
 only.  They take the SimState and read every array under its one name:
@@ -50,19 +51,19 @@ comes with an event, so a tick without one returns at once.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns.  `run`
-advances stride by stride through `step` when it logs events, and hands
-its sink the events of each drawn block in one call.  Otherwise
-it runs blocks of `block_rows` rows whatever the stride, and a record
-costs a norm, not a block: after a block's kernels run, its ops are
-applied up to each record tick inside it, and the ledger, faults and
-root_rounds are set to their values there.  Those come from per-tick
-counts, located with one searchsorted per array: the counts after each
-tick stepped in Python (every geo tick counts as one) and the ticks built
-in numpy.  A stop at a record inside a block, at most once per run,
-restores the generator saved at the block start and redraws the block's
-rows up to the stop.  hier also restores its protocol state saved there
-and reruns those rows through its kernels; boyd and geo write no protocol
-array, and their counts are already those at the stop.
+has one block loop.  A logged run also ends each block at the next record
+tick, steps the block's rows through `step`, and hands its sink the
+block's events in one call.  Otherwise blocks hold `block_rows` rows
+whatever the stride, and a record costs a norm, not a block: after a
+block's kernels run, its ops are applied up to each record tick inside it,
+and the ledger, faults and root_rounds are set to their values there.
+Those come from per-tick counts, located with one searchsorted per array:
+the counts after each tick stepped in Python (every geo tick counts as one)
+and the ticks built in numpy.  A stop at a record inside a block, at most
+once per run, restores the generator saved at the block start and redraws
+the block's rows up to the stop.  hier also restores its protocol state
+saved there and reruns those rows through its kernels; boyd and geo write
+no protocol array, and their counts are already those at the stop.
 
 The bulk runner runs a hier tick in Python only when it is live, that is
 when it can change protocol state.  A representative's tick is live when it
@@ -739,7 +740,8 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         SimState at tick 0.
 
     Raises:
-        ValueError: on inconsistent inputs.
+        ValueError: on inconsistent inputs, or initial values whose norm
+            is not finite.
     """
     if algorithm not in ROW_WIDTH:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -748,6 +750,13 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
     n = graph.n
     rng = np.random.default_rng(seed)
     x = initial_values(n, init_dist, rng, xy=graph.points.xy)
+    with np.errstate(over="ignore"):
+        norm0 = float(np.linalg.norm(x))
+    if not math.isfinite(norm0):
+        # run's error ratios would be nan from the first record on
+        raise ValueError(f"initial values have norm {norm0}: they must be "
+                         f"finite and their squares must sum below the "
+                         f"float64 maximum")
 
     local_on = np.zeros(n, dtype=np.uint8)
     global_on = np.zeros(n, dtype=np.uint8)
@@ -782,7 +791,7 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         hierarchy=hierarchy, schedule=schedule, rng=rng, tick=0, x=x,
         local_on=local_on, global_on=global_on, counter=counter,
         cell_active=cell_active, ledger=ledger, faults=faults,
-        norm0=float(np.linalg.norm(x)), sum0=float(x.sum()),
+        norm0=norm0, sum0=float(x.sum()),
         l1_0=float(np.abs(x).sum()),
         leaf_indptr=lindptr, leaf_indices=lindices,
         geo_accept=geo_acceptance(graph) if algorithm == "geo" else None,
@@ -864,15 +873,6 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
     )
 
 
-def _row_blocks(state: SimState, ticks: int):
-    # The next ticks' rows from state.rng, in blocks of block_rows rows
-    # (fewer only at the end).
-    width = ROW_WIDTH[state.algorithm]
-    rows = block_rows(state.algorithm)
-    for start in range(0, ticks, rows):
-        yield state.rng.random((min(rows, ticks - start), width))
-
-
 def _run_block(state: SimState, U) -> Block:
     # One block of rows through the bulk kernels.  The protocol state and
     # the counts end at the block end; x waits for the returned ops.
@@ -906,19 +906,26 @@ def _run_block(state: SimState, U) -> Block:
     return block
 
 
-def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
-    # Blocks of block_rows rows (fewer only before max_ticks), whatever the
-    # stride.  After a block's kernels run, the protocol state is at the
-    # block end and its ops wait.  At each record tick b inside the block,
-    # the ops of ticks before b are applied and the counts set to theirs
-    # at b; then record() takes the row and names the stop it fires, if
-    # any.  A stop before the block end restores the generator saved at
-    # the block start and redraws the block's first b - t0 rows: the
-    # Generator emits doubles in sequence, so it draws the same rows.  hier
-    # also restores its protocol state saved there and reruns those rows;
-    # boyd and geo write no protocol array, so their redrawn rows are
-    # dropped.  x needs no copy, as the kernels never read it and the ops
-    # before b are already applied.
+def _run_blocks(state: SimState, stride: int, max_ticks, record,
+                event_sink) -> str:
+    # Blocks of block_rows rows (fewer only before max_ticks, and with an
+    # event sink before a record tick), whatever the stride; record() takes
+    # the row at each record tick b and names the stop it fires, if any.
+    # With an event sink, the block's rows go one by one through `step`,
+    # looked up as a module global each tick (perfbench's tracer rebinds
+    # engine.step to time every tick), and its events go to the sink in one
+    # call.  step applies each tick's ops to x at once, so the state is
+    # complete at the block end, which is where such a block records.
+    # Otherwise the block's rows go through the bulk kernels, after which
+    # the protocol state is at the block end and its ops wait.  At each b
+    # inside the block, the ops of ticks before b are applied and the
+    # counts set to theirs at b before record().  A stop before the block
+    # end restores the generator saved at the block start and redraws the
+    # block's first b - t0 rows: the Generator emits doubles in sequence,
+    # so it draws the same rows.  hier also restores its protocol state
+    # saved there and reruns those rows; boyd and geo write no protocol
+    # array, so their redrawn rows are dropped.  x needs no copy, as the
+    # kernels never read it and the ops before b are already applied.
     width = ROW_WIDTH[state.algorithm]
     rows = block_rows(state.algorithm)
     hier = state.algorithm == "hier"
@@ -926,16 +933,27 @@ def _run_bulk(state: SimState, stride: int, max_ticks, record) -> str:
     while True:
         t0 = state.tick
         t1 = t0 + rows if max_ticks is None else min(t0 + rows, max_ticks)
+        if event_sink is not None:
+            t1 = min(t1, due)
+        marks = list(range(due, t1 + 1, stride))
+        due += len(marks) * stride
+        if t1 == max_ticks and (not marks or marks[-1] < t1):
+            marks.append(t1)
+        if event_sink is not None:
+            events = []
+            for u in state.rng.random((t1 - t0, width)).tolist():
+                events += step(state, u)
+            event_sink(events)
+            reason = record() if marks else None
+            if reason is not None:
+                return reason
+            continue
         rng_state = state.rng.bit_generator.state
         if hier:
             saved = ([getattr(state, name).copy() for name in BLOCK_SAVED],
                      state.root_rounds)
         block = _run_block(state, state.rng.random((t1 - t0, width)))
         end = _counts(state)
-        marks = list(range(due, t1 + 1, stride))
-        due += len(marks) * stride
-        if t1 == max_ticks and (not marks or marks[-1] < t1):
-            marks.append(t1)
         offs = np.array(marks, dtype=np.int64) - t0
         done = 0
         for b, j, counts in zip(marks,
@@ -985,15 +1003,17 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
             tick, so the state is the stepped state only once `run`
             returns.
         event_sink: called with the events of each block of rows the run
-            draws (at most `block_rows` ticks, in tick order); this routes
-            the run through `step`, and results are identical to the bulk
-            path.
+            draws (at most `block_rows` ticks, in tick order).  Such a run
+            steps each row through `step` and ends its blocks at record
+            ticks too; its rows, records and state are those of the run
+            without a sink.
 
     Returns:
         MetricsSeries with the recorded rows and the stop reason, one of
         "max_ticks", "target", "root_deactivation", "diverged".  A run is
         diverged when the error ratio stops being finite (value overflow);
-        no record is written for the boundary that detected it.
+        no record is written for the boundary that detected it, so a run
+        of a state that has already diverged returns no record at all.
 
     Raises:
         ValueError: if no stop condition is given.
@@ -1007,17 +1027,15 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
 
-    def emit(rec):
-        records.append(rec)
-        if on_record is not None:
-            on_record(rec)
-
     def record():
         # The row at state.tick, then the stop it fires, if any.
         err = state.error_ratio()
         if not math.isfinite(err):
             return "diverged"
-        emit(snapshot(state, err))
+        rec = snapshot(state, err)
+        records.append(rec)
+        if on_record is not None:
+            on_record(rec)
         if target_ratio is not None and err <= target_ratio:
             return "target"
         if stop_on_root_deactivation and state.root_rounds > rounds:
@@ -1030,30 +1048,8 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
     rounds = state.root_rounds   # the first record after it grows stops
     # A norm overflows only as the values diverge, which record() reports.
     with np.errstate(over="ignore"):
-        emit(snapshot(state))
-        if target_ratio is not None and \
-                records[-1].err_l2_ratio <= target_ratio:
-            return MetricsSeries(records, "target")
-        if max_ticks is not None and state.tick >= max_ticks:
-            return MetricsSeries(records, "max_ticks")
-        if event_sink is None:
-            return MetricsSeries(records, _run_bulk(state, stride, max_ticks,
-                                                    record))
-        reason = None
-        while reason is None:
-            chunk = stride
-            if max_ticks is not None:
-                chunk = min(chunk, max_ticks - state.tick)
-            # The same kernels one tick at a time, on the rows the bulk
-            # path draws, so the random stream and all state match it bit
-            # for bit.  Each block becomes Python floats with one tolist(),
-            # and its events go to the sink in one call.  `step` is looked
-            # up as a module global each tick: perfbench's tracer rebinds
-            # engine.step to time every tick.
-            for U in _row_blocks(state, chunk):
-                events = []
-                for u in U.tolist():
-                    events += step(state, u)
-                event_sink(events)
-            reason = record()
+        reason = record()
+        if reason is None:
+            reason = _run_blocks(state, stride, max_ticks, record,
+                                 event_sink)
     return MetricsSeries(records, reason)

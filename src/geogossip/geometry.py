@@ -40,8 +40,7 @@ class GeometricGraph:
     indptr: np.ndarray
     indices: np.ndarray
     grid_side: int
-    cell_start: np.ndarray    # prefix offsets into cell_points, len grid_side^2 + 1
-    cell_points: np.ndarray   # point ids grouped by bucket cell
+    cell_start: np.ndarray    # prefix sums of bucket counts, len grid_side^2 + 1
     point_cell: np.ndarray    # bucket cell id per point
 
     def neighbors(self, i: int) -> np.ndarray:
@@ -157,8 +156,7 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
 
     return GeometricGraph(points=points, radius=float(radius), indptr=indptr,
                           indices=indices, grid_side=grid_side,
-                          cell_start=cell_start, cell_points=order,
-                          point_cell=point_cell)
+                          cell_start=cell_start, point_cell=point_cell)
 
 
 def is_connected(graph: GeometricGraph) -> bool:

@@ -3,6 +3,7 @@
 import bisect
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def test_init_rejects_inconsistent_inputs(quad16):
     flat = build_hierarchy(graph.points, 100)
     with pytest.raises(ValueError):
         init_sim(graph, flat, sched, seed=0)
+
+
+def test_init_rejects_a_start_without_a_finite_norm(quad16):
+    # The squares of +-1e200 overflow float64, so no run could record an
+    # error ratio; init_sim says so at once, without a numpy warning.
+    graph, hierarchy = quad16
+    sched = build_schedule(16, 1e-2, 1e-1, 1.0, hierarchy, "practical")
+    x0 = np.where(np.arange(16) % 2 == 0, 1e200, -1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (x0, np.full(16, np.nan)):
+            with pytest.raises(ValueError, match="norm"):
+                init_sim(graph, hierarchy, sched, seed=0, init_dist=bad)
+        st = init_sim(graph, hierarchy, sched, seed=0, init_dist=x0 * 1e-50)
+    assert st.norm0 == pytest.approx(4e150)
 
 
 # ---------------------------------------------- kernels, explicit uniforms
@@ -486,6 +502,35 @@ def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
     assert a.tick == 127_000
     assert a.root_rounds == b.root_rounds == 1
     assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
+def test_run_stops_at_its_start_or_target_alike_logged_and_bulk(sim256,
+                                                                algorithm):
+    # A run whose start meets a stop writes the start's row only, returns
+    # that stop and draws nothing, with or without an event sink.
+    for stop, kw in (("max_ticks", dict(max_ticks=0)),
+                     ("target", dict(target_ratio=1.0))):
+        for logged in (False, True):
+            st = fresh_state(sim256, algorithm)
+            drawn = st.rng.bit_generator.state
+            calls = []
+            series = run(st, **kw,
+                         event_sink=calls.append if logged else None)
+            assert series.stop_reason == stop
+            assert [r.tick for r in series.records] == [0]
+            assert calls == []
+            assert st.rng.bit_generator.state == drawn
+    # Without max_ticks a logged run's blocks end only at record ticks, and
+    # a target stop leaves it where the bulk run stops inside a block.
+    bulk = fresh_state(sim256, algorithm)
+    logged = fresh_state(sim256, algorithm)
+    sb = run(bulk, target_ratio=0.3, stride=37)
+    sl = run(logged, target_ratio=0.3, stride=37, event_sink=lambda evs: None)
+    assert sb.stop_reason == sl.stop_reason == "target"
+    assert sb.records == sl.records
+    assert bulk.tick % block_rows(algorithm) and bulk.tick > 37
+    assert_same_state(bulk, logged)
 
 
 @pytest.fixture(scope="module")

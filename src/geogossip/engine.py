@@ -624,8 +624,10 @@ class MetricsSeries:
     stop_reason: str
 
     @property
-    def final(self) -> MetricsRecord:
-        return self.records[-1]
+    def final(self) -> MetricsRecord | None:
+        """The last record, or None for a run that recorded none (a state
+        already diverged when the run began)."""
+        return self.records[-1] if self.records else None
 
 
 @dataclass

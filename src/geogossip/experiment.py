@@ -222,8 +222,8 @@ class ExperimentResult:
                 f"connected={'yes' if self.connected else 'NO'}")
 
     def delivery_faults(self) -> int:
-        return (self.state.fault_totals()["routing_failure"]
-                + self.state.fault_totals()["flood_gap"])
+        faults = self.state.fault_totals()
+        return faults["routing_failure"] + faults["flood_gap"]
 
 
 def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
@@ -290,7 +290,6 @@ def sweep(config: ExperimentConfig, ns, seeds, algorithms=None, csv_fh=None,
             for seed in sorted(set(int(v) for v in seeds)):
                 cfg = dataclasses.replace(config, algorithm=algo, n=n,
                                           seed=seed)
-                cfg.validate()
                 try:
                     # only the run's build_state raises these, before any
                     # row is written

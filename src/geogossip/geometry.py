@@ -7,8 +7,9 @@ ascending).  It is built in vectorised numpy through a bucket grid whose cell
 side is at least the radius: for each of the 9 offsets of the 3x3 cell
 neighborhood, every (point, candidate) pair is gathered at once, tested
 against the closed ball, and the kept pairs are sorted by ``i * n + j`` into
-CSR order.  Connectivity is a frontier-at-a-time breadth-first search over
-the same CSR arrays.
+CSR order.  The module also holds the graph search: `_frontier_flood`
+floods a CSR from many origins at once, one breadth-first frontier per round,
+and connectivity is that flood from node 0.
 """
 
 import math
@@ -101,6 +102,39 @@ def _concat_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + shift
 
 
+def _grid_index(coord: np.ndarray, resolution: int) -> np.ndarray:
+    # Bin of each coordinate among `resolution` equal bins of [0, 1].
+    ix = (coord * resolution).astype(np.int64)
+    return np.minimum(ix, resolution - 1)
+
+
+def _frontier_flood(indptr, indices, origins):
+    # Breadth-first floods from every origin at once over a CSR, one
+    # frontier per round for all.  Returns (label, tx): label[v] is the
+    # position in origins of the flood that reached node v, -1 for a node
+    # none reached, and tx[i] sums the degrees of flood i's reached nodes.
+    # A node two floods reach gets one of their labels, so the labels are
+    # each flood's reached set only when no two origins share a component
+    # (the engine's leaf CSR has no edge between leaves).
+    n = indptr.shape[0] - 1
+    origins = np.asarray(origins, dtype=np.int64)
+    label = np.full(n, -1, dtype=np.int64)
+    label[origins] = np.arange(origins.shape[0])
+    front = origins
+    while front.shape[0]:
+        lo = indptr[front]
+        cnt = indptr[front + 1] - lo
+        nb = indices[_concat_ranges(lo, cnt)]
+        new = label[nb] < 0
+        nb = nb[new]
+        label[nb] = label[front].repeat(cnt)[new]
+        front = np.unique(nb)
+    reached = np.flatnonzero(label >= 0)
+    tx = np.bincount(label[reached], weights=np.diff(indptr)[reached],
+                     minlength=origins.shape[0])
+    return label, tx.astype(np.int64)
+
+
 def build_graph(points: PointSet, radius: float) -> GeometricGraph:
     """Build the geometric graph G(points, radius) with its bucket index.
 
@@ -121,8 +155,8 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
     n = points.n
     grid_side = max(1, int(1.0 / radius))
 
-    ix = np.minimum((xy[:, 0] * grid_side).astype(np.int64), grid_side - 1)
-    iy = np.minimum((xy[:, 1] * grid_side).astype(np.int64), grid_side - 1)
+    ix = _grid_index(xy[:, 0], grid_side)
+    iy = _grid_index(xy[:, 1], grid_side)
     point_cell = ix * grid_side + iy
     order = np.argsort(point_cell, kind="stable").astype(np.int64)
     counts = np.bincount(point_cell, minlength=grid_side * grid_side)
@@ -160,20 +194,7 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
 
 
 def is_connected(graph: GeometricGraph) -> bool:
-    """True iff the graph has a single connected component.
-
-    Breadth-first search from node 0, one whole frontier per step.
-    """
-    n = graph.n
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.shape[0]:
-        start = graph.indptr[frontier]
-        count = graph.indptr[frontier + 1] - start
-        nbrs = graph.indices[_concat_ranges(start, count)]
-        frontier = np.unique(nbrs[~seen[nbrs]])
-        seen[frontier] = True
-    return bool(seen.all())
+    """True iff the graph has a single connected component: the frontier
+    flood from node 0 reaches every node."""
+    label, _ = _frontier_flood(graph.indptr, graph.indices, [0])
+    return bool((label >= 0).all())

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import PointSet
+from .geometry import PointSet, _grid_index
 
 DEFAULT_A = 1.0
 DEFAULT_GAMMA = 8.0
@@ -159,11 +159,6 @@ def subdivision_factor(expected_count: float) -> int:
             best_k = k
         k += 2
     return best_k * best_k
-
-
-def _grid_index(coord: np.ndarray, resolution: int) -> np.ndarray:
-    ix = (coord * resolution).astype(np.int64)
-    return np.minimum(ix, resolution - 1)
 
 
 def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:

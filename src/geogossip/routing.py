@@ -13,17 +13,18 @@ reached node forwards once to each in-cell neighbor).
 Routing has one implementation, `_walk`, a lockstep router: it moves a batch
 of packets one hop per round, all together, with numpy over the CSR arrays,
 so a round costs a few array operations whatever the batch size.  A single
-route is a batch of one.  Flooding has one too, `_frontier_flood`: it floods
-from many origins at once, one breadth-first frontier per round for all of
-them, and labels each reached node with its origin.  A single flood is a
-batch of one origin.
+route is a batch of one.  Flooding runs on the graph search in `geometry`,
+`_frontier_flood`: it floods from many origins at once, one breadth-first
+frontier per round for all of them, and labels each reached node with its
+origin.  A single flood is a batch of one origin over the graph that
+`restrict_edges` restricts to the cell.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometricGraph, _concat_ranges
+from .geometry import GeometricGraph, _frontier_flood
 
 
 @dataclass(frozen=True)
@@ -117,33 +118,6 @@ def _route_one(graph, src, dst, tx, ty):
     return trail[:hops[0] + 1, 0], bool(ok[0])
 
 
-def _frontier_flood(indptr, indices, origins):
-    # Breadth-first floods from every origin at once over a CSR, one
-    # frontier per round for all.  Returns (label, tx): label[v] is the
-    # position in origins of the flood that reached node v, -1 for a node
-    # none reached, and tx[i] sums the degrees of flood i's reached nodes.
-    # A node two floods reach gets one of their labels, so the labels are
-    # each flood's reached set only when no two origins share a component
-    # (the engine's leaf CSR has no edge between leaves).
-    n = indptr.shape[0] - 1
-    origins = np.asarray(origins, dtype=np.int64)
-    label = np.full(n, -1, dtype=np.int64)
-    label[origins] = np.arange(origins.shape[0])
-    front = origins
-    while front.shape[0]:
-        lo = indptr[front]
-        cnt = indptr[front + 1] - lo
-        nb = indices[_concat_ranges(lo, cnt)]
-        new = label[nb] < 0
-        nb = nb[new]
-        label[nb] = label[front].repeat(cnt)[new]
-        front = np.unique(nb)
-    reached = np.flatnonzero(label >= 0)
-    tx = np.bincount(label[reached], weights=np.diff(indptr)[reached],
-                     minlength=origins.shape[0])
-    return label, tx.astype(np.int64)
-
-
 def greedy_route(graph: GeometricGraph, src: int, dst: int) -> RouteResult:
     """Greedily route from sensor src toward sensor dst's position.
 
@@ -202,24 +176,14 @@ def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
         ValueError: if origin is not a member of the cell.
     """
     members = np.asarray(getattr(cell, "members", cell), dtype=np.int64)
-    # In-cell CSR over local ids (positions in the sorted member list),
-    # built from the member rows alone: a member's row keeps the neighbors
-    # that are members too, in their ascending order.
-    ids = np.unique(members)
-    start = int(np.searchsorted(ids, origin))
-    if start == ids.shape[0] or ids[start] != origin:
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[members] = True
+    if not 0 <= origin < graph.n or not inside[origin]:
         raise ValueError(f"origin {origin} is not a member of the cell")
-    row_start = graph.indptr[ids]
-    row_count = graph.indptr[ids + 1] - row_start
-    nbr = graph.indices[_concat_ranges(row_start, row_count)]
-    local = np.minimum(np.searchsorted(ids, nbr), ids.shape[0] - 1)
-    keep = ids[local] == nbr
-    row = np.repeat(np.arange(ids.shape[0]), row_count)
-    lindptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[keep], minlength=ids.shape[0]),
-              out=lindptr[1:])
-    label, tx = _frontier_flood(lindptr, local[keep], [start])
-    reached = ids[label == 0]
-    unreached = members[~np.isin(members, reached)]
-    return FloodResult(reached=reached, transmissions=int(tx[0]),
-                       unreached=unreached)
+    # The graph restricted to the cell: a member's row keeps the neighbors
+    # that are members too; every other row is empty.
+    indptr, indices = restrict_edges(graph, lambda u, v: inside[u] & inside[v])
+    label, tx = _frontier_flood(indptr, indices, [origin])
+    return FloodResult(reached=np.flatnonzero(label == 0),
+                       transmissions=int(tx[0]),
+                       unreached=members[label[members] < 0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from geogossip import (PointSet, build_graph, build_hierarchy,
                        connectivity_radius, sample_points)
@@ -63,6 +64,25 @@ def grid_points(side: int) -> PointSet:
     ticks = (np.arange(side) + 0.5) / side
     gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
     return make_points(np.column_stack([gx.ravel(), gy.ravel()]))
+
+
+@st.composite
+def small_graphs(draw):
+    """Geometric graphs on 1 to 30 drawn points, repeats allowed, with a
+    radius in [0.01, 0.8]: single nodes, isolated nodes and several
+    components all come up."""
+    coord = st.floats(0.0, 1.0)
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    return build_graph(make_points(xy), draw(st.floats(0.01, 0.8)))
+
+
+# one node; three isolated nodes; two components of two nodes each
+SMALL_GRAPHS = [
+    build_graph(make_points([(0.5, 0.5)]), 0.1),
+    build_graph(make_points([(0.1, 0.1), (0.5, 0.5), (0.9, 0.9)]), 0.1),
+    build_graph(make_points([(0.1, 0.1), (0.15, 0.1),
+                             (0.8, 0.8), (0.85, 0.8)]), 0.1),
+]
 
 
 @pytest.fixture(scope="session")

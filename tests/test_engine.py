@@ -346,6 +346,18 @@ def test_unstable_schedule_reports_divergence():
     assert all(np.isfinite(r.err_l2_ratio) for r in series.records)
 
 
+def test_run_of_diverged_state_has_no_final_record(sim256):
+    # a state whose values are already not finite stops at its first
+    # boundary with no record; final says so instead of raising
+    graph, hierarchy, sched = sim256
+    st = init_sim(graph, hierarchy, sched, seed=0, algorithm="boyd")
+    st.x[0] = np.inf
+    series = run(st, max_ticks=1000)
+    assert series.stop_reason == "diverged"
+    assert series.records == []
+    assert series.final is None
+
+
 def test_run_requires_stop_condition(sim256):
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=0)

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geogossip import (build_graph, connectivity_radius, is_connected,
                        sample_points)
 from geogossip.routing import restrict_edges
 
-from conftest import make_points
+from conftest import SMALL_GRAPHS, make_points, small_graphs
 
 
 def brute_force_adjacency(points, radius):
@@ -188,6 +188,27 @@ def test_is_connected_two_clusters_one_bridge():
     assert indices.shape[0] == g.indices.shape[0] - 2
     assert not is_connected(dataclasses.replace(g, indptr=indptr,
                                                 indices=indices))
+
+
+def python_bfs_connected(graph):
+    # Reference: breadth-first search from node 0, one node at a time.
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        for v in graph.neighbors(u).tolist():
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == graph.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(SMALL_GRAPHS[0])
+@example(SMALL_GRAPHS[1])
+@example(SMALL_GRAPHS[2])
+def test_is_connected_matches_python_bfs(graph):
+    assert is_connected(graph) == python_bfs_connected(graph)
 
 
 def test_default_constant_connects_whp():

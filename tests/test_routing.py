@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geogossip import (
     build_graph,
@@ -20,7 +20,7 @@ from geogossip.hierarchy import SquareCell
 from geogossip.routing import (_frontier_flood, _walk, restrict_edges,
                                route_to_position)
 
-from conftest import make_points
+from conftest import SMALL_GRAPHS, make_points, small_graphs
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +327,36 @@ def test_flood_matches_whole_graph_restriction():
         assert r.transmissions == tx
         assert np.array_equal(r.unreached,
                               members[~np.isin(members, reached)])
+
+
+@st.composite
+def flood_cases(draw):
+    # a small graph, a member list with holes and repeats, and an origin
+    # among the members
+    g = draw(small_graphs())
+    members = draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                            max_size=2 * g.n))
+    return g, np.array(members, dtype=np.int64), draw(st.sampled_from(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flood_cases())
+@example((SMALL_GRAPHS[0], np.array([0]), 0))
+@example((SMALL_GRAPHS[1], np.array([2, 0, 2]), 2))
+@example((SMALL_GRAPHS[2], np.array([3, 0, 1, 2, 1]), 1))
+def test_flood_matches_reference_on_small_graphs(case):
+    g, members, origin = case
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    order, tx = reference_flood(*restrict_adjacency(g, mask), origin)
+    reached = np.sort(np.array(order, dtype=np.int64))
+    r = flood(g, members, origin)
+    assert np.array_equal(r.reached, reached)
+    assert r.transmissions == tx
+    assert np.array_equal(r.unreached, members[~np.isin(members, reached)])
+    for bad in (-1, g.n, *np.flatnonzero(~mask)[:1].tolist()):
+        with pytest.raises(ValueError):
+            flood(g, members, bad)
 
 
 def test_frontier_flood_matches_reference_on_leaves(straddler):

@@ -173,9 +173,12 @@ def flood(graph: GeometricGraph, cell, origin: int) -> FloodResult:
         than raised (the engine counts them as protocol faults).
 
     Raises:
-        ValueError: if origin is not a member of the cell.
+        ValueError: if a member is not a sensor id, or origin is not a
+            member of the cell.
     """
     members = np.asarray(getattr(cell, "members", cell), dtype=np.int64)
+    if ((members < 0) | (members >= graph.n)).any():
+        raise ValueError(f"cell members must be ids in [0, {graph.n})")
     inside = np.zeros(graph.n, dtype=bool)
     inside[members] = True
     if not 0 <= origin < graph.n or not inside[origin]:

@@ -241,6 +241,13 @@ def test_flood_requires_member_origin(path3):
         flood(path3, np.array([0, 1]), origin=2)
 
 
+def test_flood_rejects_members_outside_the_graph(path3):
+    # a negative id must not wrap round to the last sensor
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            flood(path3, np.array([bad, 1]), origin=1)
+
+
 def test_flood_stays_inside_cell():
     # a-b-c-d chain; the cell covers only a and b, so the packet must not
     # leak over the b-c edge even though it exists in the graph

@@ -150,9 +150,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    records = metrics.read_csv(args.csv)
     try:
-        fits = metrics.fit_scaling(records, args.target)
+        fits = metrics.fit_scaling(metrics.read_csv(args.csv), args.target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -182,8 +181,12 @@ def _cmd_kernel_verify(args) -> int:
 
 
 def _cmd_dump_hierarchy(args) -> int:
-    points = sample_points(args.n, args.seed)
-    hierarchy = build_hierarchy(points, args.threshold)
+    try:
+        hierarchy = build_hierarchy(sample_points(args.n, args.seed),
+                                    args.threshold)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(dump_hierarchy(hierarchy))
     return EXIT_OK
 

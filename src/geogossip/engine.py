@@ -39,7 +39,7 @@ any stride.
 The tick kernels are Python over numpy arrays, and they are control
 only.  They take the SimState and read every array under its one name:
 state.x, state.hierarchy.cell_parent, state.schedule.far_prob, and so on.
-They update counters, protocol states, ledger and faults, but never write
+They update counters, protocol states and state.counts, but never write
 x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
 is a midpoint, both ends taking their mean; any other k is a far exchange's
 kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
@@ -56,14 +56,15 @@ tick, steps the block's rows through `step`, and hands its sink the
 block's events in one call.  Otherwise blocks hold `block_rows` rows
 whatever the stride, and a record costs a norm, not a block: after a
 block's kernels run, its ops are applied up to each record tick inside it,
-and the ledger, faults and root_rounds are set to their values there.
-Those come from per-tick counts, located with one searchsorted per array:
-the counts after each tick stepped in Python (every geo tick counts as one)
-and the ticks built in numpy.  A stop at a record inside a block, at most
-once per run, restores the generator saved at the block start and redraws
-the block's rows up to the stop.  hier also restores its protocol state
-saved there and reruns those rows through its kernels; boyd and geo write
-no protocol array, and their counts are already those at the stop.
+and state.counts is set to its value there.  That comes from per-tick
+counts, located with one searchsorted per array: the counts after each
+tick stepped in Python (every geo tick counts as one) and the ticks built
+in numpy.  A stop at a record inside a block, at most once per run,
+restores the generator saved at the block start and redraws the block's
+rows up to the stop.  hier also restores its protocol state and counts
+saved there, in place, and reruns those rows through its kernels; boyd
+and geo write no protocol array, and their counts are already those at
+the stop.
 
 The bulk runner runs a hier tick in Python only when it is live, that is
 when it can change protocol state.  A representative's tick is live when it
@@ -122,6 +123,8 @@ from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
 from .routing import _frontier_flood, _walk, restrict_edges
 
+# A run's counts are one int64 vector, state.counts, indexed by these: the
+# ledger categories, then the faults, then the rounds the root has ended.
 LEDGER_NEAR = 0
 LEDGER_FAR = 1
 LEDGER_ACTIVATE = 2
@@ -129,13 +132,17 @@ LEDGER_DEACTIVATE = 3
 LEDGER_FLOOD = 4
 LEDGER_NAMES = ("near", "far_routing", "activate", "deactivate", "flood")
 
-FAULT_ROUTING = 0
-FAULT_ISOLATED_NEAR = 1
-FAULT_CONCURRENT = 2
-FAULT_FLOOD_GAP = 3
-FAULT_GEO_REJECT = 4
+FAULT_ROUTING = 5
+FAULT_ISOLATED_NEAR = 6
+FAULT_CONCURRENT = 7
+FAULT_FLOOD_GAP = 8
+FAULT_GEO_REJECT = 9
 FAULT_NAMES = ("routing_failure", "isolated_near", "concurrent_round",
                "flood_gap", "geo_reject_cap")
+
+ROOT_ROUNDS = 10
+LEDGER = slice(LEDGER_NEAR, FAULT_ROUTING)
+FAULTS = slice(FAULT_ROUTING, ROOT_ROUNDS)
 
 # Ledger category of each event action.
 EVENT_LEDGER = {"near": LEDGER_NEAR, "far": LEDGER_FAR,
@@ -157,18 +164,16 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 
 # One bulk block's outcome, in ticks counted from the block start.  ops
 # iterates its value ops (a, b, k) in tick order, and op_t is each op's tick.
-# The counts (ledger, faults, root_rounds, as `_counts` lists them) at a
-# tick t come from the ticks before t: live[i] holds them at the block
-# start (i = 0) and after each of the ticks live_t stepped in Python, and
-# each built near tick adds 2 near transmissions (kept_t) or one isolated
-# fault (lone_t).
+# The counts (state.counts) at a tick t come from the ticks before t:
+# live[i] holds them at the block start (i = 0) and after each of the ticks
+# live_t stepped in Python, and each built near tick adds 2 near
+# transmissions (kept_t) or one isolated fault (lone_t).
 Block = namedtuple("Block", ["ops", "op_t", "live_t", "live", "kept_t",
                              "lone_t"])
 
 # The protocol arrays a hier block start saves, so that a stop inside the
 # block can rerun it up to the stop.
-BLOCK_SAVED = ("local_on", "global_on", "counter", "cell_active", "ledger",
-               "faults")
+BLOCK_SAVED = ("local_on", "global_on", "counter", "cell_active", "counts")
 
 
 def block_rows(algorithm: str) -> int:
@@ -236,11 +241,11 @@ def _near(state, u, s):
     lo = int(indptr[s])
     deg = int(indptr[s + 1]) - lo
     if deg == 0:
-        state.faults[FAULT_ISOLATED_NEAR] += 1
+        state.counts[FAULT_ISOLATED_NEAR] += 1
         return
     v = int(state.leaf_indices[lo + int(u * deg)])
     state.ops.append((s, v, 0.0))
-    state.ledger[LEDGER_NEAR] += 2
+    state.counts[LEDGER_NEAR] += 2
     state.events.append(Event(state.tick, "near", s, v, 2, True))
 
 
@@ -254,8 +259,8 @@ def _near_ops(state, s, u):
     keep = deg > 0
     v = state.leaf_indices[lo[keep]
                            + (u[keep] * deg[keep]).astype(np.int64)]
-    state.faults[FAULT_ISOLATED_NEAR] += keep.shape[0] - v.shape[0]
-    state.ledger[LEDGER_NEAR] += 2 * v.shape[0]
+    state.counts[FAULT_ISOLATED_NEAR] += keep.shape[0] - v.shape[0]
+    state.counts[LEDGER_NEAR] += 2 * v.shape[0]
     return keep, v
 
 
@@ -293,8 +298,8 @@ def _tick_geo(state, U, nodes):
     capped = np.zeros(m, dtype=bool)
     capped[pending[cand[pending] >= 0]] = True
     accepted |= capped
-    state.faults[FAULT_GEO_REJECT] += int(np.count_nonzero(capped))
-    state.ledger[LEDGER_FAR] += int(total.sum())
+    state.counts[FAULT_GEO_REJECT] += int(np.count_nonzero(capped))
+    state.counts[LEDGER_FAR] += int(total.sum())
     state.ops.extend(zip(nodes[accepted].tolist(), cand[accepted].tolist(),
                          itertools.repeat(0.0)))
     return total, accepted, capped
@@ -317,27 +322,22 @@ def _far(state, u, s, c):
     # Returns whether the exchange completed.
     h = state.hierarchy
     r = h.cell_depth[c]
+    # c has a parent, and a parent has at least 4 children.
     nsib = int(h.subdiv_at_depth[r - 1]) - 1
-    if nsib <= 0:
-        return False
     cp = int(h.cell_child_start[h.cell_parent[c]]) + int(u * nsib)
     if cp >= c:
         cp += 1
     sp = int(h.cell_rep[cp])
     _route_all(state, [(s, sp), (sp, s)])
     hops, ok = state.routes[(s, sp)]
+    if ok:
+        if state.cell_active[cp] == 1:
+            state.counts[FAULT_CONCURRENT] += 1
+        back, ok = state.routes[(sp, s)]
+        hops += back
+    state.counts[LEDGER_FAR] += hops
     if not ok:
-        state.ledger[LEDGER_FAR] += hops
-        state.faults[FAULT_ROUTING] += 1
-        state.events.append(Event(state.tick, "far", s, sp, hops, False))
-        return False
-    if state.cell_active[cp] == 1:
-        state.faults[FAULT_CONCURRENT] += 1
-    back, ok = state.routes[(sp, s)]
-    hops += back
-    state.ledger[LEDGER_FAR] += hops
-    if not ok:
-        state.faults[FAULT_ROUTING] += 1
+        state.counts[FAULT_ROUTING] += 1
         state.events.append(Event(state.tick, "far", s, sp, hops, False))
         return False
     state.ops.append((s, sp, 0.4 * h.expected_at_depth[r]))
@@ -361,11 +361,11 @@ def _toggle(state, s, c, r, on):
     if m == 0:
         reached, tx = _flood(state, s)
         state.local_on[reached] = on
-        state.ledger[LEDGER_FLOOD] += tx
+        state.counts[LEDGER_FLOOD] += tx
         gap = (int(h.cell_member_start[c + 1] - h.cell_member_start[c])
                - len(reached))
         if gap > 0:
-            state.faults[FAULT_FLOOD_GAP] += gap
+            state.counts[FAULT_FLOOD_GAP] += gap
         state.events.append(Event(state.tick,
                                   "flood_on" if on == 1 else "flood_off", s,
                                   int(c), tx, gap == 0))
@@ -383,13 +383,13 @@ def _toggle(state, s, c, r, on):
             if on == 1:
                 state.counter[dst] = 0
         else:
-            state.faults[FAULT_ROUTING] += 1
+            state.counts[FAULT_ROUTING] += 1
             ok_all = False
     if on == 1:
-        state.ledger[LEDGER_ACTIVATE] += total
+        state.counts[LEDGER_ACTIVATE] += total
         action = "activate"
     else:
-        state.ledger[LEDGER_DEACTIVATE] += total
+        state.counts[LEDGER_DEACTIVATE] += total
         action = "deactivate"
     state.events.append(Event(state.tick, action, s, int(c), total, ok_all))
     return True
@@ -420,29 +420,16 @@ def _tick_hier(state, u, s):
         sent = _toggle(state, s, c, r, 0)
         if h.cell_parent[c] < 0:
             counter[s] = 0
-            state.root_rounds += sent
+            state.counts[ROOT_ROUNDS] += sent
     else:
         counter[s] += 1
-
-
-def _counts(state):
-    # The counts a record reads, as one list: ledger, faults, root_rounds.
-    return state.ledger.tolist() + state.faults.tolist() + [state.root_rounds]
-
-
-def _set_counts(state, counts):
-    nl = len(LEDGER_NAMES)
-    state.ledger[:] = counts[:nl]
-    state.faults[:] = counts[nl:-1]
-    state.root_rounds = counts[-1]
 
 
 def _counts_at(block, offs):
     # The counts at each tick offset of offs (ascending, within the block).
     rows = block.live[np.searchsorted(block.live_t, offs)]
     rows[:, LEDGER_NEAR] += 2 * np.searchsorted(block.kept_t, offs)
-    rows[:, len(LEDGER_NAMES) + FAULT_ISOLATED_NEAR] += np.searchsorted(
-        block.lone_t, offs)
+    rows[:, FAULT_ISOLATED_NEAR] += np.searchsorted(block.lone_t, offs)
     return rows.tolist()
 
 
@@ -543,7 +530,7 @@ def _run_hier(state, U, nodes):
     ops = state.ops
     op_t = []
     py_t = []
-    live_counts = [_counts(state)]
+    live_counts = [state.counts.tolist()]
     done = 0
     t0 = state.tick
     while heap:
@@ -563,7 +550,7 @@ def _run_hier(state, U, nodes):
         state.tick = t0 + t
         _tick_hier(state, U[t], s)
         py_t.append(t)
-        live_counts.append(_counts(state))
+        live_counts.append(state.counts.tolist())
         if len(ops) > len(op_t):
             op_t.append(t)
         for _, action, _, target, _, ok in events[seen:]:
@@ -646,8 +633,10 @@ class SimState:
     global_on: np.ndarray
     counter: np.ndarray
     cell_active: np.ndarray
-    ledger: np.ndarray
-    faults: np.ndarray
+    # The run's counts, indexed by LEDGER_*, FAULT_* and ROOT_ROUNDS.  The
+    # root's rounds are its deactivations that sent something; `run` reads
+    # them to stop on root deactivation.
+    counts: np.ndarray
     norm0: float
     sum0: float
     l1_0: float
@@ -658,9 +647,6 @@ class SimState:
     leaf_indices: np.ndarray = field(repr=False)
     # geo's per-sensor acceptance probabilities (None for hier and boyd).
     geo_accept: np.ndarray = field(repr=False)
-    # Rounds the root square has ended: root deactivations that sent
-    # something.  `run` reads it to stop on root deactivation.
-    root_rounds: int = 0
     # One Event per kernel call, stamped with state.tick and made of
     # Python scalars, since `step` last took the list or the bulk block
     # loop last emptied it.
@@ -683,6 +669,18 @@ class SimState:
             return 0.0
         # np.linalg.norm's own arithmetic for a real vector
         return math.sqrt(self.x.dot(self.x)) / self.norm0
+
+    @property
+    def ledger(self) -> np.ndarray:
+        return self.counts[LEDGER]
+
+    @property
+    def faults(self) -> np.ndarray:
+        return self.counts[FAULTS]
+
+    @property
+    def root_rounds(self) -> int:
+        return int(self.counts[ROOT_ROUNDS])
 
     def ledger_totals(self) -> dict:
         return dict(zip(LEDGER_NAMES, (int(v) for v in self.ledger)))
@@ -763,8 +761,7 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
     local_on = np.zeros(n, dtype=np.uint8)
     global_on = np.zeros(n, dtype=np.uint8)
     counter = np.zeros(n, dtype=np.int64)
-    ledger = np.zeros(len(LEDGER_NAMES), dtype=np.int64)
-    faults = np.zeros(len(FAULT_NAMES), dtype=np.int64)
+    counts = np.zeros(ROOT_ROUNDS + 1, dtype=np.int64)
 
     if algorithm == "hier":
         if hierarchy is None or schedule is None:
@@ -792,7 +789,7 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         algorithm=algorithm, seed=int(record_seed), graph=graph,
         hierarchy=hierarchy, schedule=schedule, rng=rng, tick=0, x=x,
         local_on=local_on, global_on=global_on, counter=counter,
-        cell_active=cell_active, ledger=ledger, faults=faults,
+        cell_active=cell_active, counts=counts,
         norm0=norm0, sum0=float(x.sum()),
         l1_0=float(np.abs(x).sum()),
         leaf_indptr=lindptr, leaf_indices=lindices,
@@ -857,21 +854,21 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
     """Current tick as one metrics row (err_l2_ratio: a known error_ratio)."""
     if err_l2_ratio is None:
         err_l2_ratio = state.error_ratio()
-    lg, ft = state.ledger.tolist(), state.faults.tolist()
+    c = state.counts.tolist()
     return MetricsRecord(
         algorithm=state.algorithm, n=state.n, seed=state.seed,
         tick=state.tick,
-        transmissions_total=sum(lg),
-        transmissions_near=lg[LEDGER_NEAR],
-        transmissions_far_routing=lg[LEDGER_FAR],
-        transmissions_control=(lg[LEDGER_ACTIVATE] + lg[LEDGER_DEACTIVATE]
-                               + lg[LEDGER_FLOOD]),
+        transmissions_total=sum(c[LEDGER]),
+        transmissions_near=c[LEDGER_NEAR],
+        transmissions_far_routing=c[LEDGER_FAR],
+        transmissions_control=(c[LEDGER_ACTIVATE] + c[LEDGER_DEACTIVATE]
+                               + c[LEDGER_FLOOD]),
         err_l2_ratio=err_l2_ratio,
-        fault_routing=ft[FAULT_ROUTING],
-        fault_isolated_near=ft[FAULT_ISOLATED_NEAR],
-        fault_concurrent_round=ft[FAULT_CONCURRENT],
-        fault_flood_gap=ft[FAULT_FLOOD_GAP],
-        fault_geo_reject=ft[FAULT_GEO_REJECT],
+        fault_routing=c[FAULT_ROUTING],
+        fault_isolated_near=c[FAULT_ISOLATED_NEAR],
+        fault_concurrent_round=c[FAULT_CONCURRENT],
+        fault_flood_gap=c[FAULT_FLOOD_GAP],
+        fault_geo_reject=c[FAULT_GEO_REJECT],
     )
 
 
@@ -885,7 +882,7 @@ def _run_block(state: SimState, U) -> Block:
         block = _run_hier(state, U, nodes)
     elif state.algorithm == "boyd":
         # A boyd tick is a near exchange on the full adjacency.
-        live = np.array([_counts(state)])
+        live = state.counts[None].copy()
         keep, v = _near_ops(state, nodes, U[:, 1])
         t = np.arange(m)
         kept_t = t[keep]
@@ -895,10 +892,10 @@ def _run_block(state: SimState, U) -> Block:
     else:
         # Each geo tick has its own routing and cap counts, so each counts
         # as a live tick.
-        live = np.repeat(np.array([_counts(state)]), m + 1, axis=0)
+        live = np.repeat(state.counts[None], m + 1, axis=0)
         total, accepted, capped = _tick_geo(state, U, nodes)
         live[1:, LEDGER_FAR] += np.cumsum(total)
-        live[1:, len(LEDGER_NAMES) + FAULT_GEO_REJECT] += np.cumsum(capped)
+        live[1:, FAULT_GEO_REJECT] += np.cumsum(capped)
         block = Block(iter(state.ops), np.flatnonzero(accepted), np.arange(m),
                       live, no_ticks, no_ticks)
         state.ops = []
@@ -952,10 +949,9 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
             continue
         rng_state = state.rng.bit_generator.state
         if hier:
-            saved = ([getattr(state, name).copy() for name in BLOCK_SAVED],
-                     state.root_rounds)
+            saved = [getattr(state, name).copy() for name in BLOCK_SAVED]
         block = _run_block(state, state.rng.random((t1 - t0, width)))
-        end = _counts(state)
+        end = state.counts.tolist()
         offs = np.array(marks, dtype=np.int64) - t0
         done = 0
         for b, j, counts in zip(marks,
@@ -963,7 +959,7 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
                                 _counts_at(block, offs)):
             _apply(state.x, itertools.islice(block.ops, j - done))
             done = j
-            _set_counts(state, counts)
+            state.counts[:] = counts
             state.tick = b
             reason = record()
             if reason is not None:
@@ -971,15 +967,14 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
                     state.rng.bit_generator.state = rng_state
                     U = state.rng.random((b - t0, width))
                     if hier:
-                        arrays, state.root_rounds = saved
-                        for name, arr in zip(BLOCK_SAVED, arrays):
-                            setattr(state, name, arr)
+                        for name, arr in zip(BLOCK_SAVED, saved):
+                            getattr(state, name)[:] = arr
                         state.tick = t0
                         _run_block(state, U)
                         state.tick = b
                 return reason
         _apply(state.x, block.ops)
-        _set_counts(state, end)
+        state.counts[:] = end
         state.tick = t1
 
 

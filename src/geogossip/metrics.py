@@ -170,14 +170,12 @@ def fit_scaling(records, target: float) -> dict:
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
+    # x holds at least 3 distinct values (fit_scaling checks).
     m = x.shape[0]
     xm = x - x.mean()
     sxx = float(xm @ xm)
     slope = float(xm @ (y - y.mean())) / sxx
     resid = y - y.mean() - slope * xm
     ssr = float(resid @ resid)
-    if m > 2:
-        stderr = math.sqrt(max(ssr, 0.0) / (m - 2) / sxx)
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(max(ssr, 0.0) / (m - 2) / sxx)
     return slope, stderr

@@ -125,6 +125,18 @@ def test_fault_threshold_exits_three(tmp_path, capsys):
     assert out.exists()   # the series is still written for inspection
 
 
+def test_sweep_fault_threshold_exits_three(tmp_path, capsys):
+    out = tmp_path / "faulty.csv"
+    code = main(["sweep", "--algorithms", "hier", "--ns", "64",
+                 "--seeds", "1", "--radius-c", "0.9", "--threshold", "16",
+                 "--eps", "0.05", "--max-ticks", "60000",
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "exceed limit" in captured.err
+    assert read_csv(out)
+
+
 def test_fault_limit_flag_tolerates(tmp_path, capsys):
     out = tmp_path / "tolerated.csv"
     code = main(["simulate", "--algorithm", "hier", "--n", "64",
@@ -208,6 +220,15 @@ def test_fit_needs_enough_sizes(tmp_path, capsys):
     assert "needs >= 3 distinct n" in captured.err
 
 
+def test_fit_of_foreign_csv_exits_one(tmp_path, capsys):
+    p = tmp_path / "foreign.csv"
+    p.write_text("algorithm,n,bogus\n")
+    code = main(["fit", "--csv", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: unexpected header")
+
+
 def test_kernel_verify_exits_zero(capsys):
     code = main(["kernel-verify", "--trials", "300"])
     captured = capsys.readouterr()
@@ -285,6 +306,18 @@ def test_dump_hierarchy_command(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("/ depth=0 expected=100 count=100")
+
+
+@pytest.mark.parametrize("n, threshold, message", [
+    ("64", "0.5", "leaf threshold must be >= 1"),
+    ("0", "16", "need at least one point"),
+])
+def test_dump_hierarchy_bad_input_exits_one(capsys, n, threshold, message):
+    code = main(["dump-hierarchy", "--n", n, "--seed", "0",
+                 "--threshold", threshold])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_event_log_flag(tmp_path, capsys):

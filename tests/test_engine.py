@@ -302,6 +302,30 @@ def test_event_log_replays_ledger(sim256):
     assert any(ev.action == "flood_on" for ev in events)
 
 
+def test_every_count_reader_sees_its_entry_of_the_count_vector(sim256):
+    # Distinct powers of two, so a sum names the entries it added.
+    graph, hierarchy, sched = sim256
+    st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    st.counts[:] = 1 << np.arange(st.counts.shape[0])
+    ledger, faults = [1, 2, 4, 8, 16], [32, 64, 128, 256, 512]
+    assert st.ledger.tolist() == ledger
+    assert st.faults.tolist() == faults
+    assert st.root_rounds == 1024
+    assert st.ledger_totals() == dict(zip(engine.LEDGER_NAMES, ledger))
+    assert st.fault_totals() == dict(zip(engine.FAULT_NAMES, faults))
+    row = engine.snapshot(st)
+    assert (row.transmissions_total, row.transmissions_near,
+            row.transmissions_far_routing, row.transmissions_control) == (
+        31, 1, 2, 28)
+    assert [row.fault_routing, row.fault_isolated_near,
+            row.fault_concurrent_round, row.fault_flood_gap,
+            row.fault_geo_reject] == faults
+    # A copy's readers read the copy's counts.
+    twin = copy.deepcopy(st)
+    twin.counts[engine.LEDGER_NEAR] += 1
+    assert twin.ledger[0] == 2 and st.ledger[0] == 1
+
+
 def test_sum_conserved_over_run(sim256):
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=7, init_dist="gradient")

@@ -17,6 +17,7 @@ from geogossip.hierarchy import (
     EmptyCellError,
     RepresentativeError,
     ScheduleOverflowError,
+    _finite_pow,
     count_concentration,
     default_threshold,
 )
@@ -401,6 +402,23 @@ def test_schedule_paper_overflow():
     with pytest.raises(ScheduleOverflowError) as exc:
         build_schedule(4096, 1e-2, 1e-1, 10.0, h, "paper")
     assert exc.value.what in ("time", "eps", "delta", "far_prob")
+
+
+def test_schedule_overflow_names_its_depth_and_quantity():
+    # 256 ** (3.5 + 1e6) leaves the double range in the first eps step.
+    h = build_hierarchy(grid_points(64), 8.0)
+    with pytest.raises(ScheduleOverflowError) as exc:
+        build_schedule(256, 0.1, 0.1, 1e6, h, "paper")
+    assert (exc.value.depth, exc.value.what) == (1, "eps")
+    assert str(exc.value) == "schedule eps exceeds the numeric range at depth 1"
+
+
+@pytest.mark.parametrize("base", [math.inf, math.nan])
+def test_finite_pow_rejects_a_non_finite_power(base):
+    # inf and nan raise no OverflowError when raised to a power.
+    with pytest.raises(ScheduleOverflowError) as exc:
+        _finite_pow(base, 16, 2, "time")
+    assert (exc.value.depth, exc.value.what) == (2, "time")
 
 
 def test_schedule_argument_validation(hier4096):

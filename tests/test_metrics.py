@@ -52,6 +52,16 @@ def test_read_skips_repeated_headers():
     assert [r.tick for r in rows] == [1, 2]
 
 
+def test_read_skips_blank_lines():
+    buf = io.StringIO()
+    write_header(buf)
+    buf.write("\n")
+    write_records(buf, [rec(tick=1)])
+    buf.write("\n\n")
+    rows = read_csv(io.StringIO(buf.getvalue()))
+    assert [r.tick for r in rows] == [1]
+
+
 def test_read_rejects_foreign_header():
     with pytest.raises(ValueError):
         read_csv(io.StringIO("algorithm,n,bogus\n"))
@@ -137,6 +147,17 @@ def test_fit_reports_unconverged_runs():
     fit = fit_scaling(rows, target=0.1)["hier"]
     assert (1024, 9) in fit.excluded
     assert 1024 not in fit.n_values
+
+
+def test_fit_result_names_unconverged_runs():
+    rows = runs("hier", lambda n: n * n, ns=(64, 128, 256), seeds=(0,))
+    rows.append(rec("hier", 1024, 9, tick=10, total=10, err=0.9))
+    rows.append(rec("hier", 512, 4, tick=10, total=10, err=0.9))
+    text = str(fit_scaling(rows, target=0.1)["hier"])
+    assert text.endswith("  [never reached target: n=512 seed=4, "
+                         "n=1024 seed=9]")
+    converged = runs("hier", lambda n: n * n, ns=(64, 128, 256), seeds=(0,))
+    assert "never reached" not in str(fit_scaling(converged, 0.1)["hier"])
 
 
 def test_fit_needs_three_sizes():

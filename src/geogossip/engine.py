@@ -56,10 +56,14 @@ tick, steps the block's rows through `step`, and hands its sink the
 block's events in one call.  Otherwise blocks hold `block_rows` rows
 whatever the stride, and a record costs a norm, not a block: after a
 block's kernels run, its ops are applied up to each record tick inside it,
-and state.counts is set to its value there.  That comes from per-tick
-counts, located with one searchsorted per array: the counts after each
-tick stepped in Python (every geo tick counts as one) and the ticks built
-in numpy.  A stop at a record inside a block, at most once per run,
+and state.counts is set to its value there.  The block's kernels return a
+Block: its ops in tick order and, for each record tick, the number of ops
+before it and the counts at it.  One builder makes the hier and boyd
+blocks: it runs the near ticks built in numpy, merges their ops in tick
+order with those of the ticks stepped in Python, and finds each record
+tick's ops and counts with one searchsorted per array (the built ticks,
+and the counts after each stepped tick).  geo reads them from its
+per-tick totals.  A stop at a record inside a block, at most once per run,
 restores the generator saved at the block start and redraws the block's
 rows up to the stop.  hier also restores its protocol state and counts
 saved there, in place, and reruns those rows through its kernels; boyd
@@ -162,14 +166,11 @@ BLOCK_VALUES = 65536
 Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
                              "ok"])
 
-# One bulk block's outcome, in ticks counted from the block start.  ops
-# iterates its value ops (a, b, k) in tick order, and op_t is each op's tick.
-# The counts (state.counts) at a tick t come from the ticks before t:
-# live[i] holds them at the block start (i = 0) and after each of the ticks
-# live_t stepped in Python, and each built near tick adds 2 near
-# transmissions (kept_t) or one isolated fault (lone_t).
-Block = namedtuple("Block", ["ops", "op_t", "live_t", "live", "kept_t",
-                             "lone_t"])
+# One bulk block's outcome.  ops iterates its value ops (a, b, k) in tick
+# order; for each record offset (a tick counted from the block start),
+# before holds the number of ops of the ticks before it and counts the row
+# of state.counts at it.
+Block = namedtuple("Block", ["ops", "before", "counts"])
 
 # The protocol arrays a hier block start saves, so that a stop inside the
 # block can rerun it up to the stop.
@@ -247,21 +248,6 @@ def _near(state, u, s):
     state.ops.append((s, v, 0.0))
     state.counts[LEDGER_NEAR] += 2
     state.events.append(Event(state.tick, "near", s, v, 2, True))
-
-
-def _near_ops(state, s, u):
-    # _near over arrays of firing sensors s and their neighbour uniforms u.
-    # Returns (keep, v): the mask of sensors that exchange and their
-    # partners.  Isolated sensors count a fault each instead.
-    indptr = state.leaf_indptr
-    lo = indptr[s]
-    deg = indptr[s + 1] - lo
-    keep = deg > 0
-    v = state.leaf_indices[lo[keep]
-                           + (u[keep] * deg[keep]).astype(np.int64)]
-    state.counts[FAULT_ISOLATED_NEAR] += keep.shape[0] - v.shape[0]
-    state.counts[LEDGER_NEAR] += 2 * v.shape[0]
-    return keep, v
 
 
 def _tick_geo(state, U, nodes):
@@ -425,12 +411,41 @@ def _tick_hier(state, u, s):
         counter[s] += 1
 
 
-def _counts_at(block, offs):
-    # The counts at each tick offset of offs (ascending, within the block).
-    rows = block.live[np.searchsorted(block.live_t, offs)]
-    rows[:, LEDGER_NEAR] += 2 * np.searchsorted(block.kept_t, offs)
-    rows[:, FAULT_ISOLATED_NEAR] += np.searchsorted(block.lone_t, offs)
-    return rows.tolist()
+def _near_block(state, offs, t, s, u, live_t, live, op_t):
+    # The Block of a hier or boyd block at the record offsets offs
+    # (ascending).  Its ticks t (ascending) are near exchanges built here,
+    # of firing sensors s with neighbour uniforms u, on the leaf CSR; its
+    # ticks live_t were stepped in Python, and their ops wait in state.ops,
+    # op_t[i] being the tick of op i.  live[i] holds the counts at the block
+    # start (i = 0) and after live tick i.  A built tick adds 2 near
+    # transmissions, or one isolated fault when s has no in-leaf neighbour.
+    indptr = state.leaf_indptr
+    lo = indptr[s]
+    deg = indptr[s + 1] - lo
+    keep = deg > 0
+    a = s[keep]
+    v = state.leaf_indices[lo[keep]
+                           + (u[keep] * deg[keep]).astype(np.int64)]
+    kept_t = t[keep]
+    lone_t = t[~keep]
+    state.counts[FAULT_ISOLATED_NEAR] += lone_t.shape[0]
+    state.counts[LEDGER_NEAR] += 2 * kept_t.shape[0]
+    counts = np.array(live)[np.searchsorted(live_t, offs)]
+    counts[:, LEDGER_NEAR] += 2 * np.searchsorted(kept_t, offs)
+    counts[:, FAULT_ISOLATED_NEAR] += np.searchsorted(lone_t, offs)
+    t = kept_t
+    k = itertools.repeat(0.0)
+    if state.ops:
+        ra, rb, rk = zip(*state.ops)
+        t = np.concatenate([kept_t, op_t])
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        k = np.concatenate([np.zeros(a.shape[0]), rk])[order].tolist()
+        a = np.concatenate([a, ra])[order]
+        v = np.concatenate([v, rb])[order]
+        state.ops.clear()
+    return Block(zip(a.tolist(), v.tolist(), k),
+                 np.searchsorted(t, offs).tolist(), counts.tolist())
 
 
 def _quiet_counter(c, k, time):
@@ -439,7 +454,7 @@ def _quiet_counter(c, k, time):
     return np.maximum(c, np.minimum(c + k, np.ceil(time)))
 
 
-def _run_hier(state, U, nodes):
+def _run_hier(state, U, nodes, offs):
     # The live rule is in the module docstring.  Only scheduled cells have
     # ticks stepped in Python: those whose state at the block start lets
     # any of their ticks in the block be live, and those an event reaches.
@@ -451,8 +466,8 @@ def _run_hier(state, U, nodes):
     # quiet ticks before a later one.  Each live tick records the tick of
     # the op it emitted (at most one: a completed far exchange ends the
     # tick before its near step) and the counts after it.  The remaining
-    # ticks, plain and quiet, are near exchanges on the local_on snapshot;
-    # the ops are merged in tick order into the returned Block.
+    # ticks, plain and quiet, are near exchanges on the local_on snapshot,
+    # which _near_block builds and merges with the live ticks' ops.
     h = state.hierarchy
     sched = state.schedule
     counter = state.counter
@@ -579,28 +594,12 @@ def _run_hier(state, U, nodes):
     on_at[done:] = local_on[nodes[done:]]
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
-    fire_s = nodes[fire_t]
     # Every cell's ticks not yet counted are quiet.
     counter[h.cell_rep] = _quiet_counter(
         counter[h.cell_rep], first[1:] - np.array(pos),
         sched.time[h.cell_depth])
-    keep, v = _near_ops(state, fire_s, U[fire_t, 3])
-    a = fire_s[keep]
-    kept_t = fire_t[keep]
-    k = np.zeros(v.shape[0])
-    t = kept_t
-    if ops:
-        ra, rb, rk = zip(*ops)
-        t = np.concatenate([kept_t, op_t])
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        a = np.concatenate([a, ra])[order]
-        v = np.concatenate([v, rb])[order]
-        k = np.concatenate([k, rk])[order]
-        ops.clear()
-    return Block(zip(a.tolist(), v.tolist(), k.tolist()), t,
-                 np.array(py_t, dtype=np.int64), np.array(live_counts),
-                 kept_t, fire_t[~keep])
+    return _near_block(state, offs, fire_t, nodes[fire_t], U[fire_t, 3],
+                       py_t, live_counts, op_t)
 
 
 @dataclass
@@ -872,32 +871,29 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
     )
 
 
-def _run_block(state: SimState, U) -> Block:
-    # One block of rows through the bulk kernels.  The protocol state and
+def _run_block(state: SimState, U, offs) -> Block:
+    # One block of rows through the bulk kernels, its Block taken at the
+    # record offsets offs (ascending, in [0, rows]).  The protocol state and
     # the counts end at the block end; x waits for the returned ops.
     nodes = (U[:, 0] * state.n).astype(np.int64)
     m = nodes.shape[0]
-    no_ticks = np.zeros(0, dtype=np.int64)
     if state.algorithm == "hier":
-        block = _run_hier(state, U, nodes)
+        block = _run_hier(state, U, nodes, offs)
     elif state.algorithm == "boyd":
         # A boyd tick is a near exchange on the full adjacency.
-        live = state.counts[None].copy()
-        keep, v = _near_ops(state, nodes, U[:, 1])
-        t = np.arange(m)
-        kept_t = t[keep]
-        block = Block(zip(nodes[keep].tolist(), v.tolist(),
-                          itertools.repeat(0.0)),
-                      kept_t, no_ticks, live, kept_t, t[~keep])
+        block = _near_block(state, offs, np.arange(m), nodes, U[:, 1], [],
+                            [state.counts.tolist()], [])
     else:
-        # Each geo tick has its own routing and cap counts, so each counts
-        # as a live tick.
+        # The counts and the accepted ops up to each tick, from geo's
+        # per-tick totals.
         live = np.repeat(state.counts[None], m + 1, axis=0)
         total, accepted, capped = _tick_geo(state, U, nodes)
         live[1:, LEDGER_FAR] += np.cumsum(total)
         live[1:, FAULT_GEO_REJECT] += np.cumsum(capped)
-        block = Block(iter(state.ops), np.flatnonzero(accepted), np.arange(m),
-                      live, no_ticks, no_ticks)
+        before = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(accepted, out=before[1:])
+        block = Block(iter(state.ops), before[offs].tolist(),
+                      live[offs].tolist())
         state.ops = []
     # _run_hier reads only its live ticks' events; keep the buffer to one
     # block.
@@ -950,13 +946,11 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
         rng_state = state.rng.bit_generator.state
         if hier:
             saved = [getattr(state, name).copy() for name in BLOCK_SAVED]
-        block = _run_block(state, state.rng.random((t1 - t0, width)))
-        end = state.counts.tolist()
         offs = np.array(marks, dtype=np.int64) - t0
+        block = _run_block(state, state.rng.random((t1 - t0, width)), offs)
+        end = state.counts.tolist()
         done = 0
-        for b, j, counts in zip(marks,
-                                np.searchsorted(block.op_t, offs).tolist(),
-                                _counts_at(block, offs)):
+        for b, j, counts in zip(marks, block.before, block.counts):
             _apply(state.x, itertools.islice(block.ops, j - done))
             done = j
             state.counts[:] = counts
@@ -970,7 +964,7 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
                         for name, arr in zip(BLOCK_SAVED, saved):
                             getattr(state, name)[:] = arr
                         state.tick = t0
-                        _run_block(state, U)
+                        _run_block(state, U, offs[:0])
                         state.tick = b
                 return reason
         _apply(state.x, block.ops)

@@ -421,12 +421,16 @@ def build_schedule(n: int, eps0: float, delta0: float, a: float,
 
     time = np.empty(depths, dtype=np.float64)
     if mode == "paper":
+        # Python floats: a quotient past the double range is inf, which
+        # _finite_pow rejects, where a numpy scalar would warn first.
+        eps_f, delta_f = eps.tolist(), delta.tolist()
         last = depths - 1
-        time[last] = _finite_pow(
-            math.log(n / eps[last]) * math.log(1.0 / delta[last]), 16, last, "time")
+        time[last] = _finite_pow(math.log(n / eps_f[last])
+                                 * math.log(1.0 / delta_f[last]),
+                                 16, last, "time")
         for r in range(depths - 2, -1, -1):
-            grow = _finite_pow(
-                math.log(subdiv[r] / eps[r]) * math.log(1.0 / delta[r]), 16, r, "time")
+            grow = _finite_pow(math.log(int(subdiv[r]) / eps_f[r])
+                               * math.log(1.0 / delta_f[r]), 16, r, "time")
             time[r] = float(time[r + 1]) * _finite_pow(n, a, r, "time") * grow
             if not math.isfinite(time[r]):
                 raise ScheduleOverflowError(r, "time")

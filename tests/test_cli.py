@@ -186,6 +186,10 @@ def test_sweep_rejects_bad_ns(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "bad n list" in captured.err
+    code = main(["sweep", "--ns", ",", "--seeds", "0"])
+    assert code == 1
+    assert ("config error: sweep needs at least one n and one seed"
+            in capsys.readouterr().err)
 
 
 def test_fit_command(tmp_path, capsys):

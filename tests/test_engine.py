@@ -280,6 +280,32 @@ def sim256():
     return graph, hierarchy, sched
 
 
+def sparse128(c1):
+    """A connected graph too sparse for greedy routing, so that some
+    fan-outs and far exchanges meet a dead end; two depths."""
+    pts = sample_points(128, 1)
+    graph = build_graph(pts, connectivity_radius(128, 0.9))
+    hierarchy = build_hierarchy(pts, 16.0)
+    sched = build_schedule(128, 1e-2, 1e-1, 1.0, hierarchy, "practical",
+                           c1=c1)
+    return graph, hierarchy, sched
+
+
+@pytest.fixture(scope="module")
+def sparse128_short():
+    """Rounds of 24 and 2 own ticks: within 6k ticks the root's rounds end
+    and restart, and both its activations and deactivations fail."""
+    return sparse128(0.2)
+
+
+@pytest.fixture(scope="module")
+def sparse128_long():
+    """Leaf rounds of 190 own ticks: a leaf whose activation failed still
+    counts its quiet ticks after 6k ticks, so a bulk runner that
+    rescheduled it from the activation would lose those before it."""
+    return sparse128(20.0)
+
+
 def test_step_matches_bulk_run_exactly(sim256):
     graph, hierarchy, sched = sim256
     a = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
@@ -340,6 +366,12 @@ def test_error_ratio_reaches_target(sim256):
     assert series.stop_reason == "target"
     assert series.final.err_l2_ratio <= 0.1
     assert series.records[0].err_l2_ratio == pytest.approx(1.0)
+    # All-zero values have nothing to average: the ratio reads 0 at once.
+    zero = init_sim(graph, hierarchy, sched, seed=1,
+                    init_dist=np.zeros(graph.n))
+    series = run(zero, target_ratio=0.1)
+    assert series.stop_reason == "target"
+    assert (series.final.tick, series.final.err_l2_ratio) == (0, 0.0)
 
 
 def test_single_leaf_reduces_to_neighbor_gossip():
@@ -472,26 +504,45 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     assert events == step(a)
 
 
-@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
+@pytest.mark.parametrize("sim, algorithm", [
+    *(pytest.param("sim256", a, id=a) for a in ("hier", "boyd", "geo")),
+    pytest.param("sparse128_short", "hier", id="hier-sparse"),
+    pytest.param("sparse128_long", "hier", id="hier-sparse-long"),
+])
 @pytest.mark.parametrize("stride", ["1", "7", "block+1"])
-def test_logged_run_matches_stepping_and_bulk(sim256, algorithm, stride):
+def test_logged_run_matches_stepping_and_bulk(request, sim, algorithm,
+                                              stride):
     # A logged run hands step the rows of its blocks; a step-only loop
     # draws one row a tick, and the bulk run draws the same blocks.  ticks
     # is no multiple of 7 or of a block plus one, so the last stride ends
-    # mid-block.
+    # mid-block.  On sparse128 some fan-outs fail, and the bulk runner
+    # must reschedule only the children whose route succeeded.
+    name = sim
+    sim = request.getfixturevalue(sim)
     rows = block_rows(algorithm)
     stride = {"1": 1, "7": 7, "block+1": rows + 1}[stride]
     ticks = rows + 1 + rows // 2
     assert ticks % stride or stride == 1
-    stepped = fresh_state(sim256, algorithm)
+    stepped = fresh_state(sim, algorithm)
     stepped_events = [ev for _ in range(ticks) for ev in step(stepped)]
-    logged = fresh_state(sim256, algorithm)
+    logged = fresh_state(sim, algorithm)
     logged_events = []
     run(logged, max_ticks=ticks, stride=stride,
         event_sink=logged_events.extend)
-    bulk = fresh_state(sim256, algorithm)
+    bulk = fresh_state(sim, algorithm)
     run(bulk, max_ticks=ticks, stride=stride)
     assert stepped.ledger.sum() > 0
+    failed = {ev.action for ev in stepped_events if not ev.ok}
+    if name == "sparse128_short":
+        assert {"activate", "deactivate"} <= failed
+    if name == "sparse128_long":
+        # the leaves the root's activation cannot reach still count
+        _, hierarchy, sched = sim
+        root = int(hierarchy.cell_rep[0])
+        cut = [s for s in hierarchy.cell_rep[1:].tolist()
+               if not stepped.routes[(root, s)][1]]
+        assert "activate" in failed and cut
+        assert all(stepped.counter[s] < sched.time[1] for s in cut)
     assert logged_events == stepped_events
     assert_same_state(stepped, logged)
     assert_same_state(stepped, bulk)
@@ -809,7 +860,7 @@ def test_outside_event_reschedules_a_pending_live_tick(quad16, monkeypatch,
     bulk = fresh()
 
     def one_block():
-        engine._apply(bulk.x, engine._run_block(bulk, U).ops)
+        engine._apply(bulk.x, engine._run_block(bulk, U, []).ops)
         bulk.tick = len(nodes)
 
     assert stepped_ticks(monkeypatch, one_block,

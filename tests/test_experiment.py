@@ -80,6 +80,10 @@ def test_parse_config_layering():
     top = parse_config("gamma = 12\n", base)
     assert top.n == 128 and top.gamma == 12.0
     assert base.gamma == 4.0   # base is not mutated
+    on = parse_config("stop_on_root = on\n")
+    for word in ("0", "false", "No", "OFF"):
+        assert parse_config(f"stop_on_root = {word}\n",
+                            on).stop_on_root is False
 
 
 def test_load_config_missing_file(tmp_path):

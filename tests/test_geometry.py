@@ -55,6 +55,9 @@ def test_connectivity_radius_values():
     assert connectivity_radius(1000, 1.0) == math.sqrt(math.log(1000) / 1000)
     assert connectivity_radius(1000, 1.0) == pytest.approx(0.08311, abs=1e-5)
     assert connectivity_radius(1000, 2.0) == 2 * connectivity_radius(1000, 1.0)
+    for n, c in [(1.5, 1.0), (1000, 0.0), (1000, -1.0)]:
+        with pytest.raises(ValueError):
+            connectivity_radius(n, c)
 
 
 def test_exact_distance_is_adjacent():

@@ -1,6 +1,7 @@
 """Partition tree construction, representative assignment, schedules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,30 @@ def test_schedule_overflow_names_its_depth_and_quantity():
         build_schedule(256, 0.1, 0.1, 1e6, h, "paper")
     assert (exc.value.depth, exc.value.what) == (1, "eps")
     assert str(exc.value) == "schedule eps exceeds the numeric range at depth 1"
+    one_leaf = build_hierarchy(grid_points(64), 1e5)
+    assert one_leaf.total_levels == 1
+    for args, kw, where in [
+        ((4096, 1e-2, 1e-1, 50.0, h, "paper"), {}, (2, "eps/delta underflow")),
+        # far_prob underflows to 0, then exceeds 1
+        ((4096, 1e-300, 0.1, 81.0, one_leaf, "paper"), {}, (0, "far_prob")),
+        ((4096, 1e-2, 0.999, 0.001, one_leaf, "paper"), {}, (0, "far_prob")),
+        ((4096, 1e-2, 0.1, 1.0, h, "practical"), {"c1": 1e308}, (0, "time")),
+    ]:
+        with pytest.raises(ScheduleOverflowError) as exc:
+            build_schedule(*args, **kw)
+        assert (exc.value.depth, exc.value.what) == where
+
+
+def test_paper_schedule_overflow_raises_no_numpy_warning():
+    # log(n / eps) at the deepest depth, eps near the double's least value:
+    # the quotient overflows to inf, which is the time overflow, not a
+    # RuntimeWarning that the experiment's build errors would not catch.
+    h = build_hierarchy(sample_points(256, 0), 64.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScheduleOverflowError) as exc:
+            build_schedule(256, 0.1, 0.1, 123.0, h, "paper")
+    assert (exc.value.depth, exc.value.what) == (1, "time")
 
 
 @pytest.mark.parametrize("base", [math.inf, math.nan])

@@ -168,6 +168,14 @@ def _trial_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    # ExperimentConfig.validate's seed check, raised as a usage error.
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _cmd_kernel_verify(args) -> int:
     rows = experiment.kernel_verify(trials=args.trials, seed=args.seed)
     ok = True
@@ -223,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-verify", help="check the averaging kernel "
                                              "against oracles and bounds")
     p.add_argument("--trials", type=_trial_count, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_kernel_verify)
 
     p = sub.add_parser("dump-hierarchy", help="print the square partition")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.set_defaults(func=_cmd_dump_hierarchy)
 

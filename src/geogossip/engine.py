@@ -6,7 +6,9 @@ ticks it (re)starts the square's round when its counter sits at zero, makes
 a long-range exchange with a sibling representative with a small scheduled
 probability, and winds the round down once its counter passes the scheduled
 duration.  All routing, flooding, and value updates complete within the
-firing tick; nothing is in flight between ticks.
+firing tick; nothing is in flight between ticks.  A square's round state
+(global_on, counter, cell_active) has one entry per square, indexed by
+cell id; boyd and geo have one square, the unit square.
 
 Every packet hop lands in exactly one ledger category (near, far_routing,
 activate, deactivate, flood).  Protocol faults (routing dead ends, sensors
@@ -64,11 +66,8 @@ order with those of the ticks stepped in Python, and finds each record
 tick's ops and counts with one searchsorted per array (the built ticks,
 and the counts after each stepped tick).  geo reads them from its
 per-tick totals.  A stop at a record inside a block, at most once per run,
-restores the generator saved at the block start and redraws the block's
-rows up to the stop.  hier also restores its protocol state and counts
-saved there, in place, and reruns those rows through its kernels; boyd
-and geo write no protocol array, and their counts are already those at
-the stop.
+redraws the block's rows up to the stop from the generator saved at the
+block start, and hier reruns them from its state saved there.
 
 The bulk runner runs a hier tick in Python only when it is live, that is
 when it can change protocol state.  A representative's tick is live when it
@@ -87,7 +86,7 @@ its ticks built in numpy with the plain ones.  Each other square schedules
 its next live tick, steps it in Python and schedules again, its quiet ticks
 before that one built in numpy and counted into its counter when the
 counter is next read.  This is exact because only a live tick changes
-another representative's state, and in three ways only: its parent's
+another square's state, and in three ways only: its parent's
 activation (global_on = 1, counter = 0) or deactivation (global_on = 0), and
 a completed far exchange (counter = 0).  Each appends an event naming its
 target, which the runner reads to reschedule the target from its next
@@ -327,8 +326,8 @@ def _far(state, u, s, c):
         state.events.append(Event(state.tick, "far", s, sp, hops, False))
         return False
     state.ops.append((s, sp, 0.4 * h.expected_at_depth[r]))
-    state.counter[s] = 0
-    state.counter[sp] = 0
+    state.counter[c] = 0
+    state.counter[cp] = 0
     state.events.append(Event(state.tick, "far", s, sp, hops, True))
     return True
 
@@ -361,22 +360,18 @@ def _toggle(state, s, c, r, on):
     _route_all(state, [(s, dst) for dst in reps])
     total = 0
     ok_all = True
-    for dst in reps:
+    for child, dst in enumerate(reps, start):
         hops, ok = state.routes[(s, dst)]
         total += hops
         if ok:
-            state.global_on[dst] = on
+            state.global_on[child] = on
             if on == 1:
-                state.counter[dst] = 0
+                state.counter[child] = 0
         else:
             state.counts[FAULT_ROUTING] += 1
             ok_all = False
-    if on == 1:
-        state.counts[LEDGER_ACTIVATE] += total
-        action = "activate"
-    else:
-        state.counts[LEDGER_DEACTIVATE] += total
-        action = "deactivate"
+    action = "activate" if on == 1 else "deactivate"
+    state.counts[EVENT_LEDGER[action]] += total
     state.events.append(Event(state.tick, action, s, int(c), total, ok_all))
     return True
 
@@ -392,8 +387,8 @@ def _tick_hier(state, u, s):
         return
     r = h.cell_depth[c]
     counter = state.counter
-    if state.global_on[s] == 1:
-        if counter[s] == 0:
+    if state.global_on[c] == 1:
+        if counter[c] == 0:
             _toggle(state, s, c, r, 1)
         if h.cell_parent[c] >= 0 and u[1] < state.schedule.far_prob[r]:
             if _far(state, u[2], s, c):
@@ -402,13 +397,13 @@ def _tick_hier(state, u, s):
                 return
     if state.local_on[s] == 1:
         _near(state, u[3], s)
-    if counter[s] >= state.schedule.time[r]:
+    if counter[c] >= state.schedule.time[r]:
         sent = _toggle(state, s, c, r, 0)
         if h.cell_parent[c] < 0:
-            counter[s] = 0
+            counter[c] = 0
             state.counts[ROOT_ROUNDS] += sent
     else:
-        counter[s] += 1
+        counter[c] += 1
 
 
 def _near_block(state, offs, t, s, u, live_t, live, op_t):
@@ -476,20 +471,20 @@ def _run_hier(state, U, nodes, offs):
     cells = h.cell_of_rep[nodes]
     rep_t = np.flatnonzero(cells >= 0)
     rep_c = cells[rep_t]
-    depth = h.cell_depth[rep_c]
-    coin_t = U[rep_t, 1] < sched.far_prob[depth]
+    time = sched.time[h.cell_depth]
+    coin_t = U[rep_t, 1] < sched.far_prob[h.cell_depth[rep_c]]
     # The filter: whether any tick of a cell in the block can be live, from
     # its tick count, whether any of its far coins passes, and its state at
-    # the block start.
+    # the block start.  It is schedule()'s rule over all cells in numpy, so
+    # only the cells it passes cost a Python schedule() call: scheduling
+    # every cell with a tick gives the same output from 14 to 73 times the
+    # calls in criterion-7 runs (ROADMAP, "Dead ends").
     n_own = np.bincount(rep_c, minlength=h.n_cells)
-    count = n_own[rep_c]
-    coin = np.bincount(rep_c[coin_t], minlength=h.n_cells)[rep_c] > 0
-    rep_s = nodes[rep_t]
-    c0 = counter[rep_s]
-    child = h.cell_parent[rep_c] >= 0
-    maybe = ((global_on[rep_s] == 1) & ((c0 == 0) | coin & child)
-             | ((cell_active[rep_c] == 1) | ~child)
-             & (c0 + count - 1 >= sched.time[depth]))
+    coin = np.bincount(rep_c[coin_t], minlength=h.n_cells) > 0
+    child = h.cell_parent >= 0
+    restart = (global_on == 1) & ((counter == 0) | coin & child)
+    ends = ((cell_active == 1) | ~child) & (counter + n_own - 1 >= time)
+    maybe = (n_own > 0) & (restart | ends)
     # Cell c's own ticks in tick order are own_t[first[c]:first[c + 1]],
     # and next_coin[i] is the first index from i on whose far coin passes.
     by_cell = np.argsort(rep_c, kind="stable")
@@ -511,9 +506,7 @@ def _run_hier(state, U, nodes, offs):
 
     def advance(c, i):
         # Count c's quiet ticks before own_t[i].
-        s = rep[c]
-        counter[s] = _quiet_counter(counter[s], i - pos[c],
-                                    sched.time[cell_depth[c]])
+        counter[c] = _quiet_counter(counter[c], i - pos[c], time[c])
         pos[c] = i
 
     def schedule(c):
@@ -521,10 +514,9 @@ def _run_hier(state, U, nodes, offs):
         # coin only one that passes, and a round end only the tick at which
         # its quiet ticks bring the counter to ceil(time).
         i = pos[c]
-        s = rep[c]
-        cnt = int(counter[s])
+        cnt = int(counter[c])
         j = end[c]
-        if global_on[s] == 1:
+        if global_on[c] == 1:
             if cnt == 0:
                 j = i
             elif parent[c] >= 0:
@@ -537,7 +529,7 @@ def _run_hier(state, U, nodes, offs):
         else:
             due[c] = -1
 
-    for c in np.unique(rep_c[maybe]).tolist():
+    for c in np.flatnonzero(maybe).tolist():
         schedule(c)
     on_at = np.empty(nodes.shape[0], dtype=np.uint8)
     local_on = state.local_on
@@ -595,9 +587,7 @@ def _run_hier(state, U, nodes, offs):
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
     # Every cell's ticks not yet counted are quiet.
-    counter[h.cell_rep] = _quiet_counter(
-        counter[h.cell_rep], first[1:] - np.array(pos),
-        sched.time[h.cell_depth])
+    counter[:] = _quiet_counter(counter, first[1:] - np.array(pos), time)
     return _near_block(state, offs, fire_t, nodes[fire_t], U[fire_t, 3],
                        py_t, live_counts, op_t)
 
@@ -629,6 +619,7 @@ class SimState:
     tick: int
     x: np.ndarray
     local_on: np.ndarray
+    # One entry per square, indexed by cell id (boyd and geo have one).
     global_on: np.ndarray
     counter: np.ndarray
     cell_active: np.ndarray
@@ -721,8 +712,8 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
     """Build a ready-to-run simulation state.
 
     Values are drawn from the chosen initial distribution and centered to
-    mean zero.  All protocol states start off except the root
-    representative's global state; all counters start at zero.
+    mean zero.  All protocol states start off except the root square's
+    global state; all counters start at zero.
 
     Args:
         graph: connected geometric graph to simulate on.
@@ -757,11 +748,6 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
                          f"finite and their squares must sum below the "
                          f"float64 maximum")
 
-    local_on = np.zeros(n, dtype=np.uint8)
-    global_on = np.zeros(n, dtype=np.uint8)
-    counter = np.zeros(n, dtype=np.int64)
-    counts = np.zeros(ROOT_ROUNDS + 1, dtype=np.int64)
-
     if algorithm == "hier":
         if hierarchy is None or schedule is None:
             raise ValueError(
@@ -773,22 +759,24 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
             raise ValueError(
                 f"schedule covers {schedule.depth_count} depths but the "
                 f"hierarchy has {hierarchy.total_levels}")
-        cell_active = np.zeros(hierarchy.n_cells, dtype=np.uint8)
-        global_on[hierarchy.cell_rep[0]] = 1
         leaf_of = hierarchy.leaf_of
         lindptr, lindices = restrict_edges(
             graph, lambda u, v: leaf_of[u] == leaf_of[v])
     else:
         hierarchy = None
         schedule = None
-        cell_active = np.zeros(1, dtype=np.uint8)
         lindptr, lindices = graph.indptr, graph.indices
-
+    # boyd and geo have no hierarchy: the unit square is their one square.
+    n_cells = 1 if hierarchy is None else hierarchy.n_cells
+    global_on = np.zeros(n_cells, dtype=np.uint8)
+    global_on[0] = hierarchy is not None   # hier's root square starts on
     return SimState(
         algorithm=algorithm, seed=int(record_seed), graph=graph,
         hierarchy=hierarchy, schedule=schedule, rng=rng, tick=0, x=x,
-        local_on=local_on, global_on=global_on, counter=counter,
-        cell_active=cell_active, counts=counts,
+        local_on=np.zeros(n, dtype=np.uint8), global_on=global_on,
+        counter=np.zeros(n_cells, dtype=np.int64),
+        cell_active=np.zeros(n_cells, dtype=np.uint8),
+        counts=np.zeros(ROOT_ROUNDS + 1, dtype=np.int64),
         norm0=norm0, sum0=float(x.sum()),
         l1_0=float(np.abs(x).sum()),
         leaf_indptr=lindptr, leaf_indices=lindices,

@@ -75,6 +75,8 @@ class ExperimentConfig:
                                   f"{getattr(self, key)!r}")
         if self.n < 4:
             raise ConfigError(f"n must be at least 4, got {self.n}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.radius_c <= 0:
             raise ConfigError(f"radius_c must be positive, got "
                               f"{self.radius_c}")

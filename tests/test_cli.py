@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geogossip
-from geogossip import experiment, read_csv
+from geogossip import affine, experiment, read_csv
 from geogossip.cli import _merged_config, build_parser, main
 from geogossip.experiment import ExperimentConfig
 
@@ -250,6 +251,43 @@ def test_kernel_verify_failure_exits_two(monkeypatch, capsys):
     assert code == 2
     assert "FAIL" in captured.out
     assert "all kernel checks passed" not in captured.out
+    monkeypatch.undo()
+    # The real table fails its own row when validate_alpha accepts any
+    # weights.
+    monkeypatch.setattr(affine, "validate_alpha",
+                        lambda alpha: np.asarray(alpha, dtype=float))
+    code = main(["kernel-verify", "--trials", "0"])
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.endswith("FAIL")]
+    assert code == 2
+    assert len(failed) == 1 and failed[0].startswith("alpha-rejection ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "64", "--seed", "-1", "--max-ticks", "10"],
+    ["sweep", "--ns", "64", "--seeds", "-1", "--max-ticks", "10"],
+    ["sweep", "--ns", "64,128", "--seeds", "0,-1", "--max-ticks", "10"],
+    ["kernel-verify", "--trials", "0", "--seed", "-1"],
+    ["dump-hierarchy", "--n", "64", "--seed", "-1", "--threshold", "16"],
+], ids=["simulate", "sweep", "sweep-grid", "kernel-verify", "dump-hierarchy"])
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                         argv):
+    # A config error (or, for a plain --seed flag, a usage error) exits 1
+    # with a one-line message; a sweep fails before any run writes.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "200")   # argparse's usage on one line
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    message = [line for line in err.splitlines()
+               if not line.startswith("usage:")]
+    assert len(message) == 1
+    assert message[0].endswith("seed must be >= 0, got -1")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,11 +51,10 @@ def quad_sim_parts(quad16):
 
 # ------------------------------------------------------------------- init
 
-def test_init_only_root_rep_awake(quad16):
+def test_init_only_root_square_awake(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
-    assert np.array_equal(np.flatnonzero(st.global_on),
-                          [hierarchy.cell_rep[0]])
+    assert np.array_equal(np.flatnonzero(st.global_on), [0])
     assert not st.local_on.any()
     assert not st.counter.any()
     assert not st.cell_active.any()
@@ -147,7 +146,8 @@ def test_far_exchange_scaled_swap(quad16):
     assert st.x[ev.target] == pytest.approx(1.6)
     assert st.x[1] == -1.0
     assert st.ledger_totals()["far_routing"] == 2
-    assert st.counter[0] == 0 and st.counter[ev.target] == 0
+    c, cp = hierarchy.cell_of_rep[[0, ev.target]]
+    assert st.counter[c] == 0 and st.counter[cp] == 0
     assert st.x.sum() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -197,19 +197,18 @@ def test_root_activate_wakes_children(quad16):
     graph, hierarchy = quad16
     st = make_sim(graph, hierarchy, "spike")
     root = int(hierarchy.cell_rep[0])
-    st.counter[hierarchy.cell_rep[1:5]] = 5
+    st.counter[1:5] = 5
     engine._toggle(st, root, c=0, r=0, on=1)
     ev = drain(st)[0]
     assert ev.action == "activate" and ev.ok and ev.count == 4
-    child_reps = hierarchy.cell_rep[1:5]
-    assert np.all(st.global_on[child_reps] == 1)
-    assert np.all(st.counter[child_reps] == 0)
+    assert np.all(st.global_on[1:5] == 1)
+    assert np.all(st.counter[1:5] == 0)
     assert st.ledger_totals()["activate"] == 4
-    st.counter[child_reps] = 3
+    st.counter[1:5] = 3
     engine._toggle(st, root, c=0, r=0, on=0)
     drain(st)
-    assert np.array_equal(np.flatnonzero(st.global_on), [root])
-    assert np.all(st.counter[child_reps] == 3)   # only activation resets
+    assert np.array_equal(np.flatnonzero(st.global_on), [0])
+    assert np.all(st.counter[1:5] == 3)   # only activation resets
     assert st.ledger_totals()["deactivate"] == 4
 
 
@@ -463,6 +462,23 @@ def assert_same_state(a, b):
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("algorithm", ["hier", "boyd", "geo"])
+def test_round_state_has_one_entry_per_square(sim256, algorithm):
+    # global_on, counter and cell_active are indexed by cell id, from
+    # init_sim through bulk and logged runs; boyd and geo have one square.
+    squares = sim256[1].n_cells if algorithm == "hier" else 1
+    st = fresh_state(sim256, algorithm)
+    if algorithm == "hier":
+        assert np.array_equal(np.flatnonzero(st.global_on), [0])
+    bulk = fresh_state(sim256, algorithm)
+    run(bulk, max_ticks=2000, stride=700)
+    logged = fresh_state(sim256, algorithm)
+    run(logged, max_ticks=2000, stride=700, event_sink=lambda events: None)
+    for state in (st, bulk, logged):
+        for name in ("global_on", "counter", "cell_active"):
+            assert getattr(state, name).shape == (squares,), name
+
+
 @pytest.fixture(scope="module")
 def graph2048():
     """A graph for boyd and geo on which a short stride's block has far
@@ -538,11 +554,11 @@ def test_logged_run_matches_stepping_and_bulk(request, sim, algorithm,
     if name == "sparse128_long":
         # the leaves the root's activation cannot reach still count
         _, hierarchy, sched = sim
-        root = int(hierarchy.cell_rep[0])
-        cut = [s for s in hierarchy.cell_rep[1:].tolist()
+        root, *reps = hierarchy.cell_rep.tolist()
+        cut = [c for c, s in enumerate(reps, 1)
                if not stepped.routes[(root, s)][1]]
         assert "activate" in failed and cut
-        assert all(stepped.counter[s] < sched.time[1] for s in cut)
+        assert all(stepped.counter[c] < sched.time[1] for c in cut)
     assert logged_events == stepped_events
     assert_same_state(stepped, logged)
     assert_same_state(stepped, bulk)
@@ -735,11 +751,11 @@ def is_live(state, u, s):
         return False
     r = h.cell_depth[c]
     root = h.cell_parent[c] < 0
-    on = state.global_on[s] == 1
-    return bool(on and (state.counter[s] == 0
+    on = state.global_on[c] == 1
+    return bool(on and (state.counter[c] == 0
                         or not root and u[1] < state.schedule.far_prob[r])
                 or (state.cell_active[c] == 1 or root)
-                and state.counter[s] >= state.schedule.time[r])
+                and state.counter[c] >= state.schedule.time[r])
 
 
 def stepped_ticks(monkeypatch, bulk, key):
@@ -830,17 +846,17 @@ def test_outside_event_reschedules_a_pending_live_tick(quad16, monkeypatch,
 
     def fresh():
         st = init_sim(graph, hierarchy, sched, seed=0, init_dist="gauss")
-        st.global_on[[a, b]] = 1
+        st.global_on[[1, 2]] = 1
         st.cell_active[[1, 2]] = 1
         st.local_on[hierarchy.members_of(1)] = 1
         st.local_on[hierarchy.members_of(2)] = 1
-        st.counter[b] = 1
+        st.counter[2] = 1
         if kind == "deactivate":
             st.cell_active[0] = 1
-            st.counter[root] = int(np.ceil(sched.time[0]))
-            st.counter[a] = 5
+            st.counter[0] = int(np.ceil(sched.time[0]))
+            st.counter[1] = 5
         else:
-            st.counter[a] = end - 3
+            st.counter[1] = end - 3
         return st
 
     # Row t is (node, far coin, sibling, neighbour); u[3] also names t.

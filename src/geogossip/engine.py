@@ -45,11 +45,15 @@ They update counters, protocol states and state.counts, but never write
 x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
 is a midpoint, both ends taking their mean; any other k is a far exchange's
 kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
-ops in order.  Each kernel call also appends one Event of Python scalars,
-stamped with state.tick, to state.events, so `step` returns a replayable
-event log from the identical code path the bulk runner uses: it hands back
-the kernels' list as it stands and puts a fresh one on the state.  Every op
-comes with an event, so a tick without one returns at once.
+ops in order.  The per-tick kernels read every array entry with .item(i),
+so they compute on Python scalars, never on boxed numpy ones.  Each kernel
+call builds one Event of Python scalars from a tuple (`_event`: the
+namedtuple's class through tuple.__new__, not its Python-level __new__),
+stamped with state.tick, and appends it to state.events, so `step` returns
+a replayable event log from the identical code path the bulk runner uses:
+it hands back the kernels' list as it stands and puts a fresh one on the
+state.  Every op comes with an event, so a tick without one returns at
+once.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns.  `run`
@@ -113,6 +117,7 @@ stepped runs stay bit-identical.
 """
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -164,6 +169,10 @@ BLOCK_VALUES = 65536
 
 Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
                              "ok"])
+# The kernels build each Event from one tuple through tuple.__new__ (0.22
+# us against 0.53 us for the namedtuple's Python-level __new__); the result
+# is the same Event.
+_event = functools.partial(tuple.__new__, Event)
 
 # One bulk block's outcome.  ops iterates its value ops (a, b, k) in tick
 # order; for each record offset (a tick counted from the block start),
@@ -232,21 +241,22 @@ def _apply(x, ops):
 
 
 def _near(state, u, s):
-    # u may be a Python float (a logged run's rows are lists), and a Python
-    # float times a numpy int takes numpy's slow reflected path, about ten
-    # times the cost of float times int.  So a per-tick kernel reads each
-    # array entry it multiplies or emits as a Python int, as lo, deg and v
-    # are here.
+    # The per-tick kernels read every array entry with .item(i), which
+    # returns a Python scalar (0.07 us; int(a[i]) boxes a numpy scalar
+    # first and takes 0.13 us), so no numpy scalar reaches their arithmetic
+    # or their output: u, a Python float in a logged run, times a numpy
+    # int would take numpy's slow reflected path.  lo, deg and v are
+    # Python ints here.
     indptr = state.leaf_indptr
-    lo = int(indptr[s])
-    deg = int(indptr[s + 1]) - lo
+    lo = indptr.item(s)
+    deg = indptr.item(s + 1) - lo
     if deg == 0:
         state.counts[FAULT_ISOLATED_NEAR] += 1
         return
-    v = int(state.leaf_indices[lo + int(u * deg)])
+    v = state.leaf_indices.item(lo + int(u * deg))
     state.ops.append((s, v, 0.0))
     state.counts[LEDGER_NEAR] += 2
-    state.events.append(Event(state.tick, "near", s, v, 2, True))
+    state.events.append(_event((state.tick, "near", s, v, 2, True)))
 
 
 def _tick_geo(state, U, nodes):
@@ -306,29 +316,29 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
 def _far(state, u, s, c):
     # Returns whether the exchange completed.
     h = state.hierarchy
-    r = h.cell_depth[c]
+    r = h.cell_depth.item(c)
     # c has a parent, and a parent has at least 4 children.
-    nsib = int(h.subdiv_at_depth[r - 1]) - 1
-    cp = int(h.cell_child_start[h.cell_parent[c]]) + int(u * nsib)
+    nsib = h.subdiv_at_depth.item(r - 1) - 1
+    cp = h.cell_child_start.item(h.cell_parent.item(c)) + int(u * nsib)
     if cp >= c:
         cp += 1
-    sp = int(h.cell_rep[cp])
+    sp = h.cell_rep.item(cp)
     _route_all(state, [(s, sp), (sp, s)])
     hops, ok = state.routes[(s, sp)]
     if ok:
-        if state.cell_active[cp] == 1:
+        if state.cell_active.item(cp) == 1:
             state.counts[FAULT_CONCURRENT] += 1
         back, ok = state.routes[(sp, s)]
         hops += back
     state.counts[LEDGER_FAR] += hops
     if not ok:
         state.counts[FAULT_ROUTING] += 1
-        state.events.append(Event(state.tick, "far", s, sp, hops, False))
+        state.events.append(_event((state.tick, "far", s, sp, hops, False)))
         return False
-    state.ops.append((s, sp, 0.4 * h.expected_at_depth[r]))
+    state.ops.append((s, sp, 0.4 * h.expected_at_depth.item(r)))
     state.counter[c] = 0
     state.counter[cp] = 0
-    state.events.append(Event(state.tick, "far", s, sp, hops, True))
+    state.events.append(_event((state.tick, "far", s, sp, hops, True)))
     return True
 
 
@@ -338,24 +348,24 @@ def _toggle(state, s, c, r, on):
     # running round has nothing to wind down; the repeat trigger fires every
     # own tick once counter passes time, so make that free.  Returns whether
     # anything was sent.
-    if on == 0 and state.cell_active[c] == 0:
+    if on == 0 and state.cell_active.item(c) == 0:
         return False
     state.cell_active[c] = on
     h = state.hierarchy
-    m = h.subdiv_at_depth[r]
+    m = h.subdiv_at_depth.item(r)
     if m == 0:
         reached, tx = _flood(state, s)
         state.local_on[reached] = on
         state.counts[LEDGER_FLOOD] += tx
-        gap = (int(h.cell_member_start[c + 1] - h.cell_member_start[c])
+        gap = (h.cell_member_start.item(c + 1) - h.cell_member_start.item(c)
                - len(reached))
         if gap > 0:
             state.counts[FAULT_FLOOD_GAP] += gap
-        state.events.append(Event(state.tick,
-                                  "flood_on" if on == 1 else "flood_off", s,
-                                  int(c), tx, gap == 0))
+        state.events.append(_event((state.tick,
+                                    "flood_on" if on == 1 else "flood_off",
+                                    s, c, tx, gap == 0)))
         return True
-    start = int(h.cell_child_start[c])
+    start = h.cell_child_start.item(c)
     reps = h.cell_rep[start:start + m].tolist()
     _route_all(state, [(s, dst) for dst in reps])
     total = 0
@@ -372,38 +382,40 @@ def _toggle(state, s, c, r, on):
             ok_all = False
     action = "activate" if on == 1 else "deactivate"
     state.counts[EVENT_LEDGER[action]] += total
-    state.events.append(Event(state.tick, action, s, int(c), total, ok_all))
+    state.events.append(_event((state.tick, action, s, c, total, ok_all)))
     return True
 
 
 def _tick_hier(state, u, s):
     # u is the tick's row; s = int(u[0] * n) is its firing node.
     h = state.hierarchy
-    c = h.cell_of_rep[s]
+    c = h.cell_of_rep.item(s)
     if c < 0:
         # a plain sensor
-        if state.local_on[s] == 1:
+        if state.local_on.item(s) == 1:
             _near(state, u[3], s)
         return
-    r = h.cell_depth[c]
+    r = h.cell_depth.item(c)
     counter = state.counter
-    if state.global_on[c] == 1:
-        if counter[c] == 0:
+    root = h.cell_parent.item(c) < 0
+    if state.global_on.item(c) == 1:
+        if counter.item(c) == 0:
             _toggle(state, s, c, r, 1)
-        if h.cell_parent[c] >= 0 and u[1] < state.schedule.far_prob[r]:
+        if not root and u[1] < state.schedule.far_prob.item(r):
             if _far(state, u[2], s, c):
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
                 return
-    if state.local_on[s] == 1:
+    if state.local_on.item(s) == 1:
         _near(state, u[3], s)
-    if counter[c] >= state.schedule.time[r]:
+    cnt = counter.item(c)
+    if cnt >= state.schedule.time.item(r):
         sent = _toggle(state, s, c, r, 0)
-        if h.cell_parent[c] < 0:
+        if root:
             counter[c] = 0
             state.counts[ROOT_ROUNDS] += sent
     else:
-        counter[c] += 1
+        counter[c] = cnt + 1
 
 
 def _near_block(state, offs, t, s, u, live_t, live, op_t):
@@ -514,14 +526,14 @@ def _run_hier(state, U, nodes, offs):
         # coin only one that passes, and a round end only the tick at which
         # its quiet ticks bring the counter to ceil(time).
         i = pos[c]
-        cnt = int(counter[c])
+        cnt = counter.item(c)
         j = end[c]
-        if global_on[c] == 1:
+        if global_on.item(c) == 1:
             if cnt == 0:
                 j = i
             elif parent[c] >= 0:
                 j = min(j, next_coin[i])
-        if cell_active[c] == 1 or parent[c] < 0:
+        if cell_active.item(c) == 1 or parent[c] < 0:
             j = min(j, i + max(0, round_end[cell_depth[c]] - cnt))
         if j < end[c]:
             due[c] = j
@@ -542,7 +554,7 @@ def _run_hier(state, U, nodes, offs):
     t0 = state.tick
     while heap:
         t = heapq.heappop(heap)
-        c = int(cells[t])
+        c = cells.item(t)
         j = due[c]
         if j < 0 or own_t[j] != t:
             continue
@@ -566,12 +578,13 @@ def _run_hier(state, U, nodes, offs):
             # far exchange set its counter to 0; a deactivation left it,
             # so it first counts the quiet ticks before t.
             if action == "far":
-                hit = [int(h.cell_of_rep[target])] if ok else []
+                hit = [h.cell_of_rep.item(target)] if ok else []
             elif action == "activate" or action == "deactivate":
                 # only the children whose route succeeded changed state
-                start = h.cell_child_start[target]
-                hit = [ci for ci in range(start, start + h.subdiv_at_depth[
-                    cell_depth[target]]) if state.routes[(s, rep[ci])][1]]
+                start = h.cell_child_start.item(target)
+                stop = start + h.subdiv_at_depth.item(cell_depth[target])
+                hit = [ci for ci in range(start, stop)
+                       if state.routes[(s, rep[ci])][1]]
             else:
                 hit = []
             for ci in hit:
@@ -812,10 +825,10 @@ def step(state: SimState, u=None) -> list:
         # An accepted tick's partner is its op's other end; a tick with no
         # candidate at all names -1.
         total, accepted, _ = _tick_geo(state, np.array([u]), np.array([s]))
-        ok = bool(accepted[0])
-        state.events.append(Event(state.tick, "far", s,
-                                  state.ops[-1][1] if ok else -1,
-                                  int(total[0]), ok))
+        ok = accepted.item(0)
+        state.events.append(_event((state.tick, "far", s,
+                                    state.ops[-1][1] if ok else -1,
+                                    total.item(0), ok)))
     state.tick += 1
     # Every op comes with an event, so a tick without one is done.
     if not state.events:

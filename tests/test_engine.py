@@ -592,6 +592,41 @@ def test_logged_run_sinks_each_block_in_one_call(sim256, algorithm):
     assert_same_state(stepped, logged)
 
 
+@pytest.mark.parametrize("sim, algorithm", [
+    pytest.param("sparse128_short", "hier", id="hier"),
+    pytest.param("sim256", "boyd", id="boyd"),
+    pytest.param("sim256", "geo", id="geo"),
+])
+def test_logged_ticks_emit_python_scalars(request, monkeypatch, sim,
+                                          algorithm):
+    # The per-tick kernels read array entries as Python scalars: every
+    # event a logged run's step returns is an Event of exactly these field
+    # types, and every op reaches _apply as (int, int, float).  On
+    # sparse128_short, hier reaches every action, and its far exchanges
+    # both complete and fail.
+    st = fresh_state(request.getfixturevalue(sim), algorithm)
+    apply = engine._apply
+    ops = []
+
+    def recording(x, pending):
+        ops.extend(pending)
+        apply(x, pending)
+
+    monkeypatch.setattr(engine, "_apply", recording)
+    events = []
+    run(st, max_ticks=6_000, stride=3_000, event_sink=events.extend)
+    assert events and ops
+    for ev in events:
+        assert type(ev) is engine.Event
+        assert tuple(map(type, ev)) == (int, str, int, int, int, bool), ev
+    for op in ops:
+        assert tuple(map(type, op)) == (int, int, float), op
+    if algorithm == "hier":
+        assert {ev.action for ev in events} == set(engine.EVENT_LEDGER)
+        assert {ev.ok for ev in events if ev.action == "far"} == {True,
+                                                                  False}
+
+
 def test_root_deactivation_stops_bulk_and_logged_alike(sim256):
     # Both paths count the root's ended rounds in state.root_rounds, and
     # run stops at the first stride boundary after it grows.

@@ -838,10 +838,10 @@ def step(state: SimState, u=None) -> list:
 
 def replay_ledger(events) -> np.ndarray:
     """Rebuild ledger category totals from an event log."""
-    ledger = np.zeros(len(LEDGER_NAMES), dtype=np.int64)
-    for ev in events:
-        ledger[EVENT_LEDGER[ev.action]] += ev.count
-    return ledger
+    ledger = [0] * len(LEDGER_NAMES)
+    for _, action, _, _, count, _ in events:
+        ledger[EVENT_LEDGER[action]] += count
+    return np.array(ledger, dtype=np.int64)
 
 
 def format_events(events) -> str:

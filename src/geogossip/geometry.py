@@ -4,12 +4,13 @@ Points are drawn uniformly in the unit square and joined by an edge whenever
 their Euclidean distance is at most the connectivity radius (closed ball).
 Adjacency is stored in CSR form (``indptr``/``indices``, neighbor ids sorted
 ascending).  It is built in vectorised numpy through a bucket grid whose cell
-side is at least the radius: for each of the 9 offsets of the 3x3 cell
-neighborhood, every (point, candidate) pair is gathered at once, tested
-against the closed ball, and the kept pairs are sorted by ``i * n + j`` into
-CSR order.  The module also holds the graph search: `_frontier_flood`
-floods a CSR from many origins at once, one breadth-first frontier per round,
-and connectivity is that flood from node 0.
+side is at least the radius.  Each unordered pair of the 3x3 neighborhood
+is tested once, from its own bucket or a forward offset: the closed-ball
+test is exactly symmetric in IEEE arithmetic, so a kept pair gives both keys
+``i * n + j`` and ``j * n + i``, sorted into CSR order.  The module also
+holds the graph search: `_frontier_flood` floods a CSR from many origins at
+once, one breadth-first frontier per round, and connectivity is that flood
+from node 0.
 """
 
 import math
@@ -121,6 +122,7 @@ def _frontier_flood(indptr, indices, origins):
     label = np.full(n, -1, dtype=np.int64)
     label[origins] = np.arange(origins.shape[0])
     front = origins
+    mark = np.zeros(n, dtype=bool)
     while front.shape[0]:
         lo = indptr[front]
         cnt = indptr[front + 1] - lo
@@ -128,7 +130,9 @@ def _frontier_flood(indptr, indices, origins):
         new = label[nb] < 0
         nb = nb[new]
         label[nb] = label[front].repeat(cnt)[new]
-        front = np.unique(nb)
+        mark[nb] = True
+        front = np.flatnonzero(mark)
+        mark[front] = False
     reached = np.flatnonzero(label >= 0)
     tx = np.bincount(label[reached], weights=np.diff(indptr)[reached],
                      minlength=origins.shape[0])
@@ -151,25 +155,30 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    xy = np.ascontiguousarray(points.xy, dtype=np.float64)
+    px, py = np.asarray(points.xy, dtype=np.float64).T.copy()
     n = points.n
     grid_side = max(1, int(1.0 / radius))
 
-    ix = _grid_index(xy[:, 0], grid_side)
-    iy = _grid_index(xy[:, 1], grid_side)
+    ix = _grid_index(px, grid_side)
+    iy = _grid_index(py, grid_side)
     point_cell = ix * grid_side + iy
     order = np.argsort(point_cell, kind="stable").astype(np.int64)
-    counts = np.bincount(point_cell, minlength=grid_side * grid_side)
-    cell_start = np.zeros(grid_side * grid_side + 1, dtype=np.int64)
-    np.cumsum(counts, out=cell_start[1:])
+    cell_start = np.searchsorted(point_cell[order],
+                                 np.arange(grid_side * grid_side + 1))
 
-    # Every (point, candidate) pair of the 3x3 neighborhood, one cell
-    # offset at a time.  Closed ball: dx*dx + dy*dy <= radius*radius is THE
-    # adjacency test; tests/test_geometry.py holds its brute-force oracle.
+    # Each unordered candidate pair is tested once: against the later points
+    # of its own bucket (ids ascend there), then the four forward offsets.
+    # Closed ball: dx*dx + dy*dy <= radius*radius is THE adjacency test
+    # (oracle in tests/test_geometry.py), and fl(a - b) = -fl(b - a) makes
+    # it symmetric, so a kept pair is an edge both ways.
     rsq = float(radius) * float(radius)
+    after = np.arange(1, n + 1)
+    count = cell_start[point_cell[order] + 1] - after
+    i = np.repeat(order, count)
+    j = order[_concat_ranges(after, count)]
     keys = []
-    for ax in (-1, 0, 1):
-        for ay in (-1, 0, 1):
+    for ax, ay in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        if ax or ay:  # (0, 0) tests the own-bucket i, j above
             nx = ix + ax
             ny = iy + ay
             src = np.flatnonzero((nx >= 0) & (nx < grid_side)
@@ -178,15 +187,16 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
             count = cell_start[cell + 1] - cell_start[cell]
             i = np.repeat(src, count)
             j = order[_concat_ranges(cell_start[cell], count)]
-            dx = xy[j, 0] - xy[i, 0]
-            dy = xy[j, 1] - xy[i, 1]
-            keep = (dx * dx + dy * dy <= rsq) & (i != j)
-            keys.append(i[keep] * n + j[keep])
-    # Row-major order with neighbor ids ascending within each row.
-    key = np.sort(np.concatenate(keys))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    indices = key % n
+        dx = px[j] - px[i]
+        dy = py[j] - py[i]
+        keep = dx * dx + dy * dy <= rsq
+        i, j = i[keep], j[keep]
+        keys += (i * n + j, j * n + i)
+    # Row-major order with neighbor ids ascending within each row: row u
+    # holds the keys in [u*n, u*n + n), less u*n its neighbor ids.
+    indices = np.sort(np.concatenate(keys))
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+    indices -= np.repeat(np.arange(n) * n, np.diff(indptr))
 
     return GeometricGraph(points=points, radius=float(radius), indptr=indptr,
                           indices=indices, grid_side=grid_side,

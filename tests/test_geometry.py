@@ -134,6 +134,39 @@ def test_exact_distance_across_bucket_boundaries():
     np.testing.assert_array_equal(g.indices, indices)
 
 
+@pytest.mark.parametrize("radius, grid_side",
+                         [(0.625, 1), (0.5, 2), (0.3125, 3), (0.25, 4)])
+def test_half_scan_on_dyadic_lattice(radius, grid_side):
+    # build_graph tests each unordered pair once, from its own bucket or a
+    # forward offset.  A lattice of step radius puts many pairs at exactly
+    # r (and, for grid_side 2 and 4, points on the bucket boundaries).
+    # Around each interior bucket corner sit the corner and the points q
+    # west, south and south-west of it, each twice: their pairs cross all 8
+    # bucket offsets, and duplicates fill the neighbouring buckets.
+    ticks = np.append(np.arange(0.0, 1.0, radius), 1.0)
+    lattice = [[x, y] for x in ticks for y in ticks]
+    q = radius / 4
+    cluster = [[k / grid_side - dx, m / grid_side - dy]
+               for k in range(1, grid_side) for m in range(1, grid_side)
+               for dx, dy in ((0, 0), (q, 0), (0, q), (q, q))]
+    pts = make_points(lattice + cluster + cluster)
+    g = build_graph(pts, radius)
+    assert g.grid_side == grid_side
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    indptr, indices = brute_force_adjacency(pts, radius)
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+
+    src = np.repeat(np.arange(pts.n), np.diff(g.indptr))
+    edges = set(zip(src.tolist(), g.indices.tolist()))
+    assert edges == {(v, u) for u, v in edges}
+    d = pts.xy[g.indices] - pts.xy[src]
+    assert (d[:, 0] ** 2 + d[:, 1] ** 2 == radius * radius).sum() >= 8
+    bx, by = np.divmod(g.point_cell, grid_side)
+    offsets = {(bx[v] - bx[u], by[v] - by[u]) for u, v in edges} - {(0, 0)}
+    assert len(offsets) == (8 if grid_side > 1 else 0)
+
+
 def test_edges_invariant_under_relabeling():
     pts = sample_points(200, seed=9)
     g = build_graph(pts, 0.2)

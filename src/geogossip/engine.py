@@ -839,8 +839,8 @@ def step(state: SimState, u=None) -> list:
 def replay_ledger(events) -> np.ndarray:
     """Rebuild ledger category totals from an event log."""
     ledger = [0] * len(LEDGER_NAMES)
-    for _, action, _, _, count, _ in events:
-        ledger[EVENT_LEDGER[action]] += count
+    for ev in events:
+        ledger[EVENT_LEDGER[ev.action]] += ev.count
     return np.array(ledger, dtype=np.int64)
 
 

@@ -173,6 +173,8 @@ Event = namedtuple("Event", ["tick", "action", "node", "target", "count",
 # us against 0.53 us for the namedtuple's Python-level __new__); the result
 # is the same Event.
 _event = functools.partial(tuple.__new__, Event)
+# `snapshot` builds each MetricsRecord the same way, its ratio checked.
+_record = functools.partial(tuple.__new__, MetricsRecord)
 
 # One bulk block's outcome.  ops iterates its value ops (a, b, k) in tick
 # order; for each record offset (a tick counted from the block start),
@@ -854,22 +856,13 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
     """Current tick as one metrics row (err_l2_ratio: a known error_ratio)."""
     if err_l2_ratio is None:
         err_l2_ratio = state.error_ratio()
+    if not (err_l2_ratio >= 0.0):
+        raise ValueError(f"err_l2_ratio must be >= 0, got {err_l2_ratio}")
     c = state.counts.tolist()
-    return MetricsRecord(
-        algorithm=state.algorithm, n=state.n, seed=state.seed,
-        tick=state.tick,
-        transmissions_total=sum(c[LEDGER]),
-        transmissions_near=c[LEDGER_NEAR],
-        transmissions_far_routing=c[LEDGER_FAR],
-        transmissions_control=(c[LEDGER_ACTIVATE] + c[LEDGER_DEACTIVATE]
-                               + c[LEDGER_FLOOD]),
-        err_l2_ratio=err_l2_ratio,
-        fault_routing=c[FAULT_ROUTING],
-        fault_isolated_near=c[FAULT_ISOLATED_NEAR],
-        fault_concurrent_round=c[FAULT_CONCURRENT],
-        fault_flood_gap=c[FAULT_FLOOD_GAP],
-        fault_geo_reject=c[FAULT_GEO_REJECT],
-    )
+    return _record((state.algorithm, state.n, state.seed, state.tick,
+                    sum(c[LEDGER]), c[LEDGER_NEAR], c[LEDGER_FAR],
+                    c[LEDGER_ACTIVATE] + c[LEDGER_DEACTIVATE]
+                    + c[LEDGER_FLOOD], err_l2_ratio, *c[FAULTS]))
 
 
 def _run_block(state: SimState, U, offs) -> Block:

@@ -1,23 +1,24 @@
 """Metrics rows, CSV serialization, and log-log scaling fits.
 
-The CSV schema is fixed: one header line, then one row per MetricsRecord
-with its fields in declaration order (COLUMNS), each written with str: for
-a float, numpy's or Python's, that is its shortest round-trip form, so
-identical runs produce byte-identical files.
+A MetricsRecord is an immutable named tuple: one time-series row, a tuple
+that iterates, indexes and compares equal to the plain tuple of its values.
+The CSV schema is fixed: one header line, then one row per record with its
+fields in declaration order (COLUMNS), each written with str through one
+%-format over the tuple: for a float, numpy's or Python's, that is its
+shortest round-trip form, so identical runs produce byte-identical files.
 """
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One time-series row of a simulation run."""
-
+# MetricsRecord's fields and column types (a NamedTuple class may not
+# define __new__, so the checking constructor is on the subclass).
+class _Row(NamedTuple):
     algorithm: str
     n: int
     seed: int
@@ -33,21 +34,29 @@ class MetricsRecord:
     fault_flood_gap: int
     fault_geo_reject: int
 
-    def __post_init__(self) -> None:
-        if not (self.err_l2_ratio >= 0.0):
+
+class MetricsRecord(_Row):
+    """One time-series row of a simulation run (an immutable tuple)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = _Row.__new__(cls, *args, **kwargs)
+        if not (rec.err_l2_ratio >= 0.0):
             raise ValueError(
-                f"err_l2_ratio must be >= 0, got {self.err_l2_ratio}")
+                f"err_l2_ratio must be >= 0, got {rec.err_l2_ratio}")
+        return rec
 
     def to_line(self) -> str:
-        return ",".join(map(str, _column_values(self)))
+        return _LINE % self
 
 
 # The CSV columns are MetricsRecord's fields, in order; each cell parses
 # with its field's type.
-COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-_COLUMN_TYPES = tuple(f.type for f in fields(MetricsRecord))
+COLUMNS = MetricsRecord._fields
+_COLUMN_TYPES = tuple(_Row.__annotations__.values())
 HEADER_LINE = ",".join(COLUMNS)
-_column_values = operator.attrgetter(*COLUMNS)
+_LINE = ",".join(["%s"] * len(COLUMNS))
 
 
 def record_from_row(row: list) -> MetricsRecord:

@@ -82,15 +82,22 @@ def _walk(indptr, indices, xy, src, dst, tx, ty):
         dx = px[c] - wx
         dy = py[c] - wy
         here = dx * dx + dy * dy
-        # the walkers' CSR rows, concatenated
+        # the walkers' CSR rows, concatenated, and each entry's squared
+        # distance in place (the same IEEE operations as dx*dx + dy*dy)
         lo = indptr[c]
         cnt = indptr[c + 1] - lo
         end = cnt.cumsum()
         first = end - cnt
-        nb = indices[np.arange(end[-1]) + (lo - first).repeat(cnt)]
-        dx = px[nb] - wx.repeat(cnt)
-        dy = py[nb] - wy.repeat(cnt)
-        d = dx * dx + dy * dy
+        pos = (lo - first).repeat(cnt)
+        pos += np.arange(end[-1])
+        nb = indices[pos]
+        d = px[nb]
+        d -= wx.repeat(cnt)
+        d *= d
+        e = py[nb]
+        e -= wy.repeat(cnt)
+        e *= e
+        d += e
         has = np.flatnonzero(cnt)
         start = first[has]
         best = np.full(live.shape[0], np.inf)

@@ -1,11 +1,14 @@
 """Metrics rows, CSV round trips, and log-log scaling fits."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
 
-from geogossip import MetricsRecord, fit_scaling, read_csv
+from geogossip import (ExperimentConfig, MetricsRecord, engine, fit_scaling,
+                       read_csv, run_experiment)
+from geogossip.experiment import build_state
 from geogossip.metrics import COLUMNS, transmissions_at_target, write_header
 
 from conftest import write_records
@@ -92,6 +95,49 @@ def test_read_from_path(tmp_path):
 def test_column_count_matches_record():
     assert len(COLUMNS) == 14
     assert rec().to_line().count(",") == 13
+
+
+# ---------------------------------------------------------------- contract
+
+@pytest.mark.parametrize("algo", ["hier", "boyd", "geo"])
+def test_bulk_records_are_python_scalars_and_their_own_csv(algo):
+    buf = io.StringIO()
+    cfg = ExperimentConfig(algorithm=algo, n=64, seed=3, eps=0.01,
+                           max_ticks=6_000, stride=100)
+    series = run_experiment(cfg, csv_fh=buf).series
+    assert len(series.records) >= 5
+    for r in series.records:
+        assert type(r) is MetricsRecord
+        assert [type(v) for v in r] == [str] + [int] * 7 + [float] + [int] * 5
+    assert read_csv(io.StringIO(buf.getvalue())) == series.records
+
+
+def test_record_is_immutable_and_hashable():
+    r = rec(tick=3, err=0.25)
+    with pytest.raises(AttributeError):
+        r.tick = 4
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert hash(r) == hash(rec(tick=3, err=0.25))
+    assert len({r, rec(tick=3, err=0.25), rec(tick=4)}) == 2
+
+
+def test_record_pickle_round_trip_still_validates():
+    r = rec(algo="geo", tick=7, total=11, err=1.0 / 3.0)
+    back = pickle.loads(pickle.dumps(r))
+    assert type(back) is MetricsRecord and back == r
+    assert back.to_line() == r.to_line()
+    # Unpickling goes through the validating constructor.
+    forged = tuple.__new__(MetricsRecord, (*r[:8], float("nan"), *r[9:]))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))
+
+
+def test_snapshot_of_a_nan_state_raises():
+    st = build_state(ExperimentConfig(algorithm="boyd", n=64, seed=1))
+    st.x[5] = float("nan")
+    with pytest.raises(ValueError):
+        engine.snapshot(st)
 
 
 # --------------------------------------------------------------------- fit

@@ -187,6 +187,21 @@ def test_walk_matches_reference_walker(case):
         assert bool(ok[i]) == ok_i
 
 
+@settings(max_examples=100, deadline=None)
+@given(walk_batches())
+def test_walk_leaves_its_inputs_unchanged(case):
+    # The round's in-place arithmetic touches only its own temporaries,
+    # even when the inputs already have the dtypes _walk computes in.
+    g, src, dst, pos = case
+    xy = g.points.xy
+    args = [g.indptr, g.indices, xy, src.astype(np.int64),
+            dst.astype(np.int64), pos[:, 0].copy(), pos[:, 1].copy()]
+    before = [a.copy() for a in args]
+    _walk(*args)
+    for a, b in zip(args, before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_batched_routes_match_greedy_route(graph4096, monkeypatch):
     # A fan-out's routes fill state.routes in one lockstep _walk call, each
     # pair's (hops, ok) as greedy_route finds it alone, dead ends included;

@@ -41,19 +41,20 @@ any stride.
 The tick kernels are Python over numpy arrays, and they are control
 only.  They take the SimState and read every array under its one name:
 state.x, state.hierarchy.cell_parent, state.schedule.far_prob, and so on.
-They update counters, protocol states and state.counts, but never write
-x: each value update is appended to state.ops as an op (a, b, k).  k == 0.0
-is a midpoint, both ends taking their mean; any other k is a far exchange's
-kick, d = k * (x[b] - x[a]) added at a and taken from b.  `_apply` applies
-ops in order.  The per-tick kernels read every array entry with .item(i),
-so they compute on Python scalars, never on boxed numpy ones.  Each kernel
-call builds one Event of Python scalars from a tuple (`_event`: the
-namedtuple's class through tuple.__new__, not its Python-level __new__),
-stamped with state.tick, and appends it to state.events, so `step` returns
-a replayable event log from the identical code path the bulk runner uses:
-it hands back the kernels' list as it stands and puts a fresh one on the
-state.  Every op comes with an event, so a tick without one returns at
-once.
+They update counters, protocol states and state.counts, a list of Python
+ints, but never write x: each value update is appended to state.ops as an
+op (a, b, k).  k == 0.0 is a midpoint, both ends taking their mean; any
+other k is a far exchange's kick, d = k * (x[b] - x[a]) added at a and
+taken from b.  `_apply` applies ops in order through state.xv, the one
+memoryview of x the state makes.  The per-tick kernels read every array
+entry with .item(i), so they compute on Python scalars, never on boxed
+numpy ones.  Each kernel call builds one Event of Python scalars from a
+tuple (`_event`: the namedtuple's class through tuple.__new__, not its
+Python-level __new__), stamped with state.tick, and appends it to
+state.events, so `step` returns a replayable event log from the identical
+code path the bulk runner uses: it hands back the kernels' list as it
+stands and puts a fresh one on the state.  Every op comes with an event,
+so a tick without one returns at once.
 
 `init_sim`, `step` and `run` are the whole stepping surface.  `step` is the
 one per-tick entry point and applies its ops to x before it returns.  `run`
@@ -62,8 +63,8 @@ tick, steps the block's rows through `step`, and hands its sink the
 block's events in one call.  Otherwise blocks hold `block_rows` rows
 whatever the stride, and a record costs a norm, not a block: after a
 block's kernels run, its ops are applied up to each record tick inside it,
-and state.counts is set to its value there.  The block's kernels return a
-Block: its ops in tick order and, for each record tick, the number of ops
+and state.counts is rebound to its row there.  The block's kernels return
+a Block: its ops in tick order and, for each record tick, the number of ops
 before it and the counts at it.  One builder makes the hier and boyd
 blocks: it runs the near ticks built in numpy, merges their ops in tick
 order with those of the ticks stepped in Python, and finds each record
@@ -110,7 +111,7 @@ do, and empties the event list after every block.  geo never reads x, so
 pending is routed in one lockstep `_walk` call, and only the rejected
 ticks try again.  It builds no event; `step` passes it a block of one row
 and builds the tick's one event from the totals it returns.  A block's ops
-are merged in tick order and applied through a memoryview of x, which
+are merged in tick order and applied through state.xv, which
 touches only the ops' endpoints and reads and writes them as Python
 floats: the same IEEE doubles in the same order as `step`, so bulk and
 stepped runs stay bit-identical.
@@ -131,8 +132,9 @@ from .hierarchy import Hierarchy, ParamSchedule
 from .metrics import MetricsRecord
 from .routing import _frontier_flood, _walk, restrict_edges
 
-# A run's counts are one int64 vector, state.counts, indexed by these: the
-# ledger categories, then the faults, then the rounds the root has ended.
+# A run's counts are one list of Python ints, state.counts, indexed by
+# these: the ledger categories, then the faults, then the rounds the root
+# has ended.
 LEDGER_NEAR = 0
 LEDGER_FAR = 1
 LEDGER_ACTIVATE = 2
@@ -226,11 +228,12 @@ def _flood(state, origin):
 
 
 def _apply(x, ops):
-    # Apply value ops (a, b, k) to the array x in order, through a memoryview
-    # (items as Python floats; the rest of x untouched).  k == 0.0 is a
-    # midpoint; any other k is an antisymmetric kick of k times the
-    # difference, which moves both ends equally and keeps the pair sum.
-    x = memoryview(x)
+    # Apply value ops (a, b, k) in order, writing through the buffer x: the
+    # state's memoryview of its values (state.xv, items as Python floats;
+    # the rest of x untouched), or an array, whose items give the same
+    # doubles.  k == 0.0 is a midpoint; any other k is an antisymmetric kick
+    # of k times the difference, which moves both ends equally and keeps the
+    # pair sum.
     for a, b, k in ops:
         if k == 0.0:
             m = 0.5 * (x[a] + x[b])
@@ -551,7 +554,7 @@ def _run_hier(state, U, nodes, offs):
     ops = state.ops
     op_t = []
     py_t = []
-    live_counts = [state.counts.tolist()]
+    live_counts = [state.counts.copy()]
     done = 0
     t0 = state.tick
     while heap:
@@ -571,7 +574,7 @@ def _run_hier(state, U, nodes, offs):
         state.tick = t0 + t
         _tick_hier(state, U[t], s)
         py_t.append(t)
-        live_counts.append(state.counts.tolist())
+        live_counts.append(state.counts.copy())
         if len(ops) > len(op_t):
             op_t.append(t)
         for _, action, _, target, _, ok in events[seen:]:
@@ -633,15 +636,18 @@ class SimState:
     rng: np.random.Generator
     tick: int
     x: np.ndarray
+    # The one memoryview of x that `_apply` writes through, made with the
+    # state (and again by __setstate__ for a copy or an unpickled state).
+    xv: memoryview = field(init=False, repr=False)
     local_on: np.ndarray
     # One entry per square, indexed by cell id (boyd and geo have one).
     global_on: np.ndarray
     counter: np.ndarray
     cell_active: np.ndarray
-    # The run's counts, indexed by LEDGER_*, FAULT_* and ROOT_ROUNDS.  The
-    # root's rounds are its deactivations that sent something; `run` reads
-    # them to stop on root deactivation.
-    counts: np.ndarray
+    # The run's counts, a list of Python ints indexed by LEDGER_*, FAULT_*
+    # and ROOT_ROUNDS.  The root's rounds are its deactivations that sent
+    # something; `run` reads them to stop on root deactivation.
+    counts: list
     norm0: float
     sum0: float
     l1_0: float
@@ -665,6 +671,20 @@ class SimState:
     floods: dict = field(default_factory=dict, repr=False)
     routes: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        self.xv = memoryview(self.x)
+
+    # A memoryview can be neither copied nor pickled: a copy drops it and
+    # makes its own of its own x.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["xv"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.xv = memoryview(self.x)
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -677,21 +697,21 @@ class SimState:
 
     @property
     def ledger(self) -> np.ndarray:
-        return self.counts[LEDGER]
+        return np.array(self.counts[LEDGER], dtype=np.int64)
 
     @property
     def faults(self) -> np.ndarray:
-        return self.counts[FAULTS]
+        return np.array(self.counts[FAULTS], dtype=np.int64)
 
     @property
     def root_rounds(self) -> int:
-        return int(self.counts[ROOT_ROUNDS])
+        return self.counts[ROOT_ROUNDS]
 
     def ledger_totals(self) -> dict:
-        return dict(zip(LEDGER_NAMES, (int(v) for v in self.ledger)))
+        return dict(zip(LEDGER_NAMES, self.counts[LEDGER]))
 
     def fault_totals(self) -> dict:
-        return dict(zip(FAULT_NAMES, (int(v) for v in self.faults)))
+        return dict(zip(FAULT_NAMES, self.counts[FAULTS]))
 
 
 def initial_values(n: int, init_dist, rng: np.random.Generator,
@@ -791,7 +811,7 @@ def init_sim(graph: GeometricGraph, hierarchy=None, schedule=None, *,
         local_on=np.zeros(n, dtype=np.uint8), global_on=global_on,
         counter=np.zeros(n_cells, dtype=np.int64),
         cell_active=np.zeros(n_cells, dtype=np.uint8),
-        counts=np.zeros(ROOT_ROUNDS + 1, dtype=np.int64),
+        counts=[0] * (ROOT_ROUNDS + 1),
         norm0=norm0, sum0=float(x.sum()),
         l1_0=float(np.abs(x).sum()),
         leaf_indptr=lindptr, leaf_indices=lindices,
@@ -803,7 +823,7 @@ def _take_events(state: SimState) -> list:
     # Applies the pending value ops, then returns the kernels' event list
     # as it stands and puts a fresh one on the state.
     if state.ops:
-        _apply(state.x, state.ops)
+        _apply(state.xv, state.ops)
         state.ops.clear()
     events = state.events
     state.events = []
@@ -858,8 +878,8 @@ def snapshot(state: SimState, err_l2_ratio=None) -> MetricsRecord:
         err_l2_ratio = state.error_ratio()
     if not (err_l2_ratio >= 0.0):
         raise ValueError(f"err_l2_ratio must be >= 0, got {err_l2_ratio}")
-    c = state.counts.tolist()
-    return _record((state.algorithm, state.n, state.seed, state.tick,
+    c = state.counts
+    return _record((state.algorithm, len(state.x), state.seed, state.tick,
                     sum(c[LEDGER]), c[LEDGER_NEAR], c[LEDGER_FAR],
                     c[LEDGER_ACTIVATE] + c[LEDGER_DEACTIVATE]
                     + c[LEDGER_FLOOD], err_l2_ratio, *c[FAULTS]))
@@ -869,18 +889,18 @@ def _run_block(state: SimState, U, offs) -> Block:
     # One block of rows through the bulk kernels, its Block taken at the
     # record offsets offs (ascending, in [0, rows]).  The protocol state and
     # the counts end at the block end; x waits for the returned ops.
-    nodes = (U[:, 0] * state.n).astype(np.int64)
+    nodes = (U[:, 0] * len(state.x)).astype(np.int64)
     m = nodes.shape[0]
     if state.algorithm == "hier":
         block = _run_hier(state, U, nodes, offs)
     elif state.algorithm == "boyd":
         # A boyd tick is a near exchange on the full adjacency.
         block = _near_block(state, offs, np.arange(m), nodes, U[:, 1], [],
-                            [state.counts.tolist()], [])
+                            [state.counts.copy()], [])
     else:
         # The counts and the accepted ops up to each tick, from geo's
         # per-tick totals.
-        live = np.repeat(state.counts[None], m + 1, axis=0)
+        live = np.repeat([state.counts], m + 1, axis=0)
         total, accepted, capped = _tick_geo(state, U, nodes)
         live[1:, LEDGER_FAR] += np.cumsum(total)
         live[1:, FAULT_GEO_REJECT] += np.cumsum(capped)
@@ -907,8 +927,9 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
     # complete at the block end, which is where such a block records.
     # Otherwise the block's rows go through the bulk kernels, after which
     # the protocol state is at the block end and its ops wait.  At each b
-    # inside the block, the ops of ticks before b are applied and the
-    # counts set to theirs at b before record().  A stop before the block
+    # inside the block, the ops of ticks before b are applied and
+    # state.counts rebound to the block's row at b before record(), and at
+    # the block end to the list the kernels left.  A stop before the block
     # end restores the generator saved at the block start and redraws the
     # block's first b - t0 rows: the Generator emits doubles in sequence,
     # so it draws the same rows.  hier also restores its protocol state
@@ -942,12 +963,12 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
             saved = [getattr(state, name).copy() for name in BLOCK_SAVED]
         offs = np.array(marks, dtype=np.int64) - t0
         block = _run_block(state, state.rng.random((t1 - t0, width)), offs)
-        end = state.counts.tolist()
+        end = state.counts
         done = 0
         for b, j, counts in zip(marks, block.before, block.counts):
-            _apply(state.x, itertools.islice(block.ops, j - done))
+            _apply(state.xv, itertools.islice(block.ops, j - done))
             done = j
-            state.counts[:] = counts
+            state.counts = counts
             state.tick = b
             reason = record()
             if reason is not None:
@@ -961,8 +982,8 @@ def _run_blocks(state: SimState, stride: int, max_ticks, record,
                         _run_block(state, U, offs[:0])
                         state.tick = b
                 return reason
-        _apply(state.x, block.ops)
-        state.counts[:] = end
+        _apply(state.xv, block.ops)
+        state.counts = end
         state.tick = t1
 
 

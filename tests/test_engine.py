@@ -3,6 +3,7 @@
 import bisect
 import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -331,7 +332,7 @@ def test_every_count_reader_sees_its_entry_of_the_count_vector(sim256):
     # Distinct powers of two, so a sum names the entries it added.
     graph, hierarchy, sched = sim256
     st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
-    st.counts[:] = 1 << np.arange(st.counts.shape[0])
+    st.counts[:] = [1 << i for i in range(len(st.counts))]
     ledger, faults = [1, 2, 4, 8, 16], [32, 64, 128, 256, 512]
     assert st.ledger.tolist() == ledger
     assert st.faults.tolist() == faults
@@ -349,6 +350,56 @@ def test_every_count_reader_sees_its_entry_of_the_count_vector(sim256):
     twin = copy.deepcopy(st)
     twin.counts[engine.LEDGER_NEAR] += 1
     assert twin.ledger[0] == 2 and st.ledger[0] == 1
+
+
+def test_a_state_and_its_copies_each_write_through_their_own_view(sim256):
+    graph, hierarchy, sched = sim256
+    st = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")
+    x0 = st.x.copy()
+    deep = copy.deepcopy(st)
+    pickled = pickle.loads(pickle.dumps(st))
+    for s in (st, deep, pickled):
+        assert s.xv.obj is s.x
+    assert deep.x is not st.x and pickled.x is not st.x
+    # Stepping a copy through ticks with ops moves that copy's values only.
+    ops = 0
+    for _ in range(3_000):
+        ops += sum(ev.action in ("near", "far") for ev in step(deep))
+    assert ops > 0
+    assert not np.array_equal(deep.x, x0)
+    assert np.array_equal(st.x, x0) and np.array_equal(pickled.x, x0)
+    # A copy run in bulk ends where a stepped copy does.
+    bulk = copy.deepcopy(st)
+    run(bulk, max_ticks=3_000, stride=1_000)
+    assert_same_state(deep, bulk)
+    assert np.array_equal(st.x, x0) and st.tick == 0
+
+
+@pytest.mark.parametrize("algorithm, how", [
+    ("hier", "bulk"), ("boyd", "bulk"), ("geo", "bulk"), ("hier", "logged"),
+    ("hier", "target"), ("boyd", "target"), ("geo", "target"),
+])
+def test_counts_stay_python_ints(sim256, algorithm, how):
+    st = fresh_state(sim256, algorithm)
+    if how == "target":
+        # a stop inside a block, which redraws the block up to the stop
+        target = {"hier": 0.1, "boyd": 1e-3, "geo": 0.3}[algorithm]
+        series = run(st, max_ticks=1_000_000, stride=7, target_ratio=target)
+        assert series.stop_reason == "target"
+        assert st.tick % block_rows(algorithm) != 0
+    else:
+        run(st, max_ticks=10_000, stride=1_000,
+            event_sink=[].extend if how == "logged" else None)
+    assert len(st.counts) == engine.ROOT_ROUNDS + 1
+    assert all(type(v) is int for v in st.counts)
+    assert sum(st.counts) > 0
+    ledger, faults = st.ledger, st.faults
+    assert ledger.dtype == np.int64 and faults.dtype == np.int64
+    counts = list(st.counts)
+    ledger += 1
+    faults += 1
+    assert st.counts == counts
+    assert type(st.root_rounds) is int
 
 
 def test_sum_conserved_over_run(sim256):

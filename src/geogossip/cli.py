@@ -52,27 +52,32 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
                            choices=experiment.CHOICES.get(f.name))
 
 
-def _merged_config(args) -> experiment.ExperimentConfig:
+def _merged_config(args, **fixed) -> experiment.ExperimentConfig:
+    # fixed: keys set over the config file and the flags before validation
     cfg = experiment.ExperimentConfig()
     if args.config:
         cfg = experiment.load_config(args.config, cfg)
     overrides = {f.name: getattr(args, f.name) for f in _CONFIG_FIELDS}
-    return experiment.apply_overrides(cfg, overrides)
+    return experiment.apply_overrides(cfg, {**overrides, **fixed})
 
 
 def _cmd_simulate(args) -> int:
     cfg = _merged_config(args)
-    # Build first: inputs that cannot carry a hierarchy must fail before
-    # an output file is opened, so they leave any earlier file intact.
-    state = experiment.build_state(cfg)
     out_path = cfg.output or "metrics.csv"
+    # The run builds its state before it writes, so an input that cannot
+    # carry a hierarchy leaves any earlier file intact.
     with contextlib.ExitStack() as files:
-        csv_fh = files.enter_context(open(out_path, "w"))
+        csv_fh = files.enter_context(contextlib.closing(
+            _OpenOnWrite(out_path)))
         event_fh = None
         if args.event_log:
-            event_fh = files.enter_context(open(args.event_log, "w"))
+            event_fh = files.enter_context(contextlib.closing(
+                _OpenOnWrite(args.event_log)))
         result = experiment.run_experiment(cfg, csv_fh=csv_fh,
-                                           event_fh=event_fh, state=state)
+                                           event_fh=event_fh)
+        if event_fh is not None:
+            # a run that draws no tick still leaves its (empty) log
+            event_fh.write("")
     print(result.summary)
     print(f"wrote {out_path}")
     if result.delivery_faults() > cfg.fault_limit:
@@ -112,12 +117,13 @@ class _OpenOnWrite:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
     ns = _parse_int_list(args.ns, "n")
     seeds = _parse_int_list(args.seeds, "seed")
     if not ns or not seeds:
         raise experiment.ConfigError("sweep needs at least one n and one "
                                      "seed")
+    # The grid replaces n and seed, which validate bounds from below only.
+    cfg = _merged_config(args, n=min(ns), seed=min(seeds))
     algorithms = None
     if args.algorithms:
         algorithms = [tok.strip() for tok in args.algorithms.split(",")

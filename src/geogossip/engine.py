@@ -93,12 +93,13 @@ before that one built in numpy and counted into its counter when the
 counter is next read.  This is exact because only a live tick changes
 another square's state, and in three ways only: its parent's
 activation (global_on = 1, counter = 0) or deactivation (global_on = 0), and
-a completed far exchange (counter = 0).  Each appends an event naming its
-target, which the runner reads to reschedule the target from its next
-tick, after counting its earlier quiet ticks unless the event reset its
-counter.  A built tick reads local_on, which changes only in a leaf's
-flood, so the built ticks before each live leaf tick read a snapshot taken
-just before it; boyd builds every tick that way.
+a completed far exchange (counter = 0).  `_toggle` and `_far`, which make
+these changes, return the squares they changed, and `_tick_hier` returns
+them in order, each with whether its counter was reset.  The runner
+reschedules each from its next tick, first counting its earlier quiet
+ticks unless its counter was reset.  A built tick reads local_on, which
+changes only in a leaf's flood, so the built ticks before each live leaf
+tick read a snapshot taken just before it; boyd builds every tick that way.
 
 A live tick's control traffic is memoised, as the graph and the leaf
 squares are fixed for a run: a fan-out's routes (to a square's children,
@@ -319,7 +320,7 @@ def geo_acceptance(graph: GeometricGraph) -> np.ndarray:
 
 
 def _far(state, u, s, c):
-    # Returns whether the exchange completed.
+    # Returns the partner square of a completed exchange, or None.
     h = state.hierarchy
     r = h.cell_depth.item(c)
     # c has a parent, and a parent has at least 4 children.
@@ -339,23 +340,26 @@ def _far(state, u, s, c):
     if not ok:
         state.counts[FAULT_ROUTING] += 1
         state.events.append(_event((state.tick, "far", s, sp, hops, False)))
-        return False
+        return None
     state.ops.append((s, sp, 0.4 * h.expected_at_depth.item(r)))
     state.counter[c] = 0
     state.counter[cp] = 0
     state.events.append(_event((state.tick, "far", s, sp, hops, True)))
-    return True
+    return cp
 
 
 def _toggle(state, s, c, r, on):
     # Start (on=1) or end (on=0) square c's round, c at depth r: flood local
     # states (a leaf) or route to the child representatives.  A square with no
     # running round has nothing to wind down; the repeat trigger fires every
-    # own tick once counter passes time, so make that free.  Returns whether
-    # anything was sent.
+    # own tick once counter passes time, so make that free.  Ending a round
+    # of the root (c == 0) counts it in ROOT_ROUNDS.  Returns the child
+    # squares whose round state changed: those whose route got through.
     if on == 0 and state.cell_active.item(c) == 0:
-        return False
+        return []
     state.cell_active[c] = on
+    if on == 0 and c == 0:
+        state.counts[ROOT_ROUNDS] += 1
     h = state.hierarchy
     m = h.subdiv_at_depth.item(r)
     if m == 0:
@@ -369,12 +373,12 @@ def _toggle(state, s, c, r, on):
         state.events.append(_event((state.tick,
                                     "flood_on" if on == 1 else "flood_off",
                                     s, c, tx, gap == 0)))
-        return True
+        return []
     start = h.cell_child_start.item(c)
     reps = h.cell_rep[start:start + m].tolist()
     _route_all(state, [(s, dst) for dst in reps])
     total = 0
-    ok_all = True
+    reached = []
     for child, dst in enumerate(reps, start):
         hops, ok = state.routes[(s, dst)]
         total += hops
@@ -382,45 +386,52 @@ def _toggle(state, s, c, r, on):
             state.global_on[child] = on
             if on == 1:
                 state.counter[child] = 0
+            reached.append(child)
         else:
             state.counts[FAULT_ROUTING] += 1
-            ok_all = False
     action = "activate" if on == 1 else "deactivate"
     state.counts[EVENT_LEDGER[action]] += total
-    state.events.append(_event((state.tick, action, s, c, total, ok_all)))
-    return True
+    state.events.append(_event((state.tick, action, s, c, total,
+                                len(reached) == m)))
+    return reached
 
 
 def _tick_hier(state, u, s):
-    # u is the tick's row; s = int(u[0] * n) is its firing node.
+    # u is the tick's row; s = int(u[0] * n) is its firing node.  Returns
+    # the (square, counter_reset) pairs of the other squares the tick
+    # changed, in the order its kernels changed them: an activation or a
+    # completed far exchange resets the square's counter, a deactivation
+    # leaves it.
     h = state.hierarchy
     c = h.cell_of_rep.item(s)
     if c < 0:
         # a plain sensor
         if state.local_on.item(s) == 1:
             _near(state, u[3], s)
-        return
+        return []
     r = h.cell_depth.item(c)
     counter = state.counter
-    root = h.cell_parent.item(c) < 0
+    root = c == 0
+    changed = []
     if state.global_on.item(c) == 1:
         if counter.item(c) == 0:
-            _toggle(state, s, c, r, 1)
+            changed = [(ci, True) for ci in _toggle(state, s, c, r, 1)]
         if not root and u[1] < state.schedule.far_prob.item(r):
-            if _far(state, u[2], s, c):
+            cp = _far(state, u[2], s, c)
+            if cp is not None:
                 # A completed long-range exchange ends the tick; the reset
                 # counter must survive to restart the round next own tick.
-                return
+                return changed + [(cp, True)]
     if state.local_on.item(s) == 1:
         _near(state, u[3], s)
     cnt = counter.item(c)
     if cnt >= state.schedule.time.item(r):
-        sent = _toggle(state, s, c, r, 0)
+        changed += [(ci, False) for ci in _toggle(state, s, c, r, 0)]
         if root:
             counter[c] = 0
-            state.counts[ROOT_ROUNDS] += sent
     else:
         counter[c] = cnt + 1
+    return changed
 
 
 def _near_block(state, offs, t, s, u, live_t, live, op_t):
@@ -469,7 +480,7 @@ def _quiet_counter(c, k, time):
 def _run_hier(state, U, nodes, offs):
     # The live rule is in the module docstring.  Only scheduled cells have
     # ticks stepped in Python: those whose state at the block start lets
-    # any of their ticks in the block be live, and those an event reaches.
+    # any of their ticks in the block be live, and those a live tick changes.
     # schedule(c) pushes c's next own tick that can be live onto a heap,
     # and a cell rescheduled before that tick leaves a stale entry, which
     # is dropped.  The heap runs the live ticks through _tick_hier in tick
@@ -550,7 +561,6 @@ def _run_hier(state, U, nodes, offs):
         schedule(c)
     on_at = np.empty(nodes.shape[0], dtype=np.uint8)
     local_on = state.local_on
-    events = state.events
     ops = state.ops
     op_t = []
     py_t = []
@@ -569,37 +579,22 @@ def _run_hier(state, U, nodes, offs):
         if leaf_depth[cell_depth[c]] and t > done:
             on_at[done:t] = local_on[nodes[done:t]]
             done = t
-        s = rep[c]
-        seen = len(events)
         state.tick = t0 + t
-        _tick_hier(state, U[t], s)
+        for ci, reset in _tick_hier(state, U[t], rep[c]):
+            # Each other cell the tick changed reschedules from its first
+            # tick after t.  A reset counter counts from 0 there; one left
+            # as it was first counts the quiet ticks before t.
+            i = bisect.bisect_left(own_t, t, pos[ci], end[ci])
+            if reset:
+                pos[ci] = i
+            else:
+                advance(ci, i)
+            schedule(ci)
+        schedule(c)
         py_t.append(t)
         live_counts.append(state.counts.copy())
         if len(ops) > len(op_t):
             op_t.append(t)
-        for _, action, _, target, _, ok in events[seen:]:
-            # Each event that changed another cell's state reschedules it
-            # from its first tick after t.  An activation or a completed
-            # far exchange set its counter to 0; a deactivation left it,
-            # so it first counts the quiet ticks before t.
-            if action == "far":
-                hit = [h.cell_of_rep.item(target)] if ok else []
-            elif action == "activate" or action == "deactivate":
-                # only the children whose route succeeded changed state
-                start = h.cell_child_start.item(target)
-                stop = start + h.subdiv_at_depth.item(cell_depth[target])
-                hit = [ci for ci in range(start, stop)
-                       if state.routes[(s, rep[ci])][1]]
-            else:
-                hit = []
-            for ci in hit:
-                i = bisect.bisect_left(own_t, t, pos[ci], end[ci])
-                if action == "deactivate":
-                    advance(ci, i)
-                else:
-                    pos[ci] = i
-                schedule(ci)
-        schedule(c)
     state.tick = t0
     on_at[done:] = local_on[nodes[done:]]
     on_at[py_t] = 0
@@ -909,8 +904,7 @@ def _run_block(state: SimState, U, offs) -> Block:
         block = Block(iter(state.ops), before[offs].tolist(),
                       live[offs].tolist())
         state.ops = []
-    # _run_hier reads only its live ticks' events; keep the buffer to one
-    # block.
+    # A bulk block's events have no reader; keep the buffer to one block.
     state.events.clear()
     return block
 

@@ -229,16 +229,14 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
-                   write_header: bool = True,
-                   state: engine.SimState = None) -> ExperimentResult:
+                   write_header: bool = True) -> ExperimentResult:
     """Run one configured simulation, streaming rows to csv_fh if given.
 
-    Rows are flushed at every stride so a truncated run still parses.
-    `state` is a fresh build_state(config) made by the caller, if any.
+    The state is built before anything is written.  Rows are flushed at
+    every stride so a truncated run still parses.
     """
     config.validate()
-    if state is None:
-        state = build_state(config)
+    state = build_state(config)
     connected = is_connected(state.graph)
 
     on_record = None

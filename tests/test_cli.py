@@ -182,6 +182,31 @@ def test_sweep_records_a_run_that_cannot_build(tmp_path, capsys):
     assert {(r.algorithm, r.n, r.seed) for r in rows} == {("hier", 64, 1)}
 
 
+@pytest.mark.parametrize("base", ["flags", "config"])
+def test_sweep_grid_replaces_the_base_n_and_seed(tmp_path, monkeypatch,
+                                                 capsys, base):
+    # The base config's own n and seed are never run, so only the grid's
+    # are checked; a grid n below 4 still fails before any run writes.
+    monkeypatch.chdir(tmp_path)
+    if base == "flags":
+        args = ["--n", "2", "--seed", "-1"]
+    else:
+        (tmp_path / "base.cfg").write_text("n = 2\nseed = -1\n")
+        args = ["--config", "base.cfg"]
+    grid = ["sweep", "--algorithms", "boyd", "--seeds", "0",
+            "--max-ticks", "100"] + args
+    code = main(grid + ["--ns", "64", "--output", "grid.csv"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert {(r.n, r.seed) for r in read_csv(tmp_path / "grid.csv")} == \
+        {(64, 0)}
+    code = main(grid + ["--ns", "2,64", "--output", "bad.csv"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "config error: n must be at least 4, got 2\n"
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_sweep_rejects_bad_ns(capsys):
     code = main(["sweep", "--ns", "64,big", "--seeds", "0"])
     captured = capsys.readouterr()
@@ -373,6 +398,21 @@ def test_event_log_flag(tmp_path, capsys):
     lines = log.read_text().splitlines()
     assert len(lines) == 500
     assert lines[0].split()[2] == "near"
+
+
+def test_event_log_of_a_run_that_draws_no_tick(tmp_path, capsys):
+    # --max-ticks 0 records the start and sinks no event; the run still
+    # replaces an earlier log with an empty one.
+    out = tmp_path / "start.csv"
+    log = tmp_path / "events.log"
+    log.write_text("earlier run\n")
+    code = main(["simulate", "--algorithm", "boyd", "--n", "64",
+                 "--seed", "0", "--max-ticks", "0",
+                 "--output", str(out), "--event-log", str(log)])
+    capsys.readouterr()
+    assert code == 0
+    assert [r.tick for r in read_csv(out)] == [0]
+    assert log.read_text() == ""
 
 
 def test_installed_script_smoke():

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 
-from geogossip import engine
+from geogossip import affine, engine
 from geogossip import (
     EmptyCellError,
     build_graph,
     build_hierarchy,
     build_schedule,
     connectivity_radius,
+    greedy_route,
     init_sim,
     initial_values,
     replay_ledger,
@@ -42,6 +43,18 @@ def make_sim(graph, hierarchy, x0, seed=0, **sched_kw):
 def drain(st):
     """Apply the ops the kernels left in st.ops; return their events."""
     return engine._take_events(st)
+
+
+def tick_row(n, s, coin=LAST, sibling=0.0):
+    """A hier tick row fired by node s, its far coin and sibling pick."""
+    return [(s + 0.5) / n, coin, sibling, 0.5]
+
+
+def sibling_pick(hierarchy, c, cp):
+    """The uniform with which _far from square c picks its sibling cp."""
+    nsib = hierarchy.subdiv_at_depth[hierarchy.cell_depth[c] - 1] - 1
+    k = cp - hierarchy.cell_child_start[hierarchy.cell_parent[c]] - (cp > c)
+    return (k + 0.5) / nsib
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +184,8 @@ def test_activate_deactivate_leaf_round_trip(quad16):
     st = make_sim(graph, hierarchy, "spike")
     rep = int(hierarchy.cell_rep[1])
     members = hierarchy.members_of(1)
-    assert engine._toggle(st, rep, c=1, r=1, on=1)
+    # a leaf floods its members and changes no child square
+    assert engine._toggle(st, rep, c=1, r=1, on=1) == []
     on = drain(st)
     assert on[0].action == "flood_on" and on[0].ok
     assert np.array_equal(np.sort(np.flatnonzero(st.local_on)), members)
@@ -225,6 +239,109 @@ def test_far_into_active_square_counts_concurrency(quad16):
     engine._far(st, 0.0, 0, 1)
     assert drain(st)[0].ok  # the exchange still happens
     assert st.fault_totals()["concurrent_round"] == 1
+
+
+@pytest.mark.parametrize("c, cp, in_band", [(3, 4, True), (2, 3, False)],
+                         ids=["in-band", "out-of-band"])
+def test_far_exchange_is_the_affine_update_on_square_sums(sparse128_short,
+                                                          c, cp, in_band):
+    # Two sibling leaves S and S' at constant values: a completed far
+    # exchange moves their sums (A, B) as the affine pair update does, with
+    # weights k/|S| and k/|S'| for the kick k = 0.4 E#.  Leaves 3 and 4 have
+    # 8 and 9 members, leaf 2 has 10, so 2's weight 0.32 lies below 1/3:
+    # update_matrix, which does not validate its weights, predicts it.
+    graph, hierarchy, sched = sparse128_short
+    st = init_sim(graph, hierarchy, sched, seed=0)
+    S, P = hierarchy.members_of(c), hierarchy.members_of(cp)
+    st.x[:] = 0.0
+    st.x[S] = 1.0
+    st.x[P] = -0.5
+    sums = np.array([1.0 * len(S), -0.5 * len(P)])
+    k = 0.4 * hierarchy.expected_at_depth[1]
+    alpha = np.array([k / len(S), k / len(P)])
+    assert in_band == bool(np.all((alpha > affine.ALPHA_LOW)
+                                  & (alpha < affine.ALPHA_HIGH)))
+    assert engine._far(st, sibling_pick(hierarchy, c, cp),
+                       int(hierarchy.cell_rep[c]), c) == cp
+    engine._apply(st.xv, st.ops)
+    if in_band:
+        want = affine.affine_pair_update(sums, 0, 1, alpha)
+    else:
+        want = affine.update_matrix(2, 0, 1, alpha) @ sums
+    assert [st.x[S].sum(), st.x[P].sum()] == pytest.approx(want, abs=1e-12)
+
+
+# ------------------------------------- the other squares a live tick changes
+
+@pytest.mark.parametrize("on", [1, 0], ids=["restart", "round-end"])
+def test_root_fan_out_changes_the_children_it_reached(sparse128_short, on):
+    # A root restart changes each child its route reaches and resets its
+    # counter; a round end changes the same children and leaves their
+    # counters.  On sparse128 some routes fail, and those children are not
+    # changed.
+    graph, hierarchy, sched = sparse128_short
+    assert hierarchy.total_levels == 2   # every other square is a child
+    st = init_sim(graph, hierarchy, sched, seed=0)
+    root = int(hierarchy.cell_rep[0])
+    reached = [c for c in range(1, hierarchy.n_cells)
+               if greedy_route(graph, root,
+                               int(hierarchy.cell_rep[c])).success]
+    assert 0 < len(reached) < hierarchy.n_cells - 1
+    if on == 0:
+        st.cell_active[0] = 1
+        st.counter[0] = int(np.ceil(sched.time[0]))
+    changed = engine._tick_hier(st, tick_row(graph.n, root), root)
+    assert changed == [(c, on == 1) for c in reached]
+    ev, = drain(st)
+    assert (ev.action, ev.ok) == ("activate" if on else "deactivate", False)
+
+
+def test_far_exchange_changes_its_partner_once_completed(sparse128_short):
+    # A completed far exchange changes its partner square and resets its
+    # counter; one that meets a dead end changes no other square.
+    graph, hierarchy, sched = sparse128_short
+    rep = hierarchy.cell_rep.tolist()
+    for c, cp, ok in ((3, 4, True), (1, 11, False)):
+        assert greedy_route(graph, rep[c], rep[cp]).success == ok
+        st = init_sim(graph, hierarchy, sched, seed=0)
+        st.global_on[c] = 1
+        st.counter[c] = 1   # mid-round: no restart and no round end
+        u = tick_row(graph.n, rep[c], coin=0.0,
+                     sibling=sibling_pick(hierarchy, c, cp))
+        assert engine._tick_hier(st, u, rep[c]) == ([(cp, True)] if ok
+                                                     else [])
+        assert [(ev.action, ev.target, ev.ok) for ev in drain(st)] == \
+            [("far", rep[cp], ok)]
+
+
+def test_plain_tick_and_leaf_flood_change_no_other_square(quad16):
+    graph, hierarchy = quad16
+    st = make_sim(graph, hierarchy, "spike")
+    plain = int(np.flatnonzero(hierarchy.cell_of_rep < 0)[0])
+    st.local_on[plain] = 1
+    assert engine._tick_hier(st, tick_row(graph.n, plain), plain) == []
+    rep = int(hierarchy.cell_rep[1])
+    st.global_on[1] = 1
+    assert engine._tick_hier(st, tick_row(graph.n, rep), rep) == []
+    assert [ev.action for ev in drain(st)] == ["near", "flood_on", "near"]
+
+
+def test_root_round_end_counts_one_root_round(quad16):
+    # Ending the root's round adds 1 to ROOT_ROUNDS; winding down a root
+    # with no running round sends nothing and adds 0.
+    graph, hierarchy = quad16
+    st = make_sim(graph, hierarchy, "spike")
+    root = int(hierarchy.cell_rep[0])
+    end = int(np.ceil(st.schedule.time[0]))
+    for active in (0, 1):
+        st.cell_active[0] = active
+        st.counter[0] = end
+        before = st.root_rounds
+        changed = engine._tick_hier(st, tick_row(graph.n, root), root)
+        assert st.root_rounds - before == active
+        assert changed == [(c, False) for c in range(1, 5) if active]
+        assert st.counter[0] == 0
+    assert [ev.action for ev in drain(st)] == ["deactivate"]
 
 
 def test_isolated_near_is_counted_not_crashed(straddler):
@@ -902,8 +1019,9 @@ def test_bulk_live_ticks_emit_their_stepped_events(short_rounds1024,
 
     def recording(st, u, s):
         seen = len(st.events)
-        tick_hier(st, u, s)
+        changed = tick_hier(st, u, s)
         emitted[tick_of[u.tobytes()]] = st.events[seen:]
+        return changed
 
     monkeypatch.setattr(engine, "_tick_hier", recording)
     bulk = init_sim(graph, hierarchy, sched, seed=5, init_dist="gauss")

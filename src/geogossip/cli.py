@@ -14,6 +14,7 @@ failure, 3 delivery-fault threshold exceeded.
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 
 from . import experiment, metrics
@@ -64,6 +65,10 @@ def _merged_config(args, **fixed) -> experiment.ExperimentConfig:
 def _cmd_simulate(args) -> int:
     cfg = _merged_config(args)
     out_path = cfg.output or "metrics.csv"
+    if args.event_log and (os.path.realpath(args.event_log)
+                           == os.path.realpath(out_path)):
+        raise experiment.ConfigError(f"--event-log {args.event_log} names "
+                                     f"the metrics output {out_path}")
     # The run builds its state before it writes, so an input that cannot
     # carry a hierarchy leaves any earlier file intact.
     with contextlib.ExitStack() as files:

@@ -81,23 +81,22 @@ coin (global_on set, a parent, u[1] < far_prob), or end a round (counter at
 time while the square is active, or at the root).  Any other tick is quiet
 and does exactly what a plain sensor's tick does, a near exchange while its
 leaf is on, plus counter += 1 while counter < time.  So k quiet ticks take a
-counter c to min(c + k, ceil(time)), or leave it when c >= time, and a
-square's next live tick follows from its state alone: a restart can only be
-its next tick, a far coin only one that passes, and a round end only the
-tick at which its counter reaches ceil(time).  Each block first tests each
-square once, from its state at the block start, its tick count and whether
-any of its far coins passes; a square none of whose ticks can be live has
-its ticks built in numpy with the plain ones.  Each other square schedules
-its next live tick, steps it in Python and schedules again, its quiet ticks
-before that one built in numpy and counted into its counter when the
-counter is next read.  This is exact because only a live tick changes
-another square's state, and in three ways only: its parent's
-activation (global_on = 1, counter = 0) or deactivation (global_on = 0), and
-a completed far exchange (counter = 0).  `_toggle` and `_far`, which make
-these changes, return the squares they changed, and `_tick_hier` returns
-them in order, each with whether its counter was reset.  The runner
-reschedules each from its next tick, first counting its earlier quiet
-ticks unless its counter was reset.  A built tick reads local_on, which
+counter c to min(c + k, ceil(time)), or leave it when c >= time.  Each
+block first tests each square once, from its state at the block start, its
+tick count and whether any of its far coins passes; a square none of whose
+ticks can be live has its ticks built in numpy with the plain ones, and
+its counter counts them all at the block end.  The ticks of every other
+square are tested in tick order by the live rule, on the square's state as
+it stands: a live one is stepped in Python, and a quiet one only counts
+its counter up, its near exchange built in numpy with the plain ones.
+This is exact because only a live tick changes another square's state,
+and in three ways only: its parent's activation (global_on = 1, counter =
+0) or deactivation (global_on = 0), and a completed far exchange (counter
+= 0).  `_toggle` and `_far`, which make these changes, return the squares
+they changed, and `_tick_hier` returns them in order, each with whether
+its counter was reset.  A changed square whose ticks were not being tested
+first counts its quiet ticks before the live one, unless its counter was
+reset, and its later ticks join the test.  A built tick reads local_on, which
 changes only in a leaf's flood, so the built ticks before each live leaf
 tick read a snapshot taken just before it; boyd builds every tick that way.
 
@@ -118,9 +117,7 @@ floats: the same IEEE doubles in the same order as `step`, so bulk and
 stepped runs stay bit-identical.
 """
 
-import bisect
 import functools
-import heapq
 import itertools
 import math
 from collections import namedtuple
@@ -478,16 +475,16 @@ def _quiet_counter(c, k, time):
 
 
 def _run_hier(state, U, nodes, offs):
-    # The live rule is in the module docstring.  Only scheduled cells have
-    # ticks stepped in Python: those whose state at the block start lets
-    # any of their ticks in the block be live, and those a live tick changes.
-    # schedule(c) pushes c's next own tick that can be live onto a heap,
-    # and a cell rescheduled before that tick leaves a stale entry, which
-    # is dropped.  The heap runs the live ticks through _tick_hier in tick
-    # order.  A cell's counter catches up only when it is read: pos[c]
-    # indexes c's first own tick not yet counted, and advance() counts the
-    # quiet ticks before a later one.  Each live tick records the tick of
-    # the op it emitted (at most one: a completed far exchange ends the
+    # The live rule is in the module docstring.  Only flagged cells have
+    # ticks tested in Python: those whose state at the block start lets any
+    # of their ticks in the block be live, and those a live tick changes.
+    # Their ticks are walked in tick order and each is tested by the live
+    # rule on its cell's current state: a live tick goes through
+    # _tick_hier, and a quiet one only counts its counter up.  A cell that
+    # a live tick flags first counts the quiet ticks it had before that
+    # tick, unless the change reset its counter, and the rest of the walk
+    # is taken again from the next tick.  Each live tick records the tick
+    # of the op it emitted (at most one: a completed far exchange ends the
     # tick before its near step) and the counts after it.  The remaining
     # ticks, plain and quiet, are near exchanges on the local_on snapshot,
     # which _near_block builds and merges with the live ticks' ops.
@@ -503,62 +500,16 @@ def _run_hier(state, U, nodes, offs):
     coin_t = U[rep_t, 1] < sched.far_prob[h.cell_depth[rep_c]]
     # The filter: whether any tick of a cell in the block can be live, from
     # its tick count, whether any of its far coins passes, and its state at
-    # the block start.  It is schedule()'s rule over all cells in numpy, so
-    # only the cells it passes cost a Python schedule() call: scheduling
-    # every cell with a tick gives the same output from 14 to 73 times the
-    # calls in criterion-7 runs (ROADMAP, "Dead ends").
+    # the block start.  Only the cells it passes have their ticks tested in
+    # Python: testing every representative tick gives the same output from
+    # 10 to 57 times the tests in criterion-7 runs (ROADMAP, "Dead ends").
     n_own = np.bincount(rep_c, minlength=h.n_cells)
     coin = np.bincount(rep_c[coin_t], minlength=h.n_cells) > 0
     child = h.cell_parent >= 0
     restart = (global_on == 1) & ((counter == 0) | coin & child)
     ends = ((cell_active == 1) | ~child) & (counter + n_own - 1 >= time)
-    maybe = (n_own > 0) & (restart | ends)
-    # Cell c's own ticks in tick order are own_t[first[c]:first[c + 1]],
-    # and next_coin[i] is the first index from i on whose far coin passes.
-    by_cell = np.argsort(rep_c, kind="stable")
-    own_t = rep_t[by_cell].tolist()
-    first = np.zeros(h.n_cells + 1, dtype=np.int64)
-    np.cumsum(n_own, out=first[1:])
-    idx = np.arange(len(own_t) + 1)
-    idx[:-1][~coin_t[by_cell]] = len(own_t)
-    next_coin = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-    pos = first[:-1].tolist()
-    end = first[1:].tolist()
-    due = [-1] * h.n_cells   # own_t index of a cell's scheduled tick, or -1
-    rep = h.cell_rep.tolist()
-    cell_depth = h.cell_depth.tolist()
-    parent = h.cell_parent.tolist()
-    round_end = np.ceil(sched.time).astype(np.int64).tolist()
-    leaf_depth = (h.subdiv_at_depth == 0).tolist()
-    heap = []
-
-    def advance(c, i):
-        # Count c's quiet ticks before own_t[i].
-        counter[c] = _quiet_counter(counter[c], i - pos[c], time[c])
-        pos[c] = i
-
-    def schedule(c):
-        # A restart (global_on, counter 0) can only be c's next tick, a far
-        # coin only one that passes, and a round end only the tick at which
-        # its quiet ticks bring the counter to ceil(time).
-        i = pos[c]
-        cnt = counter.item(c)
-        j = end[c]
-        if global_on.item(c) == 1:
-            if cnt == 0:
-                j = i
-            elif parent[c] >= 0:
-                j = min(j, next_coin[i])
-        if cell_active.item(c) == 1 or parent[c] < 0:
-            j = min(j, i + max(0, round_end[cell_depth[c]] - cnt))
-        if j < end[c]:
-            due[c] = j
-            heapq.heappush(heap, own_t[j])
-        else:
-            due[c] = -1
-
-    for c in np.flatnonzero(maybe).tolist():
-        schedule(c)
+    flag = (n_own > 0) & (restart | ends)
+    leaf = (h.subdiv_at_depth == 0)[h.cell_depth]
     on_at = np.empty(nodes.shape[0], dtype=np.uint8)
     local_on = state.local_on
     ops = state.ops
@@ -567,40 +518,48 @@ def _run_hier(state, U, nodes, offs):
     live_counts = [state.counts.copy()]
     done = 0
     t0 = state.tick
-    while heap:
-        t = heapq.heappop(heap)
-        c = cells.item(t)
-        j = due[c]
-        if j < 0 or own_t[j] != t:
-            continue
-        due[c] = -1
-        advance(c, j)
-        pos[c] = j + 1
-        if leaf_depth[cell_depth[c]] and t > done:
-            on_at[done:t] = local_on[nodes[done:t]]
-            done = t
-        state.tick = t0 + t
-        for ci, reset in _tick_hier(state, U[t], rep[c]):
-            # Each other cell the tick changed reschedules from its first
-            # tick after t.  A reset counter counts from 0 there; one left
-            # as it was first counts the quiet ticks before t.
-            i = bisect.bisect_left(own_t, t, pos[ci], end[ci])
-            if reset:
-                pos[ci] = i
-            else:
-                advance(ci, i)
-            schedule(ci)
-        schedule(c)
-        py_t.append(t)
-        live_counts.append(state.counts.copy())
-        if len(ops) > len(op_t):
-            op_t.append(t)
+    start = 0
+    while start is not None:
+        walk = start + np.flatnonzero(flag[rep_c[start:]])
+        start = None
+        for i in walk.tolist():
+            c = rep_c.item(i)
+            cnt = counter.item(c)
+            if not (global_on.item(c) == 1
+                    and (cnt == 0 or c != 0 and coin_t.item(i))
+                    or cnt >= time.item(c)
+                    and (cell_active.item(c) == 1 or c == 0)):
+                # a quiet tick; its near exchange is built with the rest
+                if cnt < time.item(c):
+                    counter[c] = cnt + 1
+                continue
+            t = rep_t.item(i)
+            if leaf.item(c) and t > done:
+                on_at[done:t] = local_on[nodes[done:t]]
+                done = t
+            state.tick = t0 + t
+            for ci, reset in _tick_hier(state, U[t], h.cell_rep.item(c)):
+                if flag.item(ci):
+                    continue
+                if not reset:
+                    counter[ci] = _quiet_counter(
+                        counter[ci], np.count_nonzero(rep_c[:i] == ci),
+                        time[ci])
+                flag[ci] = True
+                start = i + 1
+            py_t.append(t)
+            live_counts.append(state.counts.copy())
+            if len(ops) > len(op_t):
+                op_t.append(t)
+            if start is not None:
+                break
     state.tick = t0
     on_at[done:] = local_on[nodes[done:]]
     on_at[py_t] = 0
     fire_t = np.flatnonzero(on_at)
-    # Every cell's ticks not yet counted are quiet.
-    counter[:] = _quiet_counter(counter, first[1:] - np.array(pos), time)
+    # Every cell never flagged counts all its ticks as quiet.
+    quiet = ~flag
+    counter[quiet] = _quiet_counter(counter[quiet], n_own[quiet], time[quiet])
     return _near_block(state, offs, fire_t, nodes[fire_t], U[fire_t, 3],
                        py_t, live_counts, op_t)
 

@@ -415,6 +415,22 @@ def test_event_log_of_a_run_that_draws_no_tick(tmp_path, capsys):
     assert log.read_text() == ""
 
 
+@pytest.mark.parametrize("log", ["same.txt", "./same.txt"])
+def test_event_log_on_the_metrics_output_exits_one(tmp_path, monkeypatch,
+                                                   capsys, log):
+    # Both handles would write one file, the events over the CSV; the
+    # command refuses before it writes, so an earlier file is kept.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.txt").write_text("earlier run\n")
+    code = main(["simulate", "--algorithm", "boyd", "--n", "64",
+                 "--seed", "0", "--max-ticks", "200", "--stride", "64",
+                 "--output", "same.txt", "--event-log", log])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("config error: --event-log")
+    assert (tmp_path / "same.txt").read_text() == "earlier run\n"
+
+
 def test_installed_script_smoke():
     # the child imports geogossip from wherever this process found it
     src = str(Path(geogossip.__file__).resolve().parent.parent)

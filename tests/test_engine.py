@@ -1088,6 +1088,44 @@ def test_outside_event_reschedules_a_pending_live_tick(quad16, monkeypatch,
     assert_same_state(stepped, bulk)
 
 
+def test_root_round_end_is_live_while_its_round_is_off(quad16, monkeypatch):
+    # The root's round end is live whether or not its round runs: at its
+    # counter's end an idle root has nothing to wind down but still resets
+    # the counter, so its next tick restarts the round.  A runner that
+    # tested only active squares for a round end would leave the root
+    # stuck at the end of its count.
+    graph, hierarchy = quad16
+    sched = build_schedule(graph.n, 1e-2, 1e-1, 1.0, hierarchy, "practical")
+    root = int(hierarchy.cell_rep[0])
+
+    def fresh():
+        st = init_sim(graph, hierarchy, sched, seed=0, init_dist="gauss")
+        st.counter[0] = int(np.ceil(sched.time[0]))
+        return st
+
+    # Row t is (node, far coin, sibling, neighbour); u[3] also names t.
+    U = np.array([[(root + 0.5) / graph.n, LAST, 0.0, (t + 0.5) / 2]
+                  for t in range(2)])
+    stepped = fresh()
+    assert stepped.cell_active[0] == 0
+    live = []
+    for t, u in enumerate(U.tolist()):
+        if is_live(stepped, u, root):
+            live.append(t)
+        step(stepped, u)
+    assert live == [0, 1]
+    assert stepped.cell_active[0] == 1
+    bulk = fresh()
+
+    def one_block():
+        engine._apply(bulk.x, engine._run_block(bulk, U, []).ops)
+        bulk.tick = 2
+
+    assert stepped_ticks(monkeypatch, one_block,
+                         lambda u: int(u[3] * 2)) == live
+    assert_same_state(stepped, bulk)
+
+
 @pytest.mark.parametrize("algorithm, stop, sim", [
     ("hier", "target", "sim256"),
     ("boyd", "target", "sim256"),

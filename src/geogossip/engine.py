@@ -475,19 +475,15 @@ def _quiet_counter(c, k, time):
 
 
 def _run_hier(state, U, nodes, offs):
-    # The live rule is in the module docstring.  Only flagged cells have
-    # ticks tested in Python: those whose state at the block start lets any
-    # of their ticks in the block be live, and those a live tick changes.
-    # Their ticks are walked in tick order and each is tested by the live
-    # rule on its cell's current state: a live tick goes through
-    # _tick_hier, and a quiet one only counts its counter up.  A cell that
-    # a live tick flags first counts the quiet ticks it had before that
-    # tick, unless the change reset its counter, and the rest of the walk
-    # is taken again from the next tick.  Each live tick records the tick
-    # of the op it emitted (at most one: a completed far exchange ends the
-    # tick before its near step) and the counts after it.  The remaining
-    # ticks, plain and quiet, are near exchanges on the local_on snapshot,
-    # which _near_block builds and merges with the live ticks' ops.
+    # The live rule is in the module docstring.  flag marks the cells whose
+    # ticks are tested in Python: those the filter passes and those a live
+    # tick changes.  Their ticks are walked in tick order, and a cell a live
+    # tick flags restarts the walk from the next tick.  Each live tick
+    # records the tick of the op it emitted (at most one: a completed far
+    # exchange ends the tick before its near step) and the counts after it.
+    # The remaining ticks, plain and quiet, are near exchanges on the
+    # local_on snapshot, which _near_block builds and merges with the live
+    # ticks' ops.
     h = state.hierarchy
     sched = state.schedule
     counter = state.counter

@@ -66,13 +66,15 @@ block's kernels run, its ops are applied up to each record tick inside it,
 and state.counts is rebound to its row there.  The block's kernels return
 a Block: its ops in tick order and, for each record tick, the number of ops
 before it and the counts at it.  One builder makes the hier and boyd
-blocks: it runs the near ticks built in numpy, merges their ops in tick
-order with those of the ticks stepped in Python, and finds each record
-tick's ops and counts with one searchsorted per array (the built ticks,
-and the counts after each stepped tick).  geo reads them from its
-per-tick totals.  A stop at a record inside a block, at most once per run,
-redraws the block's rows up to the stop from the generator saved at the
-block start, and hier reruns them from its state saved there.
+blocks: it runs the near ticks built in numpy and places each op of a
+tick stepped in Python after the built ops of earlier ticks, by position
+(one searchsorted; no stepped tick is built).  A record tick finds the
+built and stepped ops and counts before it with one searchsorted per
+array; geo counts its accepted ops by the same rule and reads its counts
+from its per-tick totals.  A stop at a record inside a block, at most
+once per run, redraws the block's rows up to the stop from the generator
+saved at the block start, and hier reruns them from its state saved
+there.
 
 The bulk runner runs a hier tick in Python only when it is live, that is
 when it can change protocol state.  A representative's tick is live when it
@@ -111,10 +113,10 @@ do, and empties the event list after every block.  geo never reads x, so
 pending is routed in one lockstep `_walk` call, and only the rejected
 ticks try again.  It builds no event; `step` passes it a block of one row
 and builds the tick's one event from the totals it returns.  A block's ops
-are merged in tick order and applied through state.xv, which
-touches only the ops' endpoints and reads and writes them as Python
-floats: the same IEEE doubles in the same order as `step`, so bulk and
-stepped runs stay bit-identical.
+are applied in tick order through state.xv, which touches only the ops'
+endpoints and reads and writes them as Python floats: the same IEEE
+doubles in the same order as `step`, so bulk and stepped runs stay
+bit-identical.
 """
 
 import functools
@@ -439,6 +441,8 @@ def _near_block(state, offs, t, s, u, live_t, live, op_t):
     # op_t[i] being the tick of op i.  live[i] holds the counts at the block
     # start (i = 0) and after live tick i.  A built tick adds 2 near
     # transmissions, or one isolated fault when s has no in-leaf neighbour.
+    # The built ops stay one lazy zip, read in segments with the live ops
+    # between them: a list made _apply slower (ROADMAP, "Dead ends").
     indptr = state.leaf_indptr
     lo = indptr[s]
     deg = indptr[s + 1] - lo
@@ -450,22 +454,21 @@ def _near_block(state, offs, t, s, u, live_t, live, op_t):
     lone_t = t[~keep]
     state.counts[FAULT_ISOLATED_NEAR] += lone_t.shape[0]
     state.counts[LEDGER_NEAR] += 2 * kept_t.shape[0]
+    built = np.searchsorted(kept_t, offs)
     counts = np.array(live)[np.searchsorted(live_t, offs)]
-    counts[:, LEDGER_NEAR] += 2 * np.searchsorted(kept_t, offs)
+    counts[:, LEDGER_NEAR] += 2 * built
     counts[:, FAULT_ISOLATED_NEAR] += np.searchsorted(lone_t, offs)
-    t = kept_t
-    k = itertools.repeat(0.0)
-    if state.ops:
-        ra, rb, rk = zip(*state.ops)
-        t = np.concatenate([kept_t, op_t])
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        k = np.concatenate([np.zeros(a.shape[0]), rk])[order].tolist()
-        a = np.concatenate([a, ra])[order]
-        v = np.concatenate([v, rb])[order]
-        state.ops.clear()
-    return Block(zip(a.tolist(), v.tolist(), k),
-                 np.searchsorted(t, offs).tolist(), counts.tolist())
+    ops = zip(a.tolist(), v.tolist(), itertools.repeat(0.0))
+    parts = []
+    last = 0
+    for p, op in zip(np.searchsorted(kept_t, op_t).tolist(), state.ops):
+        parts += itertools.islice(ops, p - last), (op,)
+        last = p
+    parts.append(ops)
+    state.ops = []
+    return Block(itertools.chain.from_iterable(parts),
+                 (built + np.searchsorted(op_t, offs)).tolist(),
+                 counts.tolist())
 
 
 def _quiet_counter(c, k, time):
@@ -482,8 +485,8 @@ def _run_hier(state, U, nodes, offs):
     # records the tick of the op it emitted (at most one: a completed far
     # exchange ends the tick before its near step) and the counts after it.
     # The remaining ticks, plain and quiet, are near exchanges on the
-    # local_on snapshot, which _near_block builds and merges with the live
-    # ticks' ops.
+    # local_on snapshot, which _near_block builds, placing the live ticks'
+    # ops among theirs.
     h = state.hierarchy
     sched = state.schedule
     counter = state.counter
@@ -848,15 +851,13 @@ def _run_block(state: SimState, U, offs) -> Block:
         block = _near_block(state, offs, np.arange(m), nodes, U[:, 1], [],
                             [state.counts.copy()], [])
     else:
-        # The counts and the accepted ops up to each tick, from geo's
-        # per-tick totals.
+        # The counts up to each tick, from geo's per-tick totals.
         live = np.repeat([state.counts], m + 1, axis=0)
         total, accepted, capped = _tick_geo(state, U, nodes)
         live[1:, LEDGER_FAR] += np.cumsum(total)
         live[1:, FAULT_GEO_REJECT] += np.cumsum(capped)
-        before = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(accepted, out=before[1:])
-        block = Block(iter(state.ops), before[offs].tolist(),
+        block = Block(iter(state.ops),
+                      np.searchsorted(np.flatnonzero(accepted), offs).tolist(),
                       live[offs].tolist())
         state.ops = []
     # A bulk block's events have no reader; keep the buffer to one block.
@@ -867,24 +868,16 @@ def _run_block(state: SimState, U, offs) -> Block:
 def _run_blocks(state: SimState, stride: int, max_ticks, record,
                 event_sink) -> str:
     # Blocks of block_rows rows (fewer only before max_ticks, and with an
-    # event sink before a record tick), whatever the stride; record() takes
-    # the row at each record tick b and names the stop it fires, if any.
-    # With an event sink, the block's rows go one by one through `step`,
-    # looked up as a module global each tick (perfbench's tracer rebinds
-    # engine.step to time every tick), and its events go to the sink in one
-    # call.  step applies each tick's ops to x at once, so the state is
-    # complete at the block end, which is where such a block records.
-    # Otherwise the block's rows go through the bulk kernels, after which
-    # the protocol state is at the block end and its ops wait.  At each b
-    # inside the block, the ops of ticks before b are applied and
-    # state.counts rebound to the block's row at b before record(), and at
-    # the block end to the list the kernels left.  A stop before the block
-    # end restores the generator saved at the block start and redraws the
-    # block's first b - t0 rows: the Generator emits doubles in sequence,
-    # so it draws the same rows.  hier also restores its protocol state
-    # saved there and reruns those rows; boyd and geo write no protocol
-    # array, so their redrawn rows are dropped.  x needs no copy, as the
-    # kernels never read it and the ops before b are already applied.
+    # event sink before a record tick); record() takes the row at each
+    # record tick b and names the stop it fires, if any.  A logged block
+    # looks step up as a module global each tick (perfbench's tracer
+    # rebinds engine.step to time every tick) and records at its end, where
+    # step has left the state complete.  A bulk block rebinds state.counts
+    # at its end to the list the kernels left.  After a stop at b before the
+    # block end, the redrawn rows are the block's first b - t0, as the
+    # Generator emits doubles in sequence; boyd and geo write no protocol
+    # array, so theirs are dropped.  x needs no copy, as the kernels never
+    # read it and the ops before b are already applied.
     width = ROW_WIDTH[state.algorithm]
     rows = block_rows(state.algorithm)
     hier = state.algorithm == "hier"

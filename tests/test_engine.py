@@ -3,7 +3,9 @@
 import bisect
 import copy
 import dataclasses
+import itertools
 import pickle
+import types
 import warnings
 
 import numpy as np
@@ -686,6 +688,49 @@ def test_step_matches_bulk_across_block_boundary(sim256, algorithm):
     events = step(b)
     assert events and {ev.tick for ev in events} == {ticks}
     assert events == step(a)
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "no-built"])
+def test_near_block_places_live_ops_among_built_ops_by_tick(built):
+    # Leaf CSR of 4 sensors: 0 -> 1, 1 -> 2, 2 -> 0, and 3 has no neighbour.
+    # Built ticks 2, 5, 8 exchange and tick 6 is isolated; the live ops sit
+    # before the first built tick (0), between the same two (3, 4) and after
+    # the last (10).  The records are at 0, at a live op's own tick (4) and
+    # at the block end (11).
+    t = np.array([2, 5, 6, 8] if built else [], dtype=np.int64)
+    s = np.array([0, 1, 3, 2] if built else [], dtype=np.int64)
+    live_t = [0, 3, 4, 10]
+    live_ops = [(3, 0, 0.4), (1, 3, 0.0), (2, 1, -0.2), (0, 2, 0.1)]
+    start = [0] * engine.ROOT_ROUNDS + [7]
+    live = [start] + [[0, 10 * i] + start[2:] for i in range(1, 5)]
+    offs = [0, 4, 11]
+    st = types.SimpleNamespace(leaf_indptr=np.array([0, 1, 2, 3, 3]),
+                               leaf_indices=np.array([1, 2, 0]),
+                               counts=list(start), ops=list(live_ops))
+    block = engine._near_block(st, np.array(offs), t, s,
+                               np.full(t.shape[0], 0.5), live_t, live, live_t)
+
+    near = [(tk, (a, (a + 1) % 3, 0.0))
+            for tk, a in zip(t.tolist(), s.tolist()) if a != 3]
+    lone_t = [tk for tk, a in zip(t.tolist(), s.tolist()) if a == 3]
+    pairs = sorted([*zip(live_t, live_ops), *near])
+    before = [sum(tk < b for tk, _ in pairs) for b in offs]
+    assert block.before == before
+    # The runner reads the ops in segments, one up to each record.
+    done = 0
+    for j in before:
+        assert list(itertools.islice(block.ops, j - done)) == [
+            op for _, op in pairs[done:j]]
+        done = j
+    assert list(block.ops) == [op for _, op in pairs[done:]]
+    assert st.ops == []
+    for b, counts in zip(offs, block.counts):
+        want = list(live[bisect.bisect_left(live_t, b)])
+        want[engine.LEDGER_NEAR] += 2 * sum(tk < b for tk, _ in near)
+        want[engine.FAULT_ISOLATED_NEAR] += sum(tk < b for tk in lone_t)
+        assert counts == want
+    assert st.counts[engine.LEDGER_NEAR] == 2 * len(near)
+    assert st.counts[engine.FAULT_ISOLATED_NEAR] == len(lone_t)
 
 
 @pytest.mark.parametrize("sim, algorithm", [

@@ -18,8 +18,12 @@ single-trajectory entry point.
 In the kernel each update draws one uniform ordered pair, the law the
 closed-form moments assume.  All pairs are drawn as one (trials, ticks)
 block before the loop, row r driving trial r, and the kernel is plain
-vectorised numpy that steps every trial one tick at a time.  Zero noise
-reproduces the clean run bit for bit.
+vectorised numpy that steps every trial one tick at a time.  Its values
+are one (n, trials) array, and it reads the pair block tick-major: a chunk
+of ticks at a time becomes contiguous rows of flat positions in that
+array and of the weights they select, so the tick loop does only the
+arithmetic that depends on values, and each tick's norms fill one
+contiguous row.  Zero noise reproduces the clean run bit for bit.
 """
 
 import math
@@ -40,10 +44,10 @@ def _as_alpha(alpha) -> np.ndarray:
 def validate_alpha(alpha) -> np.ndarray:
     """Return alpha as a float array, rejecting entries outside (1/3, 1/2)."""
     a = _as_alpha(alpha)
-    if np.any(a <= ALPHA_LOW) or np.any(a >= ALPHA_HIGH):
-        bad = a[(a <= ALPHA_LOW) | (a >= ALPHA_HIGH)][0]
-        raise ValueError(
-            f"alpha entries must lie strictly inside (1/3, 1/2), got {bad}")
+    outside = ~((a > ALPHA_LOW) & (a < ALPHA_HIGH))   # nan is outside
+    if np.any(outside):
+        raise ValueError(f"alpha entries must lie strictly inside "
+                         f"(1/3, 1/2), got {a[outside][0]}")
     return a
 
 
@@ -193,43 +197,77 @@ def draw_pairs(n: int, trials: int, ticks: int, seed: int):
     Returns:
         (i, j), two (trials, ticks) int64 arrays.
     """
+    return _split_pairs(_pair_codes(n, trials, ticks, seed), n)
+
+
+def _pair_codes(n, trials, ticks, seed):
+    # draw_pairs in two steps, so the kernel can keep the codes (one entry
+    # per update, half the size of the pairs) and split them a chunk at a time
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    k = np.random.default_rng(seed).integers(0, n * (n - 1),
-                                             size=(trials, ticks))
-    i, j = np.divmod(k, n - 1)
+    return np.random.default_rng(seed).integers(0, n * (n - 1),
+                                                size=(trials, ticks))
+
+
+def _split_pairs(k, n, out=(None, None)):
+    i, j = np.divmod(k, n - 1, out=out)
     j += j >= i
     return i, j
 
 
-def _trajectories(x0, alpha, pi, pj, noise):
-    # tick-major over all trials: x is (n, trials), so column r is trial r
-    # and the norm reduction over axis 0 adds x_0^2, x_1^2, ... in order.
-    # Each tick is affine_pair_update's arithmetic on every trial at once.
-    trials, ticks = pi.shape
+def _trajectories(x0, alpha, ticks, trials, seed, nu):
+    # x is (n, trials): trial r is column r, node v of trial r sits at flat
+    # position v * trials + r, and the norm reduction over axis 0 adds
+    # x_0^2, x_1^2, ... in order.  sq holds x * x entry for entry and is
+    # kept current by squaring only the two entries a tick writes.
+    n = x0.shape[0]
+    codes = _pair_codes(n, trials, ticks, seed)
     x = np.repeat(x0[:, None], trials, axis=1)
     flat = x.reshape(-1)
-    sq = np.empty_like(x)
+    sq = x * x
+    sq_flat = sq.reshape(-1)
     out = np.empty((trials, ticks + 1), dtype=np.float64)
-    np.multiply(x, x, out=sq)
     np.add.reduce(sq, axis=0, out=out[:, 0])
+    # The codes are split a chunk of ticks at a time into tick-major rows,
+    # so no whole block of pairs is held; (n + 3) // 4 ticks keep each chunk
+    # buffer about the size of x (4 entries per trial and tick against n per
+    # trial).  Row t of pos holds the flat positions of (i, j, j, i) for
+    # every trial, and row t of weight the matching (1 - alpha_i,
+    # 1 - alpha_j, alpha_j, alpha_i).
+    step = max(1, min(ticks, (n + 3) // 4))
+    pos = np.empty((step, 4, trials), dtype=np.intp)
+    weight = np.empty((step, 4, trials), dtype=np.float64)
+    norms = np.empty((step, trials), dtype=np.float64)
     col = np.arange(trials)
-    for t in range(ticks):
-        i = pi[:, t]
-        j = pj[:, t]
-        fi = i * trials + col
-        fj = j * trials + col
-        xi = flat[fi]
-        xj = flat[fj]
-        ai = alpha[i]
-        aj = alpha[j]
-        flat[fi] = (1.0 - ai) * xi + aj * xj
-        flat[fj] = (1.0 - aj) * xj + ai * xi
-        if noise[t] != 0.0:
-            flat[fi] += noise[t]
-            flat[fj] -= noise[t]
-        np.multiply(x, x, out=sq)
-        np.add.reduce(sq, axis=0, out=out[:, t + 1])
+    signed = np.stack([nu, -nu], axis=1)[:, :, None]
+    noisy = (nu != 0.0).tolist()
+    for t0 in range(0, ticks, step):
+        t1 = min(t0 + step, ticks)
+        p, w, rows = pos[:t1 - t0], weight[:t1 - t0], norms[:t1 - t0]
+        _split_pairs(codes[:, t0:t1].T, n, out=(p[:, 0], p[:, 1]))
+        p[:, 2:] = p[:, 1::-1]
+        # node ids are in range, so "clip" changes none; it only spares the
+        # copy of w that take makes under the default "raise"
+        np.take(alpha, p, out=w, mode="clip")
+        np.subtract(1.0, w[:, :2], out=w[:, :2])
+        p *= trials
+        p += col
+        # affine_pair_update's arithmetic on every trial at once: y holds
+        # (1 - alpha_i) x_i, (1 - alpha_j) x_j, alpha_j x_j, alpha_i x_i, and
+        # adding -nu rounds exactly as subtracting nu does
+        for t, pt, wt, row in zip(range(t0, t1), p, w, rows):
+            y = flat[pt]
+            y *= wt
+            new = y[:2]
+            new += y[2:]
+            if noisy[t]:
+                new += signed[t]
+            ends = pt[:2]
+            flat[ends] = new
+            new *= new
+            sq_flat[ends] = new
+            np.add.reduce(sq, axis=0, out=row)
+        out[:, t0 + 1:t1 + 1] = rows.T
     return out
 
 
@@ -239,33 +277,53 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
 
     Each update picks one uniform ordered pair (i, j), i != j; all pairs are
     drawn as one block before the loop (see draw_pairs), row r driving
-    trial r.  The kernel is vectorised numpy that steps every trial one tick
-    at a time.
+    trial r.  The kernel keeps every trial's values in one (n, trials)
+    array and steps all trials one tick at a time.  It splits the drawn
+    block, a chunk of ticks at a time, into tick-major rows of flat
+    positions in that array and of the weights they select, so a tick is
+    one gather, one multiply and one add for both ends, the noise folded in
+    when it is nonzero, one scatter, and the norm reduced into a
+    contiguous row; each chunk's rows are then copied into the result.
 
     Args:
-        x0: start vector, shared by all trials.
+        x0: start vector, shared by all trials; must be finite.
         alpha: mixing weights.
-        ticks: updates per trial.
-        trials: number of independent runs (one shared RNG stream).
+        ticks: updates per trial, >= 0.
+        trials: number of independent runs (one shared RNG stream), >= 0.
         seed: RNG seed.
-        noise: optional per-tick antisymmetric noise magnitudes, length
-            `ticks`; zeros reproduce the unperturbed dynamics bit for bit.
+        noise: optional per-tick antisymmetric noise magnitudes, a finite
+            vector of length `ticks`; zeros reproduce the unperturbed
+            dynamics bit for bit.
 
     Returns:
-        (trials, ticks + 1) array, column t holding |x(t)|^2.
+        C-contiguous (trials, ticks + 1) array, column t holding |x(t)|^2.
+
+    Raises:
+        ValueError: naming the argument, before any pair is drawn, if ticks
+            or trials is negative, alpha is out of range, x0 does not match
+            alpha or is not finite, or noise is not a finite vector of
+            length `ticks`.
     """
+    if ticks < 0:
+        raise ValueError(f"ticks must be >= 0, got {ticks}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     a = validate_alpha(alpha)
     x = np.ascontiguousarray(x0, dtype=np.float64)
     if x.shape != a.shape:
         raise ValueError("x0 and alpha must have the same length")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     if noise is None:
         nu = np.zeros(ticks, dtype=np.float64)
     else:
         nu = np.ascontiguousarray(noise, dtype=np.float64)
-        if nu.shape[0] != ticks:
-            raise ValueError(f"noise must have length {ticks}, got {nu.shape[0]}")
-    pi, pj = draw_pairs(a.shape[0], trials, ticks, seed)
-    return _trajectories(x, a, pi, pj, nu)
+        if nu.shape != (ticks,):
+            raise ValueError(f"noise must be a vector of length {ticks}, "
+                             f"got shape {nu.shape}")
+        if not np.all(np.isfinite(nu)):
+            raise ValueError("noise must be finite")
+    return _trajectories(x, a, ticks, trials, seed, nu)
 
 
 def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
@@ -277,16 +335,17 @@ def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
         alpha: mixing weights.
         ticks: number of updates, >= 0.
         seed: RNG seed for the pair draws (see draw_pairs), which do not
-            depend on the noise; the trajectory equals row 0 of
-            norm_square_trajectories with the same seed and noise.
+            depend on the noise; the trajectory follows row 0 of the pairs
+            of norm_square_trajectories with the same seed and noise, and
+            equals that row bit for bit below n = 8 (numpy sums a single
+            trial's norms pairwise from n = 8 on).
         noise: optional length-`ticks` array of nu values, added as
             +nu/-nu; zeros reproduce the clean trajectory bit for bit.
 
     Raises:
-        ValueError: if ticks < 0 or the start is not mean-zero.
+        ValueError: if the start is not mean-zero, or on any input that
+            norm_square_trajectories rejects.
     """
-    if ticks < 0:
-        raise ValueError(f"ticks must be >= 0, got {ticks}")
     x = np.asarray(x0, dtype=np.float64)
     total = float(x.sum())
     if abs(total) > 1e-9 * max(1.0, float(np.abs(x).sum())):

@@ -1,8 +1,11 @@
 """Pairwise affine averaging on the complete graph and its moment bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from geogossip import affine
 from geogossip import (
     affine_pair_update,
     contraction_bound,
@@ -324,10 +327,21 @@ def _norm_sq_in_order(x):
     return s
 
 
-def test_trajectories_replay_drawn_pairs():
+# The kernel converts the pair block (n + 3) // 4 ticks at a time, so the
+# cases below step chunks of 2 ticks: 41 and 23 ticks end on a partial
+# chunk, and 1 tick is one short of a chunk.
+@pytest.mark.parametrize("n, trials, ticks", [
+    (5, 6, 40),
+    (7, 6, 41),
+    (6, 4, 1),
+    (5, 3, 0),
+    (7, 1, 23),
+], ids=["whole-chunks", "partial-last-chunk", "shorter-than-a-chunk",
+        "no-ticks", "one-trial"])
+def test_trajectories_replay_drawn_pairs(n, trials, ticks):
     # oracle: the kernel's own pair draws replayed one update at a time
     # through the single update give the same |x(t)|^2, bit for bit
-    n, trials, ticks, seed = 5, 6, 40, 13
+    seed = 13
     a = random_alpha(n, np.random.default_rng(3))
     x0 = spike_vector(n)
     nu = alternating_noise(ticks, 1e-3)
@@ -335,6 +349,11 @@ def test_trajectories_replay_drawn_pairs():
     pi, pj = draw_pairs(n, trials, ticks, seed)
     clean = norm_square_trajectories(x0, a, ticks, trials, seed)
     noisy = norm_square_trajectories(x0, a, ticks, trials, seed, noise=nu)
+    # the checks' traj.mean(axis=0) and traj.std(axis=0) sum in memory
+    # order, so the layout is part of the result
+    for traj in (clean, noisy):
+        assert traj.shape == (trials, ticks + 1)
+        assert traj.flags.c_contiguous
     for r in range(trials):
         x = x0.copy()
         y = x0.copy()
@@ -351,3 +370,58 @@ def test_trajectories_replay_drawn_pairs():
                           clean[0])
     assert np.array_equal(
         simulate_affine_gossip(x0, a, ticks, seed, noise=nu), noisy[0])
+
+
+@pytest.mark.xfail(strict=True, reason="numpy sums the (n, 1) values of a "
+                   "single trial pairwise once n >= 8")
+def test_single_trial_norms_sum_in_order():
+    # simulate_affine_gossip promises row 0 of a batch with the same seed.
+    # A single trial's (n, 1) values are reduced along their contiguous
+    # axis, which numpy sums pairwise from n = 8 on instead of in order, so
+    # its norms differ from the batch's in the last bits.
+    n, ticks, seed = 16, 23, 13
+    a = random_alpha(n, np.random.default_rng(3))
+    x0 = spike_vector(n)
+    batch = norm_square_trajectories(x0, a, ticks, 3, seed)
+    assert np.array_equal(simulate_affine_gossip(x0, a, ticks, seed),
+                          batch[0])
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("pairs drawn before the inputs were checked")
+
+
+@pytest.mark.parametrize("change, name", [
+    (dict(ticks=-1), "ticks"),
+    (dict(trials=-1), "trials"),
+    (dict(noise=np.zeros((4, 2))), "noise"),
+    (dict(noise=[np.nan, 0.0, 0.0, 0.0]), "noise"),
+    (dict(x0=np.array([np.inf, -1.0, 0.5, 0.5])), "x0"),
+    (dict(alpha=[0.4, np.nan, 0.4, 0.4]), "alpha"),
+], ids=["negative-ticks", "negative-trials", "2d-noise", "nan-noise",
+        "inf-x0", "nan-alpha"])
+def test_trajectories_reject_bad_inputs_before_drawing(monkeypatch, change,
+                                                       name):
+    args = dict(x0=spike_vector(4), alpha=np.full(4, 0.4), ticks=4,
+                trials=3, seed=0)
+    args.update(change)
+    monkeypatch.setattr(affine, "draw_pairs", _no_draw)
+    with pytest.raises(ValueError, match=name):
+        norm_square_trajectories(**args)
+
+
+def test_trajectories_traced_peak_memory():
+    # The kernel holds the (trials, ticks) block of pair codes, the result,
+    # the values, their squares and two chunk buffers the size of the
+    # values: about 2.5 times the result at this shape.  Holding the two
+    # split (trials, ticks) pair blocks as well takes 3.2 times, and a
+    # converted copy of them 4.5 times.
+    n, trials, ticks = 32, 2000, 320
+    tracemalloc.start()
+    try:
+        out = norm_square_trajectories(spike_vector(n), np.full(n, 0.4),
+                                       ticks, trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * out.nbytes

@@ -15,15 +15,16 @@ subspace, the decay/tail/deviation bounds, and one Monte Carlo kernel,
 norm_square_trajectories, with simulate_affine_gossip as its
 single-trajectory entry point.
 
-In the kernel each update draws one uniform ordered pair, the law the
-closed-form moments assume.  All pairs are drawn as one (trials, ticks)
-block before the loop, row r driving trial r, and the kernel is plain
-vectorised numpy that steps every trial one tick at a time.  Its values
-are one (n, trials) array, and it reads the pair block tick-major: a chunk
-of ticks at a time becomes contiguous rows of flat positions in that
-array and of the weights they select, so the tick loop does only the
-arithmetic that depends on values, and each tick's norms fill one
-contiguous row.  Zero noise reproduces the clean run bit for bit.
+Each update of the kernel takes one uniform ordered pair, the law the
+closed-form moments assume.  norm_square_trajectories checks its inputs,
+then draws every pair as one (trials, ticks) block of codes, row r
+driving trial r, for the kernel: plain vectorised numpy that steps every
+trial one tick at a time on one (n, trials) array of values, at least two
+columns wide so that every norm sums in node order.  It reads the codes
+tick-major, a chunk of ticks at a time, as contiguous rows of flat
+positions in that array and of the weights they select, so the tick loop
+does only the arithmetic that depends on values, and each tick's norms
+fill one contiguous row.  Zero noise reproduces the clean run bit for bit.
 """
 
 import math
@@ -215,19 +216,21 @@ def _split_pairs(k, n, out=(None, None)):
     return i, j
 
 
-def _trajectories(x0, alpha, ticks, trials, seed, nu):
-    # x is (n, trials): trial r is column r, node v of trial r sits at flat
-    # position v * trials + r, and the norm reduction over axis 0 adds
-    # x_0^2, x_1^2, ... in order.  sq holds x * x entry for entry and is
+def _trajectories(x0, alpha, codes, nu):
+    # x is (n, width), width = max(trials, 2): node v of trial r sits at
+    # flat position v * width + r, and the norm reduction over axis 0 adds
+    # x_0^2, x_1^2, ... in order (numpy sums a lone column pairwise, hence
+    # the idle column of a single trial).  sq holds x * x entry for entry,
     # kept current by squaring only the two entries a tick writes.
     n = x0.shape[0]
-    codes = _pair_codes(n, trials, ticks, seed)
-    x = np.repeat(x0[:, None], trials, axis=1)
+    trials, ticks = codes.shape
+    width = max(trials, 2)
+    x = np.repeat(x0[:, None], width, axis=1)
     flat = x.reshape(-1)
     sq = x * x
     sq_flat = sq.reshape(-1)
     out = np.empty((trials, ticks + 1), dtype=np.float64)
-    np.add.reduce(sq, axis=0, out=out[:, 0])
+    out[:, 0] = np.add.reduce(sq, axis=0)[:trials]
     # The codes are split a chunk of ticks at a time into tick-major rows,
     # so no whole block of pairs is held; (n + 3) // 4 ticks keep each chunk
     # buffer about the size of x (4 entries per trial and tick against n per
@@ -237,7 +240,7 @@ def _trajectories(x0, alpha, ticks, trials, seed, nu):
     step = max(1, min(ticks, (n + 3) // 4))
     pos = np.empty((step, 4, trials), dtype=np.intp)
     weight = np.empty((step, 4, trials), dtype=np.float64)
-    norms = np.empty((step, trials), dtype=np.float64)
+    norms = np.empty((step, width), dtype=np.float64)
     col = np.arange(trials)
     signed = np.stack([nu, -nu], axis=1)[:, :, None]
     noisy = (nu != 0.0).tolist()
@@ -250,7 +253,7 @@ def _trajectories(x0, alpha, ticks, trials, seed, nu):
         # copy of w that take makes under the default "raise"
         np.take(alpha, p, out=w, mode="clip")
         np.subtract(1.0, w[:, :2], out=w[:, :2])
-        p *= trials
+        p *= width
         p += col
         # affine_pair_update's arithmetic on every trial at once: y holds
         # (1 - alpha_i) x_i, (1 - alpha_j) x_j, alpha_j x_j, alpha_i x_i, and
@@ -267,7 +270,7 @@ def _trajectories(x0, alpha, ticks, trials, seed, nu):
             new *= new
             sq_flat[ends] = new
             np.add.reduce(sq, axis=0, out=row)
-        out[:, t0 + 1:t1 + 1] = rows.T
+        out[:, t0 + 1:t1 + 1] = rows[:, :trials].T
     return out
 
 
@@ -275,11 +278,12 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
                              noise=None) -> np.ndarray:
     """|x(t)|^2 for `trials` independent runs of `ticks` updates each.
 
-    Each update picks one uniform ordered pair (i, j), i != j; all pairs are
-    drawn as one block before the loop (see draw_pairs), row r driving
-    trial r.  The kernel keeps every trial's values in one (n, trials)
-    array and steps all trials one tick at a time.  It splits the drawn
-    block, a chunk of ticks at a time, into tick-major rows of flat
+    Each update picks one uniform ordered pair (i, j), i != j; after the
+    input checks all pairs are drawn as one block (see draw_pairs), row r
+    driving trial r.  The kernel keeps every trial's values in one (n,
+    trials) array, at least two columns wide so that every norm sums in
+    node order, and steps all trials one tick at a time.  It splits the
+    drawn block, a chunk of ticks at a time, into tick-major rows of flat
     positions in that array and of the weights they select, so a tick is
     one gather, one multiply and one add for both ends, the noise folded in
     when it is nonzero, one scatter, and the norm reduced into a
@@ -323,7 +327,7 @@ def norm_square_trajectories(x0, alpha, ticks: int, trials: int, seed: int,
                              f"got shape {nu.shape}")
         if not np.all(np.isfinite(nu)):
             raise ValueError("noise must be finite")
-    return _trajectories(x, a, ticks, trials, seed, nu)
+    return _trajectories(x, a, _pair_codes(len(a), trials, ticks, seed), nu)
 
 
 def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
@@ -335,10 +339,9 @@ def simulate_affine_gossip(x0, alpha, ticks: int, seed: int,
         alpha: mixing weights.
         ticks: number of updates, >= 0.
         seed: RNG seed for the pair draws (see draw_pairs), which do not
-            depend on the noise; the trajectory follows row 0 of the pairs
-            of norm_square_trajectories with the same seed and noise, and
-            equals that row bit for bit below n = 8 (numpy sums a single
-            trial's norms pairwise from n = 8 on).
+            depend on the noise; the trajectory is row 0 of
+            norm_square_trajectories with the same seed and noise, bit for
+            bit.
         noise: optional length-`ticks` array of nu values, added as
             +nu/-nu; zeros reproduce the clean trajectory bit for bit.
 

@@ -321,40 +321,37 @@ class VerifyRow:
                 f"bound={self.bound:<12.6g} {verdict}")
 
 
+def _per_vector(alphas, f):
+    # the sizes of the weight vectors and f of each, for the exact checks
+    if len(alphas) == 0:
+        raise ValueError("alphas must hold at least one weight vector")
+    return np.array([len(a) for a in alphas]), np.array([f(a) for a in alphas])
+
+
 def check_second_moment(alphas) -> VerifyRow:
     """Closed-form E[A^T A] against pair enumeration: the largest entry gap
-    over the weight vectors, within 1e-12."""
-    tol = 1e-12
-    worst, worst_n = 0.0, 0
-    for alpha in alphas:
-        gap = float(np.max(np.abs(affine.expected_quadratic_form(alpha)
-                                  - affine.enumerated_quadratic_form(alpha))))
-        if gap > worst:
-            worst, worst_n = gap, len(alpha)
-    return VerifyRow("second-moment-oracle", worst_n, 0, worst, tol,
-                     worst <= tol)
+    over the weight vectors (at least one), within 1e-12."""
+    n, gap = _per_vector(alphas, lambda a: np.max(np.abs(
+        affine.expected_quadratic_form(a)
+        - affine.enumerated_quadratic_form(a))))
+    return _least_margin("second-moment-oracle", n, 0, gap, 1e-12)
 
 
 def check_contraction(alphas) -> VerifyRow:
     """Contraction factor minus contraction_bound(n): the largest excess
-    over the weight vectors, within 1e-9."""
-    tol = 1e-9
-    worst, worst_n = -math.inf, 0
-    for alpha in alphas:
-        n = len(alpha)
-        excess = affine.contraction_factor(alpha) \
-            - affine.contraction_bound(n)
-        if excess > worst:
-            worst, worst_n = excess, n
-    return VerifyRow("contraction-bound", worst_n, 0, worst, tol,
-                     worst <= tol)
+    over the weight vectors (at least one), within 1e-9."""
+    n, excess = _per_vector(alphas, lambda a: affine.contraction_factor(a)
+                            - affine.contraction_bound(len(a)))
+    return _least_margin("contraction-bound", n, 0, excess, 1e-9)
 
 
 def _least_margin(name, n, trials, stat, bound) -> VerifyRow:
     # one row for a check made at several points: the point with the least
-    # margin speaks for all of them
+    # margin speaks for all of them; its size n and its bound may be given
+    # once for all points
+    stat, bound, n = np.broadcast_arrays(stat, bound, n)
     k = int(np.argmax(stat - bound))
-    return VerifyRow(name, n, trials, float(stat[k]), float(bound[k]),
+    return VerifyRow(name, int(n[k]), trials, float(stat[k]), float(bound[k]),
                      bool(np.all(stat <= bound)))
 
 
@@ -401,11 +398,10 @@ def check_perturbed_deviation(traj, y0, a: float, eps: float) -> VerifyRow:
     n = len(y0)
     limit = affine.perturbed_deviation_bound(ticks, n, a, eps,
                                              float(np.linalg.norm(y0)))
-    freq = float((np.sqrt(traj[:, -1]) > limit).mean())
+    freq = (np.sqrt(traj[:, -1:]) > limit).mean(axis=0)
     cap = min(1.0, 5.0 / n ** a)
     bound = cap + 3.0 * math.sqrt(cap * (1.0 - cap) / trials)
-    return VerifyRow("mc-perturbed-bound", n, trials, freq, bound,
-                     freq <= bound)
+    return _least_margin("mc-perturbed-bound", n, trials, freq, bound)
 
 
 def trial_count(trials: int) -> int:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geogossip import affine
 from geogossip import (
@@ -372,19 +373,33 @@ def test_trajectories_replay_drawn_pairs(n, trials, ticks):
         simulate_affine_gossip(x0, a, ticks, seed, noise=nu), noisy[0])
 
 
-@pytest.mark.xfail(strict=True, reason="numpy sums the (n, 1) values of a "
-                   "single trial pairwise once n >= 8")
 def test_single_trial_norms_sum_in_order():
     # simulate_affine_gossip promises row 0 of a batch with the same seed.
-    # A single trial's (n, 1) values are reduced along their contiguous
-    # axis, which numpy sums pairwise from n = 8 on instead of in order, so
-    # its norms differ from the batch's in the last bits.
+    # The kernel keeps a second value column for a single trial, so its
+    # norms are reduced across columns in node order, as a batch's are,
+    # and not pairwise along one contiguous column.
     n, ticks, seed = 16, 23, 13
     a = random_alpha(n, np.random.default_rng(3))
     x0 = spike_vector(n)
     batch = norm_square_trajectories(x0, a, ticks, 3, seed)
     assert np.array_equal(simulate_affine_gossip(x0, a, ticks, seed),
                           batch[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), trials=st.integers(1, 5),
+       ticks=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       noisy=st.booleans())
+def test_single_trial_is_row_zero_of_every_batch(n, trials, ticks, seed,
+                                                 noisy):
+    # one summation order for every trial count: the single trajectory is
+    # row 0 of a batch of 1 to 5 trials with the same seed, bit for bit
+    a = random_alpha(n, np.random.default_rng(seed))
+    x0 = spike_vector(n)
+    nu = alternating_noise(ticks, 1e-3) if noisy else None
+    batch = norm_square_trajectories(x0, a, ticks, trials, seed, noise=nu)
+    assert np.array_equal(simulate_affine_gossip(x0, a, ticks, seed,
+                                                 noise=nu), batch[0])
 
 
 def _no_draw(*args, **kwargs):
@@ -405,7 +420,7 @@ def test_trajectories_reject_bad_inputs_before_drawing(monkeypatch, change,
     args = dict(x0=spike_vector(4), alpha=np.full(4, 0.4), ticks=4,
                 trials=3, seed=0)
     args.update(change)
-    monkeypatch.setattr(affine, "draw_pairs", _no_draw)
+    monkeypatch.setattr(affine, "_pair_codes", _no_draw)
     with pytest.raises(ValueError, match=name):
         norm_square_trajectories(**args)
 

@@ -16,8 +16,10 @@ from geogossip import (
 )
 from geogossip.affine import markov_tail_bound
 from geogossip.experiment import (apply_overrides, build_state,
-                                  check_markov_tail, check_mean_square_decay,
-                                  check_perturbed_deviation, load_config)
+                                  check_contraction, check_markov_tail,
+                                  check_mean_square_decay,
+                                  check_perturbed_deviation,
+                                  check_second_moment, load_config)
 
 
 def small_cfg(**kw):
@@ -205,6 +207,21 @@ def test_kernel_verify_monte_carlo_rows():
     assert "mc-perturbed-bound" in names
     assert all(r.passed for r in rows), [str(r) for r in rows]
     assert all("pass" in str(r) for r in rows)
+
+
+def test_exact_match_row_names_its_size():
+    # a gap of exactly 0 still has the least margin, at the one n=2 vector
+    row = check_second_moment([np.full(2, 0.4)])
+    assert (row.n, row.statistic, row.passed) == (2, 0.0, True)
+    assert "n=2 " in str(row)
+
+
+@pytest.mark.parametrize("check", [check_second_moment, check_contraction],
+                         ids=["second-moment", "contraction"])
+def test_exact_checks_reject_an_empty_weight_list(check):
+    # no weight vector is no evidence: the check refuses rather than pass
+    with pytest.raises(ValueError, match="alphas"):
+        check([])
 
 
 def test_decay_check_reports_least_margin_tick():

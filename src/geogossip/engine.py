@@ -106,8 +106,11 @@ A live tick's control traffic is memoised, as the graph and the leaf
 squares are fixed for a run: a fan-out's routes (to a square's children,
 or a far exchange's two legs) go through one lockstep `_walk` call, and the
 run's first flood floods every leaf from its representative in one
-`_frontier_flood` call.  The runner sets state.tick to each live tick
-before stepping it, so its events carry their own ticks as stepped ones
+`_frontier_flood` call.  `_walk` takes the graph and reads its padded table
+of neighbour coordinates, which `routing` builds on a graph's first route
+and keeps until another graph is routed on; `boyd`, which never routes,
+never builds it.  The runner sets state.tick to each live tick before
+stepping it, so its events carry their own ticks as stepped ones
 do, and empties the event list after every block.  geo never reads x, so
 `_tick_geo` takes a whole block of rows: attempt a of every tick still
 pending is routed in one lockstep `_walk` call, and only the rejected
@@ -203,8 +206,7 @@ def _route_all(state, pairs):
         g = state.graph
         xy = g.points.xy
         src, dst = np.array(todo, dtype=np.int64).T
-        _, hops, ok = _walk(g.indptr, g.indices, xy, src, dst, xy[dst, 0],
-                            xy[dst, 1])
+        _, hops, ok = _walk(g, src, dst, xy[dst, 0], xy[dst, 1])
         state.routes.update(zip(todo, zip(hops.tolist(), ok.tolist())))
 
 
@@ -283,8 +285,7 @@ def _tick_geo(state, U, nodes):
         if pending.shape[0] == 0:
             break
         s = nodes[pending]
-        trail, hops, _ok = _walk(g.indptr, g.indices, g.points.xy, s,
-                                 np.full(s.shape[0], -1),
+        trail, hops, _ok = _walk(g, s, np.full(s.shape[0], -1),
                                  U[pending, 1 + 3 * a], U[pending, 2 + 3 * a])
         c = trail[-1]
         total[pending] += 2 * hops

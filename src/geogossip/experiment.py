@@ -362,7 +362,13 @@ def check_mean_square_decay(traj, n: int) -> VerifyRow:
     Each trial is normalised by its own t=0 value, so the ratio is exactly
     1 at t=0, where the check passes by construction; the row reports the
     tick t >= 1 with the least margin, so the block needs ticks >= 1.
+
+    Raises:
+        ValueError: if the block has no tick after t=0.
     """
+    if traj.shape[1] < 2:
+        raise ValueError(f"traj must hold a tick after t=0, got a block of "
+                         f"shape {traj.shape}")
     trials = traj.shape[0]
     rel = traj / traj[:, :1]
     mean = rel.mean(axis=0)
@@ -379,7 +385,13 @@ def check_mean_square_decay(traj, n: int) -> VerifyRow:
 
 def check_markov_tail(traj, x0, eps: float, horizons) -> VerifyRow:
     """Frequency of |x(t)| > eps |x0| under markov_tail_bound + 3 SE at
-    each horizon t, with SE sqrt(f(1 - f) / trials)."""
+    each horizon t, with SE sqrt(f(1 - f) / trials).
+
+    Raises:
+        ValueError: if horizons is empty.
+    """
+    if len(horizons) == 0:
+        raise ValueError("horizons must hold at least one tick")
     trials = traj.shape[0]
     n = len(x0)
     cut = eps * eps * float(x0 @ x0)

@@ -11,13 +11,19 @@ transmission count is the sum of in-cell degrees over reached nodes (every
 reached node forwards once to each in-cell neighbor).
 
 Routing has one implementation, `_walk`, a lockstep router: it moves a batch
-of packets one hop per round, all together, with numpy over the CSR arrays,
-so a round costs a few array operations whatever the batch size.  A single
-route is a batch of one.  Flooding runs on the graph search in `geometry`,
-`_frontier_flood`: it floods from many origins at once, one breadth-first
-frontier per round for all of them, and labels each reached node with its
-origin.  A single flood is a batch of one origin over the graph that
-`restrict_edges` restricts to the cell.
+of packets one hop per round, all together, so a round costs a few array
+operations whatever the batch size.  A single route is a batch of one.  A
+round reads each live packet's row of the graph's neighbour table: two
+float64 arrays of shape (n, max degree) holding the neighbours' x and y
+coordinates in CSR order, padded with +inf.  The table costs 16 B x n x max
+degree (0.9 MB at n=512, 413 MB at n=131,072).  It is built on a graph's
+first route, not with the graph, since `boyd` never routes, and only the
+last graph's table is kept, since a run routes on one graph while a sweep
+holds every graph it built.  Flooding runs on the graph search in
+`geometry`, `_frontier_flood`: it floods from many origins at once, one
+breadth-first frontier per round for all of them, and labels each reached
+node with its origin.  A single flood is a batch of one origin over the
+graph that `restrict_edges` restricts to the cell.
 """
 
 from dataclasses import dataclass
@@ -52,18 +58,53 @@ class FloodResult:
         return self.unreached.shape[0] == 0
 
 
-def _walk(indptr, indices, xy, src, dst, tx, ty):
+# The neighbour table of the graph last routed on, (graph, nx, ny): see
+# _neighbour_table.  The strong reference keeps that graph alive, so an
+# identity match can never be a new graph at a freed one's address.
+_table = (None, None, None)
+
+
+def _neighbour_table(graph):
+    # nx[i, k], ny[i, k]: the coordinates of node i's k-th neighbour in CSR
+    # order, each row padded with +inf to the largest degree (at least 1).
+    # It costs 16 B x n x max degree: 0.9 MB at n=512, 4.3 MB at 2048,
+    # 19.5 MB at 8192 and 413 MB at 131,072 (radius_c = 2), and its build
+    # about a quarter of build_graph's time.  Only the last graph's table
+    # is kept: a run routes on one graph, while a sweep or the benchmark
+    # holds every graph it built, and a table each would grow with them.
+    global _table
+    held, nx, ny = _table
+    if held is not graph:
+        deg = np.diff(graph.indptr)
+        width = max(int(deg.max(initial=0)), 1)
+        # a row-major mask of each row's first deg entries: CSR order
+        fill = np.arange(width) < deg[:, None]
+        xy = graph.points.xy
+        nx = np.full((graph.n, width), np.inf)
+        ny = np.full((graph.n, width), np.inf)
+        nx[fill] = xy[:, 0].take(graph.indices)
+        ny[fill] = xy[:, 1].take(graph.indices)
+        _table = (graph, nx, ny)
+    return nx, ny
+
+
+def _walk(graph, src, dst, tx, ty):
     # Greedy walks of many packets at once, one hop per round for all.
     # Walker i starts at src[i] and heads for (tx[i], ty[i]); dst[i] >= 0
     # retires it on reaching that node, dst[i] < 0 walks toward the
     # position until the locally nearest node.  Each round a live walker
     # moves to its strictly closest neighbour, the first in CSR order
     # among equals, or stops at a dead end (every degree-0 node is one).
+    # A round gathers the live walkers' rows of the graph's neighbour
+    # table and takes each row's first minimum; +inf padding never beats
+    # the walker's own finite distance.
     # Returns (trail, hops, ok): walker i's path is trail[:hops[i] + 1, i]
     # and later rows repeat its stop node, so trail[-1] holds every stop
     # node; ok[i] is False only for a node target not reached.
-    px = xy[:, 0]
-    py = xy[:, 1]
+    nx, ny = _neighbour_table(graph)
+    indptr = graph.indptr
+    indices = graph.indices
+    xy = graph.points.xy
     cur = np.array(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     tx = np.asarray(tx, dtype=np.float64)
@@ -71,47 +112,36 @@ def _walk(indptr, indices, xy, src, dst, tx, ty):
     hops = np.zeros(cur.shape[0], dtype=np.int64)
     trail = [cur.copy()]
     live = np.flatnonzero(cur != dst)
+    # each walker's squared distance from its node to its target; a move
+    # carries over the neighbour's, computed by the same IEEE operations
+    dx = xy[cur, 0] - tx
+    dy = xy[cur, 1] - ty
+    here = dx * dx + dy * dy
     # Strict distance decrease visits a node at most once per walk, so
     # n - 1 hops bound every walk.
-    for _ in range(indptr.shape[0] - 1):
+    for _ in range(graph.n):
         if live.shape[0] == 0:
             break
         c = cur[live]
         wx = tx[live]
         wy = ty[live]
-        dx = px[c] - wx
-        dy = py[c] - wy
-        here = dx * dx + dy * dy
-        # the walkers' CSR rows, concatenated, and each entry's squared
-        # distance in place (the same IEEE operations as dx*dx + dy*dy)
-        lo = indptr[c]
-        cnt = indptr[c + 1] - lo
-        end = cnt.cumsum()
-        first = end - cnt
-        pos = (lo - first).repeat(cnt)
-        pos += np.arange(end[-1])
-        nb = indices[pos]
-        d = px[nb]
-        d -= wx.repeat(cnt)
+        # each neighbour's squared distance, in place on the gathered rows
+        # (the same IEEE operations as dx*dx + dy*dy)
+        d = nx.take(c, axis=0)
+        d -= wx[:, None]
         d *= d
-        e = py[nb]
-        e -= wy.repeat(cnt)
+        e = ny.take(c, axis=0)
+        e -= wy[:, None]
         e *= e
         d += e
-        has = np.flatnonzero(cnt)
-        start = first[has]
-        best = np.full(live.shape[0], np.inf)
-        pick = np.zeros(live.shape[0], dtype=np.int64)
-        if has.shape[0]:
-            best[has] = np.minimum.reduceat(d, start)
-            # the first neighbour at the minimum within each walker's row
-            tie = np.flatnonzero(d == best.repeat(cnt))
-            pick[has] = nb[tie[tie.searchsorted(start)]]
-        move = best < here
+        k = d.argmin(axis=1)
+        best = d[np.arange(c.shape[0]), k]
+        move = best < here[live]
         if not move.any():
             break
         stepped = live[move]
-        cur[stepped] = pick[move]
+        cur[stepped] = indices[indptr[c[move]] + k[move]]
+        here[stepped] = best[move]
         hops[stepped] += 1
         trail.append(cur.copy())
         live = stepped[cur[stepped] != dst[stepped]]
@@ -120,8 +150,7 @@ def _walk(indptr, indices, xy, src, dst, tx, ty):
 
 def _route_one(graph, src, dst, tx, ty):
     # One walker through _walk: (path, ok).
-    trail, hops, ok = _walk(graph.indptr, graph.indices, graph.points.xy,
-                            [src], [dst], [tx], [ty])
+    trail, hops, ok = _walk(graph, [src], [dst], [tx], [ty])
     return trail[:hops[0] + 1, 0], bool(ok[0])
 
 

@@ -224,6 +224,17 @@ def test_exact_checks_reject_an_empty_weight_list(check):
         check([])
 
 
+def test_decay_check_rejects_a_block_with_no_tick_after_zero():
+    # t=0 passes by construction, so a block of t=0 alone is no evidence
+    with pytest.raises(ValueError, match="traj must hold a tick after t=0"):
+        check_mean_square_decay(np.ones((4, 1)), 2)
+
+
+def test_tail_check_rejects_empty_horizons():
+    with pytest.raises(ValueError, match="horizons"):
+        check_markov_tail(np.ones((4, 3)), np.array([1.0, -1.0]), 0.5, ())
+
+
 def test_decay_check_reports_least_margin_tick():
     # trial 0 halves every tick, trial 1 stands still
     row = check_mean_square_decay(np.array([[2.0, 1.0, 0.5],

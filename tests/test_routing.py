@@ -1,6 +1,7 @@
 """Greedy geographic routing and in-cell flooding."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from geogossip import (
     greedy_route,
     sample_points,
 )
-from geogossip import engine
+from geogossip import engine, routing
 from geogossip.hierarchy import SquareCell
 from geogossip.routing import (_frontier_flood, _walk, restrict_edges,
                                route_to_position)
@@ -176,8 +177,7 @@ def walk_batches(draw):
 def test_walk_matches_reference_walker(case):
     g, src, dst, pos = case
     xy = g.points.xy
-    trail, hops, ok = _walk(g.indptr, g.indices, xy, src, dst,
-                            pos[:, 0], pos[:, 1])
+    trail, hops, ok = _walk(g, src, dst, pos[:, 0], pos[:, 1])
     assert trail.shape == (hops.max() + 1, src.shape[0])
     for i in range(src.shape[0]):
         path, ok_i = reference_walk(g.indptr, g.indices, xy, int(src[i]),
@@ -191,15 +191,47 @@ def test_walk_matches_reference_walker(case):
 @given(walk_batches())
 def test_walk_leaves_its_inputs_unchanged(case):
     # The round's in-place arithmetic touches only its own temporaries,
-    # even when the inputs already have the dtypes _walk computes in.
+    # even when the inputs already have the dtypes _walk computes in: not
+    # the walkers' arrays, the graph's arrays or its cached neighbour table.
     g, src, dst, pos = case
-    xy = g.points.xy
-    args = [g.indptr, g.indices, xy, src.astype(np.int64),
-            dst.astype(np.int64), pos[:, 0].copy(), pos[:, 1].copy()]
-    before = [a.copy() for a in args]
-    _walk(*args)
-    for a, b in zip(args, before):
+    args = [src.astype(np.int64), dst.astype(np.int64), pos[:, 0].copy(),
+            pos[:, 1].copy()]
+    table = routing._neighbour_table(g)
+    held = args + [g.indptr, g.indices, g.points.xy, *table]
+    before = [a.copy() for a in held]
+    _walk(g, *args)
+    assert routing._table[0] is g
+    assert all(a is b for a, b in zip(routing._table[1:], table))
+    for a, b in zip(held, before):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_walk_follows_the_graph_it_is_given():
+    # Routing on A, then B, then A again must use each graph's own
+    # neighbour table, and the one table kept belongs to the last graph.
+    # A and B have the same n, so a stale table would index without error.
+    rng = np.random.default_rng(11)
+    a = build_graph(sample_points(300, seed=1), 0.12)
+    b = build_graph(sample_points(300, seed=2), 0.12)
+    src = rng.integers(0, 300, size=40)
+    dst = np.where(rng.random(40) < 0.5, -1, rng.integers(0, 300, size=40))
+    pos = rng.random((40, 2))
+    for g in (a, b, a):
+        trail, hops, ok = _walk(g, src, dst, pos[:, 0], pos[:, 1])
+        assert routing._table[0] is g
+        for i in range(40):
+            path, ok_i = reference_walk(g.indptr, g.indices, g.points.xy,
+                                        int(src[i]), int(dst[i]),
+                                        pos[i, 0], pos[i, 1])
+            assert trail[:hops[i] + 1, i].tolist() == path
+            assert bool(ok[i]) == ok_i
+    # the table is released with the next graph routed on
+    c = build_graph(sample_points(50, seed=3), 0.3)
+    gone = weakref.ref(c)
+    route_to_position(c, 0, 0.5, 0.5)
+    route_to_position(a, 0, 0.5, 0.5)
+    del c
+    assert gone() is None
 
 
 def test_batched_routes_match_greedy_route(graph4096, monkeypatch):
@@ -216,7 +248,7 @@ def test_batched_routes_match_greedy_route(graph4096, monkeypatch):
     walkers = []
 
     def counting(*args):
-        walkers.append(len(args[3]))
+        walkers.append(len(args[1]))
         return walk(*args)
 
     monkeypatch.setattr(engine, "_walk", counting)

@@ -54,8 +54,6 @@ from .hierarchy import (
     subdivision_factor,
 )
 from .metrics import FitResult, MetricsRecord, fit_scaling, read_csv
-from .routing import FloodResult, RouteResult, flood, greedy_route, \
-    route_to_position
 
 __all__ = [
     "affine_pair_update",
@@ -97,10 +95,5 @@ __all__ = [
     "MetricsRecord",
     "fit_scaling",
     "read_csv",
-    "FloodResult",
-    "RouteResult",
-    "flood",
-    "greedy_route",
-    "route_to_position",
     "__version__",
 ]

@@ -103,23 +103,24 @@ changes only in a leaf's flood, so the built ticks before each live leaf
 tick read a snapshot taken just before it; boyd builds every tick that way.
 
 A live tick's control traffic is memoised, as the graph and the leaf
-squares are fixed for a run: a fan-out's routes (to a square's children,
-or a far exchange's two legs) go through one lockstep `_walk` call, and the
-run's first flood floods every leaf from its representative in one
-`_frontier_flood` call.  `_walk` takes the graph and reads its padded table
-of neighbour coordinates, which `routing` builds on a graph's first route
-and keeps until another graph is routed on; `boyd`, which never routes,
-never builds it.  The runner sets state.tick to each live tick before
-stepping it, so its events carry their own ticks as stepped ones
-do, and empties the event list after every block.  geo never reads x, so
-`_tick_geo` takes a whole block of rows: attempt a of every tick still
-pending is routed in one lockstep `_walk` call, and only the rejected
-ticks try again.  It builds no event; `step` passes it a block of one row
-and builds the tick's one event from the totals it returns.  A block's ops
-are applied in tick order through state.xv, which touches only the ops'
-endpoints and reads and writes them as Python floats: the same IEEE
-doubles in the same order as `step`, so bulk and stepped runs stay
-bit-identical.
+squares are fixed for a run: a fan-out's routes (to a square's children, or
+a far exchange's two legs) come back in order from `_route_all`, which
+walks the ones not yet memoised in one lockstep `_walk` call, and the run's
+first flood floods every leaf from its representative in one
+`_frontier_flood` call and keeps each leaf's reach, transmissions and gap
+under its cell id.  `_walk` takes the graph and reads its padded table of
+neighbour coordinates, which `routing` builds on a graph's first route and
+keeps until another graph is routed on; `boyd`, which never routes, never
+builds it.  The runner sets state.tick to each live tick before stepping
+it, so its events carry their own ticks as stepped ones do, and empties the
+event list after every block.  geo never reads x, so `_tick_geo` takes a
+whole block of rows: attempt a of every tick still pending is routed in one
+lockstep `_walk` call, and only the rejected ticks try again.  It builds no
+event; `step` passes it a block of one row and builds the tick's one event
+from the totals it returns.  A block's ops are applied in tick order
+through state.xv, which touches only the ops' endpoints and reads and
+writes them as Python floats: the same IEEE doubles in the same order as
+`step`, so bulk and stepped runs stay bit-identical.
 """
 
 import functools
@@ -198,35 +199,38 @@ def block_rows(algorithm: str) -> int:
 
 
 def _route_all(state, pairs):
-    # Greedy routes between node pairs (src, dst) into state.routes as
-    # (hops, ok): the pairs not there yet walk in one lockstep _walk call.
-    # The graph is fixed for a run, so each route is computed once.
-    todo = [p for p in pairs if p not in state.routes]
+    # Greedy routes between node pairs (src, dst), as (hops, ok) in pairs'
+    # order.  The pairs not in state.routes yet walk in one lockstep _walk
+    # call: the graph is fixed for a run, so each route is computed once.
+    routes = state.routes
+    todo = [p for p in pairs if p not in routes]
     if todo:
         g = state.graph
         xy = g.points.xy
         src, dst = np.array(todo, dtype=np.int64).T
         _, hops, ok = _walk(g, src, dst, xy[dst, 0], xy[dst, 1])
-        state.routes.update(zip(todo, zip(hops.tolist(), ok.tolist())))
+        routes.update(zip(todo, zip(hops.tolist(), ok.tolist())))
+    return [routes[p] for p in pairs]
 
 
-def _flood(state, origin):
-    # The flood from a leaf representative over the leaf CSR: (reached ids
-    # in ascending order, transmissions).  The leaf CSR is fixed for a run
-    # and has no edge between leaves, so the first flood of a run floods
-    # every leaf from its representative in one _frontier_flood call and
-    # memoises them all.
+def _flood(state, c):
+    # The flood of leaf square c from its representative over the leaf CSR:
+    # (reached ids in ascending order, transmissions, members missed).  The
+    # leaf CSR is fixed for a run and has no edge between leaves, so the
+    # first flood of a run floods every leaf from its representative in one
+    # _frontier_flood call and memoises them all, with their gaps.
     if not state.floods:
         h = state.hierarchy
-        reps = h.cell_rep[h.subdiv_at_depth[h.cell_depth] == 0]
+        leaves = np.flatnonzero(h.subdiv_at_depth[h.cell_depth] == 0)
         label, tx = _frontier_flood(state.leaf_indptr, state.leaf_indices,
-                                    reps)
+                                    h.cell_rep[leaves])
         ids = np.flatnonzero(label >= 0)
         ids = ids[np.argsort(label[ids], kind="stable")]
-        ends = np.cumsum(np.bincount(label[ids], minlength=reps.shape[0]))
-        state.floods.update(zip(reps.tolist(),
-                                zip(np.split(ids, ends[:-1]), tx.tolist())))
-    return state.floods[origin]
+        reach = np.bincount(label[ids], minlength=leaves.shape[0])
+        gaps = np.diff(h.cell_member_start)[leaves] - reach
+        state.floods.update(zip(leaves.tolist(), zip(
+            np.split(ids, np.cumsum(reach)[:-1]), tx.tolist(), gaps.tolist())))
+    return state.floods[c]
 
 
 def _apply(x, ops):
@@ -329,13 +333,11 @@ def _far(state, u, s, c):
     if cp >= c:
         cp += 1
     sp = h.cell_rep.item(cp)
-    _route_all(state, [(s, sp), (sp, s)])
-    hops, ok = state.routes[(s, sp)]
+    (hops, ok), back = _route_all(state, [(s, sp), (sp, s)])
     if ok:
         if state.cell_active.item(cp) == 1:
             state.counts[FAULT_CONCURRENT] += 1
-        back, ok = state.routes[(sp, s)]
-        hops += back
+        hops, ok = hops + back[0], back[1]
     state.counts[LEDGER_FAR] += hops
     if not ok:
         state.counts[FAULT_ROUTING] += 1
@@ -363,24 +365,20 @@ def _toggle(state, s, c, r, on):
     h = state.hierarchy
     m = h.subdiv_at_depth.item(r)
     if m == 0:
-        reached, tx = _flood(state, s)
+        reached, tx, gap = _flood(state, c)
         state.local_on[reached] = on
         state.counts[LEDGER_FLOOD] += tx
-        gap = (h.cell_member_start.item(c + 1) - h.cell_member_start.item(c)
-               - len(reached))
-        if gap > 0:
-            state.counts[FAULT_FLOOD_GAP] += gap
+        state.counts[FAULT_FLOOD_GAP] += gap
         state.events.append(_event((state.tick,
                                     "flood_on" if on == 1 else "flood_off",
                                     s, c, tx, gap == 0)))
         return []
     start = h.cell_child_start.item(c)
     reps = h.cell_rep[start:start + m].tolist()
-    _route_all(state, [(s, dst) for dst in reps])
+    routes = _route_all(state, [(s, dst) for dst in reps])
     total = 0
     reached = []
-    for child, dst in enumerate(reps, start):
-        hops, ok = state.routes[(s, dst)]
+    for child, (hops, ok) in enumerate(routes, start):
         total += hops
         if ok:
             state.global_on[child] = on
@@ -619,9 +617,9 @@ class SimState:
     # Value ops (a, b, k) the kernels emitted and `_apply` has not yet
     # applied to x.
     ops: list = field(default_factory=list, repr=False)
-    # Memoised leaf floods (representative -> (reached ids, tx)) and
-    # node-to-node routes ((src, dst) -> (hops, ok)); both depend only on
-    # the fixed graph and hierarchy.
+    # Memoised leaf floods (leaf cell id -> (reached ids, tx, members
+    # missed)) and node-to-node routes ((src, dst) -> (hops, ok)); both
+    # depend only on the fixed graph and hierarchy.
     floods: dict = field(default_factory=dict, repr=False)
     routes: dict = field(default_factory=dict, repr=False)
 
@@ -965,11 +963,15 @@ def run(state: SimState, *, max_ticks=None, target_ratio=None,
         of a state that has already diverged returns no record at all.
 
     Raises:
-        ValueError: if no stop condition is given.
+        ValueError: if no stop condition is given, or target_ratio is nan
+            or negative.
     """
     if max_ticks is None and target_ratio is None and \
             not stop_on_root_deactivation:
         raise ValueError("at least one stop condition is required")
+    if target_ratio is not None and not target_ratio >= 0:
+        raise ValueError(f"target_ratio must be >= 0, got {target_ratio}")
+    max_ticks = None if max_ticks is None else int(max_ticks)
     if stride is None:
         stride = max(1, state.n)
     stride = int(stride)

@@ -154,7 +154,8 @@ def fit_scaling(records, target: float) -> dict:
         dict algorithm -> FitResult.
 
     Raises:
-        ValueError: if an algorithm has fewer than 3 distinct n with data.
+        ValueError: if an algorithm has fewer than 3 distinct n with data,
+            or a median of 0 transmissions, whose log is not finite.
     """
     hits, excluded = transmissions_at_target(records, target)
     by_algo = {}
@@ -168,6 +169,9 @@ def fit_scaling(records, target: float) -> dict:
             raise ValueError(
                 f"fit for {algo!r} needs >= 3 distinct n, got {len(ns)}")
         medians = [float(np.median(per_n[n])) for n in ns]
+        if 0.0 in medians:
+            raise ValueError(f"fit for {algo!r} needs positive medians, got 0 "
+                             f"at n={ns[medians.index(0.0)]}")
         logn = np.log(np.asarray(ns, dtype=np.float64))
         logt = np.log(np.asarray(medians, dtype=np.float64))
         slope, stderr = _ols_slope(logn, logt)

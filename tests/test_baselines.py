@@ -8,13 +8,13 @@ from geogossip import (
     build_graph,
     connectivity_radius,
     init_sim,
-    route_to_position,
     run,
     sample_points,
     step,
 )
 from geogossip.engine import (GEO_ATTEMPT_CAP, ROW_WIDTH, block_rows,
                               geo_acceptance)
+from geogossip.routing import route_to_position
 
 from conftest import LAST, LastRows, make_points
 

@@ -250,6 +250,24 @@ def test_fit_needs_enough_sizes(tmp_path, capsys):
     assert "needs >= 3 distinct n" in captured.err
 
 
+def test_fit_at_a_target_met_on_the_first_row(tmp_path, capsys):
+    from geogossip.metrics import write_header
+    from conftest import write_records
+    from test_metrics import rec
+    p = tmp_path / "first.csv"
+    with open(p, "w") as fh:
+        write_header(fh)
+        for n in (32, 64, 128):
+            write_records(fh, [rec("boyd", n, 0, tick=0, total=0, err=1.0),
+                               rec("boyd", n, 0, tick=9, total=n, err=0.4)])
+    code = main(["fit", "--csv", str(p), "--target", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: fit for 'boyd' needs positive medians, "
+                            "got 0 at n=32\n")
+
+
 def test_fit_of_foreign_csv_exits_one(tmp_path, capsys):
     p = tmp_path / "foreign.csv"
     p.write_text("algorithm,n,bogus\n")

@@ -20,7 +20,6 @@ from geogossip import (
     build_hierarchy,
     build_schedule,
     connectivity_radius,
-    greedy_route,
     init_sim,
     initial_values,
     replay_ledger,
@@ -30,6 +29,7 @@ from geogossip import (
 )
 from geogossip.engine import block_rows
 from geogossip.hierarchy import RepresentativeError
+from geogossip.routing import greedy_route
 
 from conftest import LAST, LastRows, grid_points, make_points
 
@@ -590,6 +590,26 @@ def test_run_requires_stop_condition(sim256):
         run(st)
     with pytest.raises(ValueError):
         run(st, max_ticks=10, stride=0)
+
+
+def test_run_takes_a_float_tick_cap_as_it_takes_stride(sim256):
+    # max_ticks goes through int() as stride does: 1e3 runs as 1000.
+    a = fresh_state(sim256, "hier")
+    b = fresh_state(sim256, "hier")
+    sa = run(a, max_ticks=1e3, stride=250.0)
+    sb = run(b, max_ticks=1000, stride=250)
+    assert sa == sb
+    assert (sa.stop_reason, sa.final.tick) == ("max_ticks", 1000)
+    assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("target", [float("nan"), -0.5],
+                         ids=["nan", "negative"])
+def test_run_refuses_a_target_it_can_never_meet(sim256, target):
+    st = fresh_state(sim256, "hier")
+    with pytest.raises(ValueError, match="target_ratio"):
+        run(st, max_ticks=100, target_ratio=target)
+    assert st.tick == 0
 
 
 def test_logged_run_matches_silent_run(sim256):

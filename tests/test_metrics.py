@@ -212,6 +212,16 @@ def test_fit_needs_three_sizes():
         fit_scaling(rows, target=0.1)
 
 
+def test_fit_refuses_a_zero_median():
+    # A target met on each run's tick-0 row leaves 0 transmissions, whose
+    # log is -inf; the fit names the algorithm and the first such n.
+    rows = runs("boyd", lambda n: n * n, ns=(32, 64, 128))
+    rows += [rec("boyd", n, seed, tick=0, total=0, err=1.0)
+             for n in (64, 128) for seed in (0, 1, 2)]
+    with pytest.raises(ValueError, match=r"'boyd'.* at n=64$"):
+        fit_scaling(rows, target=1.0)
+
+
 def test_fit_median_over_seeds():
     # seeds disagree; the median must drive the fit
     rows = []

@@ -6,20 +6,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from geogossip import (
+    EmptyCellError,
     build_graph,
     build_hierarchy,
+    build_schedule,
     connectivity_radius,
-    flood,
-    greedy_route,
+    init_sim,
     sample_points,
 )
 from geogossip import engine, routing
-from geogossip.hierarchy import SquareCell
-from geogossip.routing import (_frontier_flood, _walk, restrict_edges,
-                               route_to_position)
+from geogossip.hierarchy import RepresentativeError, SquareCell
+from geogossip.routing import (_frontier_flood, _walk, flood, greedy_route,
+                               restrict_edges, route_to_position)
 
 from conftest import SMALL_GRAPHS, make_points, small_graphs
 
@@ -342,6 +344,45 @@ def reference_flood(lindptr, lindices, origin):
                 seen.add(v)
                 order.append(v)
     return order, transmissions
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=st.integers(32, 300), seed=st.integers(0, 2**31 - 1),
+       threshold=st.integers(2, 48), c=st.floats(0.5, 1.2))
+@example(n=300, seed=4, threshold=64, c=0.8)
+def test_leaf_floods_match_reference_and_count_their_gaps(n, seed, threshold,
+                                                          c):
+    # Switching every leaf on through _toggle, each from its representative,
+    # sets local_on on exactly the union of the one-origin BFS reaches over
+    # the in-leaf edges, adds their transmissions to the flood ledger and
+    # counts each member a flood missed as flood_gap.  A sparse radius
+    # splits some leaves, so gaps come up.
+    pts = sample_points(n, seed)
+    try:
+        h = build_hierarchy(pts, threshold)
+    except (EmptyCellError, RepresentativeError):
+        assume(False)
+    g = build_graph(pts, connectivity_radius(n, c))
+    sched = build_schedule(n, 1e-2, 1e-1, 1.0, h, "practical")
+    state = init_sim(g, h, sched, seed=0)
+    leaf_of = h.leaf_of.tolist()
+    rows = [[v for v in g.neighbors(u).tolist() if leaf_of[v] == leaf_of[u]]
+            for u in range(n)]
+    lindptr = np.cumsum([0] + [len(row) for row in rows])
+    lindices = np.array([v for row in rows for v in row], dtype=np.int64)
+    reached = set()
+    tx = gap = 0
+    for leaf in np.flatnonzero(h.subdiv_at_depth[h.cell_depth] == 0).tolist():
+        rep = h.cell_rep.item(leaf)
+        order, leaf_tx = reference_flood(lindptr, lindices, rep)
+        reached.update(order)
+        tx += leaf_tx
+        gap += h.members_of(leaf).shape[0] - len(order)
+        engine._toggle(state, rep, leaf, h.cell_depth.item(leaf), 1)
+    assert np.flatnonzero(state.local_on).tolist() == sorted(reached)
+    assert state.ledger_totals()["flood"] == tx
+    assert state.fault_totals()["flood_gap"] == gap
 
 
 def restrict_adjacency(graph, member_mask):

@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
     # The grid replaces n and seed, which validate bounds from below only.
     cfg = _merged_config(args, n=min(ns), seed=min(seeds))
     algorithms = None
-    if args.algorithms:
+    if args.algorithms is not None:
         algorithms = [tok.strip() for tok in args.algorithms.split(",")
                       if tok.strip()]
     out_path = cfg.output or "sweep.csv"

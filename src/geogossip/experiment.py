@@ -8,6 +8,9 @@ wall-clock seeding anywhere.
 One experiment builds points -> graph -> hierarchy -> schedule -> engine
 state, runs to its stop condition, and streams metrics rows to CSV with a
 flush at every stride so an interrupted run still leaves a parseable file.
+Points and graph depend only on (n, seed, radius_c), so a sweep builds each
+(n, seed) instance once, in the run that first needs it, and hands that
+graph, with its connectivity flood, to the instance's later runs.
 """
 
 import dataclasses
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affine, engine, metrics
-from .geometry import DEFAULT_RADIUS_CONSTANT, build_graph, \
-    connectivity_radius, is_connected, sample_points
+from .geometry import DEFAULT_RADIUS_CONSTANT, GeometricGraph, \
+    build_graph, connectivity_radius, sample_points
 from .hierarchy import DEFAULT_A, DEFAULT_C1, DEFAULT_GAMMA, MODES, \
     EmptyCellError, RepresentativeError, ScheduleOverflowError, \
     build_hierarchy, build_schedule, default_threshold
@@ -171,20 +174,34 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict,
     return cfg
 
 
-def build_state(config: ExperimentConfig) -> engine.SimState:
+def build_state(config: ExperimentConfig, graph: GeometricGraph = None,
+                ) -> engine.SimState:
     """Construct the full simulation pipeline for a validated config.
 
     The point set uses the seed directly; the simulation stream uses a
     spawned child so tick randomness is independent of the geometry draws.
+    `graph`, if given, is the config's instance as an earlier run built it;
+    it is used as is, and the hierarchy is built on its points.  Without
+    one, the points and graph are built here.
+
+    Raises:
+        ValueError: if `graph` was built for another n, seed or radius.
     """
     config.require_seed()
-    points = sample_points(config.n, config.seed)
     radius = connectivity_radius(config.n, config.radius_c)
-    graph = build_graph(points, radius)
+    if graph is None:
+        graph = build_graph(sample_points(config.n, config.seed), radius)
+    for key, built, wanted in (("n", graph.n, config.n),
+                               ("seed", graph.points.seed, config.seed),
+                               ("radius", graph.radius, radius)):
+        if built != wanted:
+            raise ValueError(f"graph was built for {key}={built}, the "
+                             f"config needs {key}={wanted}")
     hierarchy = None
     schedule = None
     if config.algorithm == "hier":
-        hierarchy = build_hierarchy(points, config.effective_threshold())
+        hierarchy = build_hierarchy(graph.points,
+                                    config.effective_threshold())
         schedule = build_schedule(config.n, config.eps, config.delta,
                                   config.a, hierarchy, config.mode,
                                   c1=config.c1, gamma=config.gamma)
@@ -229,15 +246,18 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
-                   write_header: bool = True) -> ExperimentResult:
+                   write_header: bool = True, graph: GeometricGraph = None,
+                   ) -> ExperimentResult:
     """Run one configured simulation, streaming rows to csv_fh if given.
 
-    The state is built before anything is written.  Rows are flushed at
-    every stride so a truncated run still parses.
+    The state is built before anything is written, on `graph` if given
+    (see build_state); a graph's connectivity is flooded once, however
+    many runs share it.  Rows are flushed at every stride so a truncated
+    run still parses.
     """
     config.validate()
-    state = build_state(config)
-    connected = is_connected(state.graph)
+    state = build_state(config, graph)
+    connected = state.graph.connected
 
     on_record = None
     if csv_fh is not None:
@@ -271,34 +291,52 @@ def sweep(config: ExperimentConfig, ns, seeds, algorithms=None, csv_fh=None,
     """Run the cross product of algorithms x ns x seeds into one CSV.
 
     Runs execute in sorted (algorithm, n, seed) order, which is also the
-    row order, so merged output is deterministic.  A run that raises one of
-    BUILD_ERRORS writes no row; its result carries the error, with no
-    series and no state, and the sweep goes on.
+    row order, so merged output is deterministic.  The first run of an
+    (n, seed) instance that builds its state builds the instance's points
+    and graph; the instance's later runs are handed that graph, so their
+    results share it.  The graphs are held for this call only.  A run that
+    raises one of BUILD_ERRORS writes no row and leaves no graph behind;
+    its result carries the error, with no series and no state, and the
+    sweep goes on.
 
     Returns:
         list of ExperimentResult in execution order.
+
+    Raises:
+        ConfigError: if ns, seeds or algorithms is empty, or an algorithm
+            is unknown.
     """
     if algorithms is None:
         algorithms = [config.algorithm]
+    algorithms = sorted(set(algorithms))
+    ns = sorted(set(int(v) for v in ns))
+    seeds = sorted(set(int(v) for v in seeds))
+    if not ns or not seeds:
+        raise ConfigError("sweep needs at least one n and one seed")
+    if not algorithms:
+        raise ConfigError("sweep needs at least one algorithm")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
+    graphs = {}
     results = []
     first = True
-    for algo in sorted(set(algorithms)):
-        for n in sorted(set(int(v) for v in ns)):
-            for seed in sorted(set(int(v) for v in seeds)):
+    for algo in algorithms:
+        for n in ns:
+            for seed in seeds:
                 cfg = dataclasses.replace(config, algorithm=algo, n=n,
                                           seed=seed)
                 try:
                     # only the run's build_state raises these, before any
                     # row is written
                     result = run_experiment(cfg, csv_fh=csv_fh,
-                                            write_header=first)
+                                            write_header=first,
+                                            graph=graphs.get((n, seed)))
                 except BUILD_ERRORS as exc:
                     result = ExperimentResult(cfg, None, None, None, exc)
                 else:
                     first = False
+                    graphs[n, seed] = result.state.graph
                 results.append(result)
     return results
 

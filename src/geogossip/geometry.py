@@ -15,6 +15,7 @@ from node 0.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,8 @@ class PointSet:
 class GeometricGraph:
     """Undirected geometric graph plus the bucket grid used to build it.
 
-    Immutable after construction; shared read-only by the simulators.
+    Immutable after construction; shared read-only by the simulators, and
+    by every run of one (n, seed) instance in a sweep.
     """
 
     points: PointSet
@@ -54,6 +56,12 @@ class GeometricGraph:
 
     def edge_count(self) -> int:
         return int(self.indices.shape[0]) // 2
+
+    @cached_property
+    def connected(self) -> bool:
+        """is_connected(self), flooded on first read and kept with the
+        graph, so runs that share a graph flood it once."""
+        return is_connected(self)
 
 
 def sample_points(n: int, seed: int) -> PointSet:

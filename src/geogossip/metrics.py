@@ -144,7 +144,8 @@ def fit_scaling(records, target: float) -> dict:
     Per algorithm, the transmissions at the first record reaching the target
     are reduced to a median over seeds for each n, then a line is fitted in
     log-log coordinates.  Runs that never reach the target are excluded from
-    the fit and reported in the result.
+    the fit and reported in the result; an algorithm none of whose runs
+    reaches it has no fit.
 
     Args:
         records: MetricsRecord iterable (any row order).
@@ -154,16 +155,20 @@ def fit_scaling(records, target: float) -> dict:
         dict algorithm -> FitResult.
 
     Raises:
-        ValueError: if an algorithm has fewer than 3 distinct n with data,
-            or a median of 0 transmissions, whose log is not finite.
+        ValueError: if an algorithm has no run that reaches the target,
+            fewer than 3 distinct n with data, or a median of 0
+            transmissions, whose log is not finite.
     """
     hits, excluded = transmissions_at_target(records, target)
-    by_algo = {}
+    by_algo = {algo: {} for algo, _, _ in excluded}
     for (algo, n, seed), total in hits.items():
         by_algo.setdefault(algo, {}).setdefault(n, []).append(total)
     results = {}
     for algo in sorted(by_algo):
         per_n = by_algo[algo]
+        if not per_n:
+            raise ValueError(f"fit for {algo!r} has no run that reached "
+                             f"target {target:g}")
         ns = sorted(per_n)
         if len(ns) < 3:
             raise ValueError(

@@ -19,7 +19,7 @@ coordinates in CSR order, padded with +inf.  The table costs 16 B x n x max
 degree (0.9 MB at n=512, 413 MB at n=131,072).  It is built on a graph's
 first route, not with the graph, since `boyd` never routes, and only the
 last graph's table is kept, since a run routes on one graph while a sweep
-holds every graph it built.  Flooding runs on the graph search in
+holds one graph per (n, seed) instance.  Flooding runs on the graph search in
 `geometry`, `_frontier_flood`: it floods from many origins at once, one
 breadth-first frontier per round for all of them, and labels each reached
 node with its origin.  A single flood is a batch of one origin over the
@@ -70,8 +70,9 @@ def _neighbour_table(graph):
     # It costs 16 B x n x max degree: 0.9 MB at n=512, 4.3 MB at 2048,
     # 19.5 MB at 8192 and 413 MB at 131,072 (radius_c = 2), and its build
     # about a quarter of build_graph's time.  Only the last graph's table
-    # is kept: a run routes on one graph, while a sweep or the benchmark
-    # holds every graph it built, and a table each would grow with them.
+    # is kept: a run routes on one graph, while a sweep holds one graph per
+    # (n, seed) instance and the benchmark every graph its runs built, and
+    # a table each would grow with them.
     global _table
     held, nx, ny = _table
     if held is not graph:

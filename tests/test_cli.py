@@ -182,6 +182,44 @@ def test_sweep_records_a_run_that_cannot_build(tmp_path, capsys):
     assert {(r.algorithm, r.n, r.seed) for r in rows} == {("hier", 64, 1)}
 
 
+def test_a_run_that_cannot_build_leaves_its_instance_alone(tmp_path,
+                                                          capsys):
+    # the same grid with boyd: hier's seed-0 run fails on the graph that
+    # boyd's seed-0 run built, and boyd's rows are a boyd-only sweep's
+    grid = ["--ns", "64", "--seeds", "0,1", "--threshold", "4",
+            "--max-ticks", "20000"]
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    code = main(["sweep", "--algorithms", "boyd,hier", "--output",
+                 str(both)] + grid)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        "error: hier n=64 seed=0: cell 0.1 at depth 2 has no sensors; "
+        "resample the points or raise the leaf threshold"]
+    assert captured.out.count("stop=") == 3
+    assert main(["sweep", "--algorithms", "boyd", "--output",
+                 str(alone)] + grid) == 0
+    capsys.readouterr()
+    lines = both.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("boyd,")] == \
+        alone.read_text().splitlines()[1:]
+    assert {(r.algorithm, r.seed) for r in read_csv(both)} == \
+        {("boyd", 0), ("boyd", 1), ("hier", 1)}
+
+
+@pytest.mark.parametrize("algorithms", [",", ""], ids=["comma", "empty"])
+def test_sweep_with_no_algorithm_exits_one(tmp_path, capsys, algorithms):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--algorithms", algorithms, "--ns", "64",
+                 "--seeds", "0", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "config error: sweep needs at least one " \
+                           "algorithm\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("base", ["flags", "config"])
 def test_sweep_grid_replaces_the_base_n_and_seed(tmp_path, monkeypatch,
                                                  capsys, base):
@@ -266,6 +304,24 @@ def test_fit_at_a_target_met_on_the_first_row(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: fit for 'boyd' needs positive medians, "
                             "got 0 at n=32\n")
+
+
+def test_fit_at_a_target_no_run_reached(tmp_path, capsys):
+    from geogossip.metrics import write_header
+    from conftest import write_records
+    from test_metrics import rec
+    p = tmp_path / "short.csv"
+    with open(p, "w") as fh:
+        write_header(fh)
+        for n in (32, 64, 128):
+            write_records(fh, [rec("boyd", n, 0, tick=9, total=n, err=0.05),
+                               rec("geo", n, 0, tick=9, total=n, err=0.5)])
+    code = main(["fit", "--csv", str(p), "--target", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: fit for 'geo' has no run that reached "
+                            "target 0.1\n")
 
 
 def test_fit_of_foreign_csv_exits_one(tmp_path, capsys):

@@ -8,8 +8,13 @@ import pytest
 
 from geogossip import (
     ConfigError,
+    EmptyCellError,
     ExperimentConfig,
+    engine,
+    experiment,
+    geometry,
     kernel_verify,
+    metrics,
     parse_config,
     run_experiment,
     sweep,
@@ -170,6 +175,114 @@ def test_sweep_grid_order_and_single_header():
 def test_sweep_rejects_unknown_algorithm():
     with pytest.raises(ConfigError):
         sweep(small_cfg(), ns=[64], seeds=[0], algorithms=["fast"])
+
+
+@pytest.mark.parametrize("grid", [
+    dict(ns=[64], seeds=[0], algorithms=[]),
+    dict(ns=[], seeds=[0]),
+    dict(ns=[64], seeds=[]),
+], ids=["algorithms", "ns", "seeds"])
+def test_sweep_refuses_an_empty_grid(grid):
+    # a grid with no runs is a mistake, not a sweep that succeeded
+    buf = io.StringIO()
+    with pytest.raises(ConfigError, match="sweep needs at least one"):
+        sweep(small_cfg(), csv_fh=buf, **grid)
+    assert buf.getvalue() == ""
+
+
+def _count_builds(monkeypatch):
+    # (n, seed) of every graph build_state builds, and of every graph
+    # flooded for connectivity, in call order
+    built, flooded = [], []
+    build_graph, is_connected = experiment.build_graph, geometry.is_connected
+
+    def counting_build(points, radius):
+        built.append((points.n, points.seed))
+        return build_graph(points, radius)
+
+    def counting_flood(graph):
+        flooded.append((graph.n, graph.points.seed))
+        return is_connected(graph)
+
+    monkeypatch.setattr(experiment, "build_graph", counting_build)
+    monkeypatch.setattr(geometry, "is_connected", counting_flood)
+    return built, flooded
+
+
+def test_sweep_builds_each_instance_once(monkeypatch):
+    built, flooded = _count_builds(monkeypatch)
+    cfg = small_cfg(max_ticks=2_000, stride=500)
+    grid = dict(ns=[128, 64], seeds=[1, 0],
+                algorithms=["hier", "geo", "boyd"])
+    instances = [(64, 0), (64, 1), (128, 0), (128, 1)]
+    buf = io.StringIO()
+    results = sweep(cfg, csv_fh=buf, **grid)
+    assert sorted(built) == instances
+    assert sorted(flooded) == instances
+    graphs = {}
+    for r in results:
+        assert r.connected
+        graphs.setdefault((r.state.n, r.state.seed), []).append(
+            r.state.graph)
+    assert sorted(graphs) == instances
+    for shared in graphs.values():
+        assert len(shared) == 3
+        assert all(g is shared[0] for g in shared)
+    assert len({id(shared[0]) for shared in graphs.values()}) == 4
+
+    # a second call builds and floods its own graphs
+    again = sweep(cfg, **grid)
+    assert sorted(built) == sorted(instances * 2)
+    assert sorted(flooded) == sorted(instances * 2)
+    assert not any(a.state.graph is r.state.graph
+                   for a, r in zip(again, results))
+
+    # the rows are those of one run per cell on its own graph
+    want = io.StringIO()
+    metrics.write_header(want)
+    for algo in ("boyd", "geo", "hier"):
+        for n, seed in instances:
+            run_experiment(dataclasses.replace(cfg, algorithm=algo, n=n,
+                                               seed=seed),
+                           csv_fh=want, write_header=False)
+    assert buf.getvalue() == want.getvalue()
+
+
+def test_a_run_that_raises_leaves_no_graph_behind(monkeypatch):
+    # boyd's run builds the graph and then fails, so geo's run of the
+    # same instance builds it again
+    built, _ = _count_builds(monkeypatch)
+    init_sim = engine.init_sim
+
+    def boyd_fails(graph, *args, algorithm, **kw):
+        if algorithm == "boyd":
+            raise EmptyCellError((0,), 1)
+        return init_sim(graph, *args, algorithm=algorithm, **kw)
+
+    monkeypatch.setattr(engine, "init_sim", boyd_fails)
+    results = sweep(small_cfg(max_ticks=1_000), ns=[64], seeds=[0],
+                    algorithms=["boyd", "geo"])
+    assert isinstance(results[0].error, EmptyCellError)
+    assert results[1].error is None
+    assert built == [(64, 0), (64, 0)]
+
+
+def test_build_state_runs_on_a_given_graph():
+    graph = build_state(small_cfg()).graph
+    state = build_state(small_cfg(algorithm="hier"), graph)
+    assert state.graph is graph
+    assert state.hierarchy.points is graph.points
+
+
+@pytest.mark.parametrize("field, change", [
+    ("n", dict(n=128)),
+    ("seed", dict(seed=1)),
+    ("radius", dict(radius_c=2.5)),
+], ids=["n", "seed", "radius"])
+def test_build_state_refuses_a_graph_of_another_instance(field, change):
+    graph = build_state(small_cfg()).graph
+    with pytest.raises(ValueError, match=f"graph was built for {field}="):
+        build_state(small_cfg(**change), graph)
 
 
 def test_event_log_stream():

@@ -206,6 +206,18 @@ def test_fit_result_names_unconverged_runs():
     assert "never reached" not in str(fit_scaling(converged, 0.1)["hier"])
 
 
+def test_fit_refuses_an_algorithm_that_never_reached_the_target():
+    # boyd crosses 0.1 but never 0.001; geo never reaches either
+    rows = runs("boyd", lambda n: n * n)
+    rows += [rec("geo", n, 0, tick=10, total=n, err=0.5)
+             for n in (64, 128, 256)]
+    with pytest.raises(ValueError, match=r"^fit for 'geo' has no run that "
+                                         r"reached target 0\.1$"):
+        fit_scaling(rows, target=0.1)
+    with pytest.raises(ValueError, match=r"^fit for 'boyd' .* 0\.001$"):
+        fit_scaling(rows, target=0.001)
+
+
 def test_fit_needs_three_sizes():
     rows = runs("boyd", lambda n: n * n, ns=(64, 128))
     with pytest.raises(ValueError):

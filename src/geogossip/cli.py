@@ -53,13 +53,14 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
                            choices=experiment.CHOICES.get(f.name))
 
 
-def _merged_config(args, **fixed) -> experiment.ExperimentConfig:
-    # fixed: keys set over the config file and the flags before validation
-    cfg = experiment.ExperimentConfig()
-    if args.config:
-        cfg = experiment.load_config(args.config, cfg)
-    overrides = {f.name: getattr(args, f.name) for f in _CONFIG_FIELDS}
-    return experiment.apply_overrides(cfg, {**overrides, **fixed})
+def _merged_config(args) -> experiment.ExperimentConfig:
+    # The config file (or the defaults) with each given flag over it; the
+    # run checks the result when it starts.
+    cfg = (experiment.load_config(args.config) if args.config
+           else experiment.ExperimentConfig())
+    return dataclasses.replace(cfg, **{
+        f.name: getattr(args, f.name) for f in _CONFIG_FIELDS
+        if getattr(args, f.name) is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -124,11 +125,7 @@ class _OpenOnWrite:
 def _cmd_sweep(args) -> int:
     ns = _parse_int_list(args.ns, "n")
     seeds = _parse_int_list(args.seeds, "seed")
-    if not ns or not seeds:
-        raise experiment.ConfigError("sweep needs at least one n and one "
-                                     "seed")
-    # The grid replaces n and seed, which validate bounds from below only.
-    cfg = _merged_config(args, n=min(ns), seed=min(seeds))
+    cfg = _merged_config(args)
     algorithms = None
     if args.algorithms is not None:
         algorithms = [tok.strip() for tok in args.algorithms.split(",")

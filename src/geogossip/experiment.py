@@ -80,17 +80,17 @@ class ExperimentConfig:
             raise ConfigError(f"n must be at least 4, got {self.n}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.radius_c <= 0:
+        if not self.radius_c > 0:
             raise ConfigError(f"radius_c must be positive, got "
                               f"{self.radius_c}")
-        if self.threshold is not None and self.threshold < 1:
+        if self.threshold is not None and not self.threshold >= 1:
             raise ConfigError(f"threshold must be at least 1, got "
                               f"{self.threshold}")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ConfigError(f"a must be positive, got {self.a}")
-        if self.gamma < 1:
+        if not self.gamma >= 1:
             raise ConfigError(f"gamma must be at least 1, got {self.gamma}")
-        if self.c1 <= 0:
+        if not self.c1 > 0:
             raise ConfigError(f"c1 must be positive, got {self.c1}")
         if not 0 < self.eps < 1:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
@@ -158,20 +158,6 @@ def load_config(path, base: ExperimentConfig = None) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text, base)
-
-
-def apply_overrides(cfg: ExperimentConfig, overrides: dict,
-                    ) -> ExperimentConfig:
-    """Return a copy with non-None override values applied and validated."""
-    cfg = dataclasses.replace(cfg)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
 
 
 def build_state(config: ExperimentConfig, graph: GeometricGraph = None,
@@ -250,7 +236,8 @@ def run_experiment(config: ExperimentConfig, csv_fh=None, event_fh=None,
                    ) -> ExperimentResult:
     """Run one configured simulation, streaming rows to csv_fh if given.
 
-    The state is built before anything is written, on `graph` if given
+    The config is checked first (the one check a run's config gets), then
+    the state is built before anything is written, on `graph` if given
     (see build_state); a graph's connectivity is flooded once, however
     many runs share it.  Rows are flushed at every stride so a truncated
     run still parses.
@@ -303,8 +290,8 @@ def sweep(config: ExperimentConfig, ns, seeds, algorithms=None, csv_fh=None,
         list of ExperimentResult in execution order.
 
     Raises:
-        ConfigError: if ns, seeds or algorithms is empty, or an algorithm
-            is unknown.
+        ConfigError: if ns, seeds or algorithms is empty, an algorithm is
+            unknown, or the first run's config holds a bad value.
     """
     if algorithms is None:
         algorithms = [config.algorithm]

@@ -95,11 +95,11 @@ def connectivity_radius(n: float, c: float = DEFAULT_RADIUS_CONSTANT) -> float:
         c: positive scale constant.
 
     Raises:
-        ValueError: if n < 2 or c <= 0.
+        ValueError: if n < 2 or c is not positive.
     """
     if n < 2:
         raise ValueError(f"radius formula needs n >= 2, got {n}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"radius constant must be positive, got {c}")
     return c * math.sqrt(math.log(n) / n)
 
@@ -161,7 +161,7 @@ def build_graph(points: PointSet, radius: float) -> GeometricGraph:
     Raises:
         ValueError: if radius is not positive.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     px, py = np.asarray(points.xy, dtype=np.float64).T.copy()
     n = points.n

@@ -177,11 +177,11 @@ def build_hierarchy(points: PointSet, threshold: float) -> Hierarchy:
         Hierarchy with representatives assigned.
 
     Raises:
-        ValueError: if threshold < 1.
+        ValueError: if threshold is not at least 1.
         EmptyCellError: if any cell at any depth holds no sensors.
         RepresentativeError: if a cell has no unclaimed member left.
     """
-    if threshold < 1:
+    if not threshold >= 1:
         raise ValueError(f"leaf threshold must be >= 1, got {threshold}")
     n = points.n
     xy = points.xy
@@ -393,13 +393,13 @@ def build_schedule(n: int, eps0: float, delta0: float, a: float,
         raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
     if not 0 < delta0 < 1:
         raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
-    if a <= 0:
+    if not a > 0:
         raise ValueError(f"a must be positive, got {a}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if c1 <= 0:
+    if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
 
     depths = hierarchy.total_levels

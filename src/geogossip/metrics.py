@@ -155,11 +155,14 @@ def fit_scaling(records, target: float) -> dict:
         dict algorithm -> FitResult.
 
     Raises:
+        ValueError: if there are no records.
         ValueError: if an algorithm has no run that reaches the target,
             fewer than 3 distinct n with data, or a median of 0
             transmissions, whose log is not finite.
     """
     hits, excluded = transmissions_at_target(records, target)
+    if not hits and not excluded:
+        raise ValueError("fit needs at least one record, got none")
     by_algo = {algo: {} for algo, _, _ in excluded}
     for (algo, n, seed), total in hits.items():
         by_algo.setdefault(algo, {}).setdefault(n, []).append(total)

@@ -223,13 +223,15 @@ def test_sweep_with_no_algorithm_exits_one(tmp_path, capsys, algorithms):
 @pytest.mark.parametrize("base", ["flags", "config"])
 def test_sweep_grid_replaces_the_base_n_and_seed(tmp_path, monkeypatch,
                                                  capsys, base):
-    # The base config's own n and seed are never run, so only the grid's
-    # are checked; a grid n below 4 still fails before any run writes.
+    # The base config's own n and seed (and, under --algorithms, its
+    # algorithm) are never run, so only the grid's are checked; a grid n
+    # below 4, in any place of the list, still fails before any run writes.
     monkeypatch.chdir(tmp_path)
     if base == "flags":
         args = ["--n", "2", "--seed", "-1"]
     else:
-        (tmp_path / "base.cfg").write_text("n = 2\nseed = -1\n")
+        (tmp_path / "base.cfg").write_text("n = 2\nseed = -1\n"
+                                           "algorithm = foo\n")
         args = ["--config", "base.cfg"]
     grid = ["sweep", "--algorithms", "boyd", "--seeds", "0",
             "--max-ticks", "100"] + args
@@ -239,6 +241,11 @@ def test_sweep_grid_replaces_the_base_n_and_seed(tmp_path, monkeypatch,
     assert {(r.n, r.seed) for r in read_csv(tmp_path / "grid.csv")} == \
         {(64, 0)}
     code = main(grid + ["--ns", "2,64", "--output", "bad.csv"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "config error: n must be at least 4, got 2\n"
+    assert not (tmp_path / "bad.csv").exists()
+    code = main(grid + ["--ns", "64,2", "--output", "bad.csv"])
     assert code == 1
     assert capsys.readouterr().err == \
         "config error: n must be at least 4, got 2\n"
@@ -324,6 +331,20 @@ def test_fit_at_a_target_no_run_reached(tmp_path, capsys):
                             "target 0.1\n")
 
 
+@pytest.mark.parametrize("header", [True, False], ids=["header", "empty"])
+def test_fit_of_a_csv_with_no_rows_exits_one(tmp_path, capsys, header):
+    from geogossip.metrics import write_header
+    p = tmp_path / "none.csv"
+    with open(p, "w") as fh:
+        if header:
+            write_header(fh)
+    code = main(["fit", "--csv", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: fit needs at least one record, got none\n"
+
+
 def test_fit_of_foreign_csv_exits_one(tmp_path, capsys):
     p = tmp_path / "foreign.csv"
     p.write_text("algorithm,n,bogus\n")
@@ -362,19 +383,9 @@ def test_kernel_verify_failure_exits_two(monkeypatch, capsys):
     assert len(failed) == 1 and failed[0].startswith("alpha-rejection ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--n", "64", "--seed", "-1", "--max-ticks", "10"],
-    ["sweep", "--ns", "64", "--seeds", "-1", "--max-ticks", "10"],
-    ["sweep", "--ns", "64,128", "--seeds", "0,-1", "--max-ticks", "10"],
-    ["kernel-verify", "--trials", "0", "--seed", "-1"],
-    ["dump-hierarchy", "--n", "64", "--seed", "-1", "--threshold", "16"],
-], ids=["simulate", "sweep", "sweep-grid", "kernel-verify", "dump-hierarchy"])
-def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
-                                         argv):
-    # A config error (or, for a plain --seed flag, a usage error) exits 1
-    # with a one-line message; a sweep fails before any run writes.
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "200")   # argparse's usage on one line
+def _one_error_line(argv, run_dir, capsys):
+    # The one message line of a command run in run_dir that must exit 1
+    # and write nothing there.
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -385,8 +396,57 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
     message = [line for line in err.splitlines()
                if not line.startswith("usage:")]
     assert len(message) == 1
-    assert message[0].endswith("seed must be >= 0, got -1")
-    assert list(tmp_path.iterdir()) == []
+    assert list(run_dir.iterdir()) == []
+    return message[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "64", "--seed", "-1", "--max-ticks", "10"],
+    ["sweep", "--ns", "64", "--seeds", "-1", "--max-ticks", "10"],
+    ["sweep", "--ns", "64,128", "--seeds", "0,-1", "--max-ticks", "10"],
+    ["sweep", "--ns", "64,128", "--seeds", "3,-1", "--max-ticks", "10"],
+    ["kernel-verify", "--trials", "0", "--seed", "-1"],
+    ["dump-hierarchy", "--n", "64", "--seed", "-1", "--threshold", "16"],
+], ids=["simulate", "sweep", "sweep-grid", "sweep-grid-last",
+        "kernel-verify", "dump-hierarchy"])
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                         argv):
+    # A config error (or, for a plain --seed flag, a usage error) exits 1
+    # with a one-line message; a sweep fails before any run writes.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "200")   # argparse's usage on one line
+    message = _one_error_line(argv, tmp_path, capsys)
+    assert message.endswith("seed must be >= 0, got -1")
+
+
+_FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.type is float]
+
+
+@pytest.mark.parametrize("key, value, via", [
+    *((key, "nan", "flag") for key in _FLOAT_KEYS),
+    ("gamma", "nan", "config"),
+    ("gamma", "0.5", "config"),
+])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_float_value_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                           command, key, value, via):
+    # nan fails every comparison, so each range check states what a value
+    # must meet; a run checks its config before it builds or writes.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    if via == "flag":
+        args = ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "base.cfg").write_text(f"{key} = {value}\n")
+        args = ["--config", str(tmp_path / "base.cfg")]
+    argv = ([command, "--n", "64", "--seed", "0"] if command == "simulate"
+            else [command, "--ns", "64,128", "--seeds", "0,1"])
+    message = _one_error_line(argv + ["--max-ticks", "10"] + args, run_dir,
+                              capsys)
+    assert message.startswith(f"config error: {key} ")
+    assert message.endswith(f", got {value}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,6 +512,7 @@ def test_dump_hierarchy_command(capsys):
 @pytest.mark.parametrize("n, threshold, message", [
     ("64", "0.5", "leaf threshold must be >= 1"),
     ("0", "16", "need at least one point"),
+    ("256", "nan", "leaf threshold must be >= 1, got nan"),
 ])
 def test_dump_hierarchy_bad_input_exits_one(capsys, n, threshold, message):
     code = main(["dump-hierarchy", "--n", n, "--seed", "0",

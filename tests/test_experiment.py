@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from geogossip import (
     sweep,
 )
 from geogossip.affine import markov_tail_bound
-from geogossip.experiment import (apply_overrides, build_state,
-                                  check_contraction, check_markov_tail,
-                                  check_mean_square_decay,
+from geogossip.experiment import (build_state, check_contraction,
+                                  check_markov_tail, check_mean_square_decay,
                                   check_perturbed_deviation,
                                   check_second_moment, load_config)
 
@@ -103,19 +103,12 @@ def test_validate_catches_bad_values():
                dict(threshold=0.5), dict(mode="slow"), dict(a=0.0),
                dict(gamma=0.9), dict(c1=0.0), dict(eps=0.0), dict(eps=1.0),
                dict(delta=2.0), dict(max_ticks=-1), dict(init="triangle"),
-               dict(stride=0), dict(fault_limit=-1)):
+               dict(stride=0), dict(fault_limit=-1),
+               *({f.name: math.nan} for f in dataclasses.fields(
+                   ExperimentConfig) if f.type is float)):
         with pytest.raises(ConfigError):
             small_cfg(**kw).validate()
     small_cfg().validate()
-
-
-def test_overrides_validate_and_reject_unknown():
-    cfg = apply_overrides(small_cfg(), {"n": 128, "seed": None})
-    assert cfg.n == 128 and cfg.seed == 0
-    with pytest.raises(ConfigError):
-        apply_overrides(small_cfg(), {"width": 3})
-    with pytest.raises(ConfigError):
-        apply_overrides(small_cfg(), {"gamma": 0.5})
 
 
 def test_seed_is_mandatory():
@@ -126,7 +119,6 @@ def test_seed_is_mandatory():
 
 
 def test_effective_threshold_defaults_to_log_power():
-    import math
     cfg = small_cfg(threshold=None, n=1024)
     assert cfg.effective_threshold() == pytest.approx(math.log(1024) ** 8)
     assert small_cfg(threshold=48.0).effective_threshold() == 48.0
@@ -187,6 +179,24 @@ def test_sweep_refuses_an_empty_grid(grid):
     buf = io.StringIO()
     with pytest.raises(ConfigError, match="sweep needs at least one"):
         sweep(small_cfg(), csv_fh=buf, **grid)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("base, grid, message", [
+    (dict(gamma=0.5), dict(ns=[64, 128], seeds=[0, 1]),
+     "gamma must be at least 1, got 0.5"),
+    (dict(gamma=math.nan), dict(ns=[64, 128], seeds=[0, 1]),
+     "gamma must be at least 1, got nan"),
+    ({}, dict(ns=[64, 2], seeds=[0]), "n must be at least 4, got 2"),
+    ({}, dict(ns=[64], seeds=[3, -1]), "seed must be >= 0, got -1"),
+], ids=["shared-key", "shared-nan", "grid-n", "grid-seed"])
+def test_sweep_refuses_a_bad_value_before_any_row(base, grid, message):
+    # each run checks its config as it starts; the first run holds the
+    # grid's least n and seed and every shared key, so it is the one
+    buf = io.StringIO()
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        sweep(small_cfg(algorithm="hier", **base),
+              algorithms=["boyd", "hier"], csv_fh=buf, **grid)
     assert buf.getvalue() == ""
 
 

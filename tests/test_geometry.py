@@ -60,6 +60,16 @@ def test_connectivity_radius_values():
             connectivity_radius(n, c)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: connectivity_radius(1000, math.nan), "radius constant"),
+    (lambda: build_graph(sample_points(8, seed=0), math.nan), "radius"),
+], ids=["connectivity_radius", "build_graph"])
+def test_nan_radius_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message} must be positive, "
+                                         f"got nan$"):
+        build()
+
+
 def test_exact_distance_is_adjacent():
     pts = make_points([[0.1, 0.1], [0.35, 0.1]])
     g = build_graph(pts, 0.25)

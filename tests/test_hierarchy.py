@@ -294,6 +294,12 @@ def test_threshold_below_one_rejected():
         build_hierarchy(sample_points(64, 0), 0.5)
 
 
+def test_nan_threshold_rejected():
+    with pytest.raises(ValueError, match=r"^leaf threshold must be >= 1, "
+                                         r"got nan$"):
+        build_hierarchy(sample_points(64, 0), math.nan)
+
+
 def test_build_deterministic():
     a = build_hierarchy(sample_points(512, 21), 64.0)
     b = build_hierarchy(sample_points(512, 21), 64.0)
@@ -458,3 +464,14 @@ def test_schedule_argument_validation(hier4096):
         build_schedule(**good, c1=0.0)
     with pytest.raises(ValueError):
         build_schedule(**good, gamma=0.5)
+
+
+@pytest.mark.parametrize("key, rule", [
+    ("a", "must be positive"), ("c1", "must be positive"),
+    ("gamma", "must be >= 1"),
+])
+def test_schedule_rejects_a_nan_constant(hier4096, key, rule):
+    good = dict(n=4096, eps0=1e-2, delta0=1e-1, a=1.0,
+                hierarchy=hier4096, mode="practical")
+    with pytest.raises(ValueError, match=f"^{key} {rule}, got nan$"):
+        build_schedule(**{**good, key: math.nan})

@@ -170,6 +170,11 @@ def test_fit_ignores_constant_factor():
     assert fits["geo"].slope == pytest.approx(1.5, abs=2e-3)
 
 
+def test_fit_of_no_records_raises():
+    with pytest.raises(ValueError, match="at least one record, got none"):
+        fit_scaling([], target=0.1)
+
+
 def test_fit_uses_first_crossing():
     hits, excluded = transmissions_at_target(
         runs("hier", lambda n: 100 * n), target=0.1)
